@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 test or metric failure, 2 usage or input error.
 Options may come from a flat key=value config file (--config); explicit
-flags always win.  STEREO_COSTVOL_THREADS provides the thread cap when
---threads is not given.
+flags always win.  STEREO_COSTVOL_THREADS (an integer >= 1) provides the
+thread cap when neither --threads nor the config file sets it.
 """
 
 from __future__ import annotations
@@ -66,16 +66,6 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-def _env_threads() -> int | None:
-    raw = os.environ.get("STEREO_COSTVOL_THREADS")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        return None
-
-
 def _resolve(args, file_cfg, key, default):
     flag = getattr(args, key.replace("-", "_"), None)
     if flag is not None:
@@ -85,15 +75,29 @@ def _resolve(args, file_cfg, key, default):
     return default
 
 
+def _resolve_threads(args, file_cfg) -> int:
+    """--threads, then the config file, then STEREO_COSTVOL_THREADS, then 1."""
+    threads = _resolve(args, file_cfg, "threads", None)
+    if threads is not None:
+        return threads
+    raw = os.environ.get("STEREO_COSTVOL_THREADS")
+    if raw is None:
+        return 1
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"STEREO_COSTVOL_THREADS must be an integer >= 1, got {raw!r}")
+    return threads
+
+
 def _build_pipeline_config(args, file_cfg) -> PipelineConfig:
     mode = _resolve(args, file_cfg, "mode", "fast_acv")
     d_max = _resolve(args, file_cfg, "dmax", 64)
     k = _resolve(args, file_cfg, "k", None)
     if k is None:
         k = min(24, max(1, d_max // 4))
-    threads = _resolve(args, file_cfg, "threads", None)
-    if threads is None:
-        threads = _env_threads() or 1
     vap = VapConfig(
         radius=_resolve(args, file_cfg, "radius", 1),
         alpha=_resolve(args, file_cfg, "alpha", 1.0),
@@ -108,7 +112,7 @@ def _build_pipeline_config(args, file_cfg) -> PipelineConfig:
         regularizer=_resolve(args, file_cfg, "regularizer", "identity"),
         box_radius=_resolve(args, file_cfg, "box-radius", 1),
         temperature=_resolve(args, file_cfg, "temperature", 64.0),
-        threads=threads,
+        threads=_resolve_threads(args, file_cfg),
     )
 
 
@@ -425,12 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", None) is None and hasattr(args, "threads"):
-        env = _env_threads()
-        if env is not None and args.command == "bench":
-            args.threads = env
-    if args.command == "bench" and args.threads is None:
-        args.threads = 1
+    if args.command == "bench":
+        try:
+            args.threads = _resolve_threads(args, {})
+        except ValueError as exc:
+            return _fail(str(exc))
     if args.command == "bench" and args.k_sweep:
         for token in args.k_sweep.split(","):
             if not token.strip().isdigit():

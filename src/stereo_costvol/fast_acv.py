@@ -21,6 +21,7 @@ from .volume_core import (
     FeatureMap,
     ProbabilityVolume,
     _cross_sample_2d,
+    _pair_readout,
     soft_argmin,
     softmax_over_disparity,
 )
@@ -147,19 +148,18 @@ def matching_score(f_l: FeatureMap, f_r: FeatureMap, d_m: np.ndarray) -> np.ndar
         raise ValueError("matching_score: candidate planes must be (M, height, width)")
     xs = np.arange(w, dtype=np.float64)
     scores = np.empty(d_m.shape, dtype=np.float32)
-    sum_dtype = np.float64 if c > 256 else np.float32
+    flat = f_r.data.reshape(c, h * w)
+    row_start = (np.arange(h) * w)[:, None]
     for m in range(d_m.shape[0]):
         u = xs[None, :] - d_m[m]
         inside = (u >= 0.0) & (u <= w - 1)
         u0 = np.clip(np.floor(u).astype(np.intp), 0, max(w - 2, 0))
         u1 = np.minimum(u0 + 1, w - 1)
         t = np.clip(u - u0, 0.0, 1.0).astype(np.float32)
-        rows = np.arange(h)[:, None]
-        lo = f_r.data[:, rows, u0]
-        hi = f_r.data[:, rows, u1]
+        lo = np.take(flat, (row_start + u0).ravel(), axis=1).reshape(c, h, w)
+        hi = np.take(flat, (row_start + u1).ravel(), axis=1).reshape(c, h, w)
         sampled = lo + t[None] * (hi - lo)
-        s = (f_l.data * sampled).sum(axis=0, dtype=sum_dtype) / np.float32(c)
-        scores[m] = np.where(inside, s, 0.0)
+        scores[m] = np.where(inside, _pair_readout(f_l.data, sampled), 0.0)
     return scores
 
 

@@ -45,13 +45,20 @@ from .volume_core import (
     CostVolume,
     DisparityMap,
     FeatureMap,
+    _pair_readout,
     _resize_linear,
     build_concat_volume,
+    concat_cost,
     group_correlation,
     soft_argmin,
     softmax_over_disparity,
     unfold_cross,
 )
+
+# build_concat_volume, attention_filter, build_compact_concat and
+# compress_concat_volume (below) are the reference ops that concat_cost
+# streams.  The runners no longer call them, but they stay attributes of
+# this module so oracle tests and call-site tracing still find them here.
 
 CHANNELS_PER_GROUP = 8
 FAST_CORR_GROUPS = 12
@@ -124,7 +131,14 @@ class PipelineConfig:
 
 
 class AllocationMeter:
-    """Tracks named volume allocations and the peak number of live elements."""
+    """Tracks named volume allocations and the peak number of live elements.
+
+    Counts are logical volume elements of the paper's architecture, not
+    bytes held: the concatenation volumes ("concat", "filtered" in acv,
+    "compact_concat" in fast_acv) are streamed one slice at a time by
+    concat_cost and never held whole, yet are booked at full size in the
+    order the architecture allocates and frees them.
+    """
 
     def __init__(self):
         self.counts: Dict[str, int] = {}
@@ -340,17 +354,19 @@ def compress_concat_volume(v: CostVolume) -> CostVolume:
     if v.channels % 2 != 0:
         raise ValueError("concatenation volume must have an even channel count")
     half = v.channels // 2
-    prod = v.data[:half] * v.data[half:]
-    sum_dtype = np.float64 if half > 256 else np.float32
-    cost = prod.sum(axis=0, dtype=sum_dtype) / np.float32(half)
-    return CostVolume(cost[None].astype(np.float32), v.resolution_scale)
+    return CostVolume(_pair_readout(v.data[:half], v.data[half:])[None], v.resolution_scale)
 
 
 # ---------------------------------------------------------------------------
 # Volume accounting
 
 def expected_volume_elements(cfg: PipelineConfig, height: int, width: int) -> Dict[str, int]:
-    """Analytic element counts for every volume a pipeline run allocates."""
+    """Analytic element counts for every volume a pipeline run allocates.
+
+    These are logical (paper-architecture) volume elements, matching what
+    AllocationMeter books; the concatenation volumes among them are
+    streamed slice by slice and never materialized whole.
+    """
     h4, w4 = height // 4, width // 4
     d4 = cfg.d_max // 4
     nc2 = 2 * cfg.acv.concat_channels
@@ -446,19 +462,18 @@ def run_acv_pipeline(left, right, cfg: PipelineConfig,
     meter.alloc("attention", a.elements)
     meter.release("correlation")
     del c_patch
-    c_concat = build_concat_volume(pyr_l.f_quarter, pyr_r.f_quarter, cfg.d_max // 4)
-    meter.alloc("concat", c_concat.elements)
-    filtered = attention_filter(a, c_concat)
-    meter.alloc("filtered", filtered.elements)
+    # Streams concat -> attention_filter -> compress_concat_volume; the meter
+    # still books the logical concat and filtered volumes in that order.
+    cost = concat_cost(pyr_l.f_quarter, pyr_r.f_quarter, cfg.d_max // 4, a, cfg.threads)
+    concat_elements = 2 * pyr_l.f_quarter.channels * cost.elements
+    meter.alloc("concat", concat_elements)
+    meter.alloc("filtered", concat_elements)
     meter.release("concat")
-    del c_concat
+    meter.alloc("compressed", cost.elements)
+    meter.release("filtered")
     stage_ms["volume_construction"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
-    cost = compress_concat_volume(filtered)
-    meter.alloc("compressed", cost.elements)
-    meter.release("filtered")
-    del filtered
     cost = reg(cost)
     stage_ms["aggregation"] = (time.perf_counter() - t0) * 1000.0
 
@@ -528,8 +543,12 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
     hyp = f2i_topk(softmax_over_disparity(v_prop), cfg.k)
     meter.release("propagated")
     del v_prop
-    compact = build_compact_concat(pyr_l.f_quarter, pyr_r.f_quarter, hyp.d_hyp)
-    meter.alloc("compact_concat", compact.elements)
+    # Streams build_compact_concat -> compress_concat_volume; the meter still
+    # books the logical compact volume.
+    cost_k = concat_cost(pyr_l.f_quarter, pyr_r.f_quarter, hyp.d_hyp, threads=cfg.threads)
+    meter.alloc("compact_concat", 2 * pyr_l.f_quarter.channels * cost_k.elements)
+    meter.alloc("compressed", cost_k.elements)
+    meter.release("compact_concat")
     stage_ms["volume_construction"] = (time.perf_counter() - t0) * 1000.0
 
     # The hypothesis axis is probability-ranked, not a disparity continuum:
@@ -537,10 +556,6 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
     # above, and filtering happens after compression so the attention enters
     # the per-hypothesis costs linearly rather than squared.
     t0 = time.perf_counter()
-    cost_k = compress_concat_volume(compact)
-    meter.alloc("compressed", cost_k.elements)
-    meter.release("compact_concat")
-    del compact
     cost = fast_attention_filter(hyp.a_f, cost_k)
     meter.alloc("filtered", cost.elements)
     meter.release("compressed")

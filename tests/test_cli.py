@@ -107,6 +107,24 @@ def test_env_threads_fallback(pair, tmp_path, capsys, monkeypatch):
     assert report["config"]["threads"] == 3
 
 
+@pytest.mark.parametrize("raw", ["0", "-1", "two", "1.5"])
+def test_match_bad_env_threads_exits_two(pair, tmp_path, capsys, monkeypatch, raw):
+    monkeypatch.setenv("STEREO_COSTVOL_THREADS", raw)
+    code = cli.main(["match", pair["left"], pair["right"], "--dmax", "32",
+                     "--k", "8", "-o", str(tmp_path / "o.pfm")])
+    assert code == 2
+    assert f"STEREO_COSTVOL_THREADS must be an integer >= 1, got {raw!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o.pfm").exists()
+
+
+def test_threads_flag_overrides_bad_env(pair, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("STEREO_COSTVOL_THREADS", "0")
+    code = cli.main(["match", pair["left"], pair["right"], "--dmax", "32", "--k", "8",
+                     "--threads", "2", "--json", "-o", str(tmp_path / "o.pfm")])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["report"]["config"]["threads"] == 2
+
+
 def test_bad_config_file_exits_two(pair, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("nonsense_key = 12\n")
@@ -200,6 +218,23 @@ def test_bench_run_count_changes_only_timings(capsys):
         outs.append(json.loads(capsys.readouterr().out)["rows"][0])
     assert outs[0]["volume_elements"] == outs[1]["volume_elements"]
     assert outs[0]["peak_volume_elements"] == outs[1]["peak_volume_elements"]
+
+
+def test_bench_env_threads_fallback(capsys, monkeypatch):
+    monkeypatch.setenv("STEREO_COSTVOL_THREADS", "2")
+    code = cli.main(["bench", "--modes", "fast_acv", "--sizes", "64x64",
+                     "--dmax", "16", "--k-sweep", "4", "--runs", "1", "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["rows"][0]["threads"] == 2
+
+
+@pytest.mark.parametrize("raw", ["0", "-1", "two", "1.5"])
+def test_bench_bad_env_threads_exits_two(capsys, monkeypatch, raw):
+    monkeypatch.setenv("STEREO_COSTVOL_THREADS", raw)
+    code = cli.main(["bench", "--modes", "fast_acv", "--sizes", "64x64",
+                     "--dmax", "16", "--k-sweep", "4", "--runs", "1"])
+    assert code == 2
+    assert f"STEREO_COSTVOL_THREADS must be an integer >= 1, got {raw!r}" in capsys.readouterr().err
 
 
 def test_bench_rejects_bad_k(capsys):

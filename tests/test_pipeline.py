@@ -22,7 +22,9 @@ from stereo_costvol.pipeline import (
     run_fast_acv_pipeline,
     run_pipeline,
 )
-from stereo_costvol.volume_core import CostVolume
+from stereo_costvol.acv import attention_filter
+from stereo_costvol.fast_acv import build_compact_concat
+from stereo_costvol.volume_core import CostVolume, FeatureMap, build_concat_volume, concat_cost
 
 
 def stereogram(disparity=8, seed=7, h=128, w=256):
@@ -162,6 +164,66 @@ def test_box3d_matches_dense_oracle():
 def test_compress_concat_requires_even_channels():
     with pytest.raises(ValueError):
         compress_concat_volume(CostVolume(np.zeros((3, 2, 2, 2), dtype=np.float32)))
+
+
+# ---------------------------------------------------------------------------
+# streamed concatenation cost vs the reference ops
+
+def _signed_features(rng, c, h, w):
+    """Normal features with exact +0/-0 entries mixed in, as census maps have."""
+    data = rng.standard_normal((c, h, w)).astype(np.float32)
+    data[rng.random((c, h, w)) < 0.2] = 0.0
+    data[rng.random((c, h, w)) < 0.1] = -0.0
+    return FeatureMap(data, 4)
+
+
+def _assert_bitwise(got, ref):
+    assert got.resolution_scale == ref.resolution_scale
+    assert got.data.shape == ref.data.shape
+    assert np.array_equal(got.data.view(np.uint32), ref.data.view(np.uint32))
+
+
+@pytest.mark.parametrize("channels", [3, 32, 260])
+@pytest.mark.parametrize("k", [1, 5])
+def test_concat_cost_matches_compact_reference(channels, k):
+    rng = np.random.default_rng(channels * 10 + k)
+    h, w = 6, 11
+    f_l, f_r = _signed_features(rng, channels, h, w), _signed_features(rng, channels, h, w)
+    # Hypotheses up to 2 * w: many point off the frame (d > x), some beyond w.
+    d_hyp = rng.integers(0, 2 * w, size=(k, h, w)).astype(np.int32)
+    assert np.any(d_hyp > w)
+    ref = compress_concat_volume(build_compact_concat(f_l, f_r, d_hyp))
+    for threads in (1, 2, 8):
+        _assert_bitwise(concat_cost(f_l, f_r, d_hyp, threads=threads), ref)
+
+
+@pytest.mark.parametrize("channels", [3, 32, 260])
+@pytest.mark.parametrize("d_max", [1, 7, 14])
+def test_concat_cost_matches_filtered_dense_reference(channels, d_max):
+    rng = np.random.default_rng(channels * 10 + d_max)
+    h, w = 6, 11  # d_max 14 > w leaves whole slices out of frame
+    f_l, f_r = _signed_features(rng, channels, h, w), _signed_features(rng, channels, h, w)
+    a = CostVolume(rng.standard_normal((1, d_max, h, w)).astype(np.float32))
+    assert np.any(a.data < 0)
+    ref = compress_concat_volume(attention_filter(a, build_concat_volume(f_l, f_r, d_max)))
+    unfiltered = compress_concat_volume(build_concat_volume(f_l, f_r, d_max))
+    for threads in (1, 2, 8):
+        _assert_bitwise(concat_cost(f_l, f_r, d_max, a, threads), ref)
+        _assert_bitwise(concat_cost(f_l, f_r, d_max, threads=threads), unfiltered)
+
+
+def test_concat_cost_keeps_reference_input_checks():
+    f = FeatureMap(np.ones((2, 3, 4), dtype=np.float32))
+    with pytest.raises(ValueError, match="shapes differ"):
+        concat_cost(f, FeatureMap(np.ones((2, 3, 5), dtype=np.float32)), 2)
+    with pytest.raises(ValueError, match="integer"):
+        concat_cost(f, f, np.zeros((2, 3, 4)))
+    with pytest.raises(ValueError, match="K, height, width"):
+        concat_cost(f, f, np.zeros((2, 3, 5), dtype=np.int32))
+    with pytest.raises(ValueError, match="single channel"):
+        concat_cost(f, f, 2, CostVolume(np.ones((2, 2, 3, 4), dtype=np.float32)))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        concat_cost(f, f, 2, CostVolume(np.ones((1, 3, 3, 4), dtype=np.float32)))
 
 
 # ---------------------------------------------------------------------------

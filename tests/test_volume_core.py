@@ -308,6 +308,7 @@ def test_unfold_cross_requires_radius():
     selftest.check_soft_argmin,
     selftest.check_group_correlation,
     selftest.check_build_concat_volume,
+    selftest.check_concat_cost,
     selftest.check_upsample_volume_trilinear,
     selftest.check_unfold_cross,
 ])
