@@ -10,7 +10,6 @@ from .volume_core import (
     soft_argmin,
     softmax_over_disparity,
     unfold_cross,
-    upsample_volume_trilinear,
 )
 from .acv import (
     AcvConfig,
@@ -20,7 +19,6 @@ from .acv import (
     generate_attention_weights,
     identity_regularizer,
     mapm_level,
-    regress_attention_disparity,
 )
 from .fast_acv import (
     HypothesisSet,
@@ -53,13 +51,10 @@ from .pipeline import (
 )
 from .metrics import (
     EvalMask,
-    LossWeights,
-    acv_total_loss,
     bad_x,
     d1,
     epe,
     exclude_border,
-    fast_acv_total_loss,
     smooth_l1,
 )
 from .io_formats import (

@@ -16,12 +16,9 @@ import numpy as np
 
 from .volume_core import (
     CostVolume,
-    DisparityMap,
     FeatureMap,
     _group_inner,
     _run_over_disparities,
-    soft_argmin,
-    softmax_over_disparity,
 )
 
 # A regularizer smooths or passes through a cost volume without changing
@@ -71,19 +68,20 @@ class AcvConfig:
     """Disparity range and group layout for attention volume construction."""
 
     d_max: int
-    n_groups: int = 40
     group_split: Tuple[int, int, int] = (8, 16, 16)
     concat_channels: int = 32
 
     def __post_init__(self):
         if self.d_max < 4 or self.d_max % 4 != 0:
             raise ValueError("d_max must be a positive multiple of 4")
-        if sum(self.group_split) != self.n_groups:
-            raise ValueError("group_split must sum to n_groups")
         if any(g < 1 for g in self.group_split):
             raise ValueError("group_split entries must be positive")
         if self.concat_channels < 1:
             raise ValueError("concat_channels must be positive")
+
+    @property
+    def n_groups(self) -> int:
+        return sum(self.group_split)
 
 
 def _shift_slices(h, w, dy, dx):
@@ -199,8 +197,3 @@ def attention_filter(a: CostVolume, c_concat: CostVolume) -> CostVolume:
     if a.data.shape[1:] != c_concat.data.shape[1:]:
         raise ValueError("attention_filter: attention/concat shape mismatch")
     return CostVolume(a.data * c_concat.data, c_concat.resolution_scale)
-
-
-def regress_attention_disparity(a: CostVolume) -> DisparityMap:
-    """Soft-argmin disparity regressed from single-channel attention weights."""
-    return soft_argmin(softmax_over_disparity(a), a.resolution_scale)

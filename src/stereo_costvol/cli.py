@@ -35,7 +35,6 @@ _CONFIG_KEYS = {
     "format": str,
     "threads": int,
     "temperature": float,
-    "seed": int,
     "backend": str,
 }
 
@@ -385,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cost-to-probability sharpness factor")
         p.add_argument("--threads", type=int)
         p.add_argument("--backend", choices=("census", "gradient"))
-        p.add_argument("--seed", type=int)
         p.add_argument("--config", help="flat key=value config file")
 
     p_match = sub.add_parser("match", help="compute a disparity map for a stereo pair")

@@ -126,13 +126,6 @@ def sample_cross_disparities(d_init: DisparityMap, radius: int) -> np.ndarray:
     return _cross_sample_2d(d_init.data, radius).astype(np.float64)
 
 
-def cross_sample_map(values: np.ndarray, radius: int) -> np.ndarray:
-    """Cross-shaped sampling of any per-pixel map, same layout as above."""
-    if radius < 1:
-        raise ValueError("cross_sample_map: radius must be >= 1")
-    return _cross_sample_2d(np.asarray(values), radius)
-
-
 def matching_score(f_l: FeatureMap, f_r: FeatureMap, d_m: np.ndarray) -> np.ndarray:
     """Channel-normalized inner product at the sampled candidate disparities.
 

@@ -286,6 +286,8 @@ def _read_pgm(data: bytes) -> GrayImage:
         w, h, maxval = (int(t) for t in tokens)
     except ValueError as exc:
         raise FormatError("malformed PGM header") from exc
+    if w < 1 or h < 1:
+        raise FormatError("PGM width and height must be >= 1")
     if maxval < 1 or maxval > 255:
         raise FormatError("only 8-bit PGM supported")
     if binary:
@@ -298,7 +300,12 @@ def _read_pgm(data: bytes) -> GrayImage:
         values = data[pos:].split()
         if len(values) < w * h:
             raise FormatError("truncated PGM payload")
-        arr = np.array([int(v) for v in values[:w * h]], dtype=np.uint16).reshape(h, w)
+        try:
+            arr = np.array([int(v) for v in values[:w * h]], dtype=np.int64).reshape(h, w)
+        except (ValueError, OverflowError) as exc:
+            raise FormatError("malformed PGM sample") from exc
+    if arr.min() < 0 or arr.max() > maxval:
+        raise FormatError(f"PGM sample outside [0, {maxval}]")
     return GrayImage(arr.astype(np.float32) / float(maxval))
 
 

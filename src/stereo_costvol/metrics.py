@@ -1,4 +1,4 @@
-"""Disparity evaluation metrics and training-style losses.
+"""Disparity evaluation metrics.
 
 All reductions run over masked pixels only; invalid ground truth is always
 expressed through the mask, never through sentinel values inside the
@@ -59,24 +59,6 @@ def exclude_border(mask: EvalMask, border: int) -> EvalMask:
     return EvalMask(valid)
 
 
-@dataclass
-class LossWeights:
-    """Coefficients for the supervised disparity outputs."""
-
-    lambda_att: float = 0.5
-    lambda_0: float = 0.5
-    lambda_1: float = 0.7
-    lambda_2: float = 1.0
-    lambda_att_f: float = 0.5
-    lambda_f: float = 1.0
-
-    def __post_init__(self):
-        for name in ("lambda_att", "lambda_0", "lambda_1", "lambda_2",
-                     "lambda_att_f", "lambda_f"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-
-
 def _masked_errors(pred: DisparityMap, gt: DisparityMap, mask: EvalMask):
     if pred.data.shape != gt.data.shape or pred.data.shape != mask.valid.shape:
         raise ValueError("prediction, ground truth and mask shapes differ")
@@ -113,22 +95,3 @@ def smooth_l1(pred: DisparityMap, gt: DisparityMap, mask: EvalMask) -> float:
     e = np.abs(p - g)
     rho = np.where(e < 1.0, 0.5 * e * e, e - 0.5)
     return float(rho.mean())
-
-
-def acv_total_loss(d_att: DisparityMap, d0: DisparityMap, d1_: DisparityMap,
-                   d2: DisparityMap, gt: DisparityMap, mask: EvalMask,
-                   w: LossWeights | None = None) -> float:
-    """Weighted smooth-L1 sum over the attention and staged predictions."""
-    w = w if w is not None else LossWeights()
-    return (w.lambda_att * smooth_l1(d_att, gt, mask)
-            + w.lambda_0 * smooth_l1(d0, gt, mask)
-            + w.lambda_1 * smooth_l1(d1_, gt, mask)
-            + w.lambda_2 * smooth_l1(d2, gt, mask))
-
-
-def fast_acv_total_loss(d_att_f: DisparityMap, d_f: DisparityMap, gt: DisparityMap,
-                        mask: EvalMask, w: LossWeights | None = None) -> float:
-    """Weighted smooth-L1 sum over the fast attention and final predictions."""
-    w = w if w is not None else LossWeights()
-    return (w.lambda_att_f * smooth_l1(d_att_f, gt, mask)
-            + w.lambda_f * smooth_l1(d_f, gt, mask))

@@ -29,7 +29,6 @@ from .acv import (
 from .fast_acv import (
     VapConfig,
     build_compact_concat,
-    cross_sample_map,
     confidence,
     cross_propagate,
     estimate_uncertainty,
@@ -45,6 +44,7 @@ from .volume_core import (
     CostVolume,
     DisparityMap,
     FeatureMap,
+    _cross_sample_2d,
     _pair_readout,
     _resize_linear,
     build_concat_volume,
@@ -77,7 +77,6 @@ class PipelineConfig:
 
     mode: str
     d_max: int
-    acv: Optional[AcvConfig] = None
     vap: VapConfig = field(default_factory=VapConfig)
     k: int = 24
     feature_backend: str = "census"
@@ -93,10 +92,7 @@ class PipelineConfig:
             raise ValueError(f"feature_backend must be one of {FEATURE_BACKENDS}")
         if self.regularizer not in REGULARIZERS:
             raise ValueError(f"regularizer must be one of {REGULARIZERS}")
-        if self.acv is None:
-            self.acv = AcvConfig(d_max=self.d_max)
-        if self.acv.d_max != self.d_max:
-            raise ValueError("acv.d_max disagrees with pipeline d_max")
+        AcvConfig(d_max=self.d_max)  # raises on a d_max the acv layout cannot use
         if self.mode == "fast_acv":
             low_scale = 4 * self.vap.upsample_factor
             if self.d_max % low_scale != 0:
@@ -109,6 +105,10 @@ class PipelineConfig:
             raise ValueError("temperature must be positive")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+
+    @property
+    def acv(self) -> AcvConfig:
+        return AcvConfig(d_max=self.d_max)
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -165,9 +165,6 @@ class RunReport:
     volume_elements: Dict[str, int] = field(default_factory=dict)
     peak_volume_elements: int = 0
     config: Dict[str, object] = field(default_factory=dict)
-
-    def construction_plus_aggregation_ms(self) -> float:
-        return self.stage_ms.get("volume_construction", 0.0) + self.stage_ms.get("aggregation", 0.0)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -530,7 +527,7 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
     planes = sample_cross_disparities(d_init, cfg.vap.radius)
     scores = matching_score(pyr_l.f_quarter, pyr_r.f_quarter, planes)
     u = estimate_uncertainty(p_init, d_init)
-    conf = cross_sample_map(confidence(u, cfg.vap.alpha, cfg.vap.beta), cfg.vap.radius)
+    conf = _cross_sample_2d(confidence(u, cfg.vap.alpha, cfg.vap.beta), cfg.vap.radius)
     pw = propagation_weights(scores, conf)
     unfolded = unfold_cross(v_init, cfg.vap.radius)
     meter.alloc("unfolded", unfolded.elements)

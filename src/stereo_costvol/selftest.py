@@ -98,24 +98,6 @@ def check_build_concat_volume(rng, cases):
                         assert vol.data[c + ci, d, y, x] == expect
 
 
-def check_upsample_volume_trilinear(rng, cases):
-    for _ in range(cases):
-        d, h, w = int(rng.integers(2, 6)), int(rng.integers(2, 6)), int(rng.integers(2, 6))
-        vol = volume_core.CostVolume(rng.standard_normal((1, d, h, w)).astype(np.float32))
-        same = volume_core.upsample_volume_trilinear(vol, 1)
-        assert np.array_equal(same.data, vol.data)
-        const = volume_core.CostVolume(np.full((1, d, h, w), 1.25, dtype=np.float32))
-        up = volume_core.upsample_volume_trilinear(const, 2)
-        assert up.data.shape == (1, 2 * d, 2 * h, 2 * w)
-        assert np.all(up.data == 1.25)
-        ramp = np.broadcast_to(np.arange(d, dtype=np.float32)[:, None, None] * 0.5,
-                               (d, h, w))[None].copy()
-        upr = volume_core.upsample_volume_trilinear(volume_core.CostVolume(ramp), 2)
-        for j in range(2 * d):
-            expect = 0.5 * j * (d - 1) / (2 * d - 1)
-            assert np.all(np.abs(upr.data[0, j] - expect) < 1e-6)
-
-
 def check_unfold_cross(rng, cases):
     for _ in range(cases):
         d, h, w = int(rng.integers(1, 5)), int(rng.integers(2, 9)), int(rng.integers(2, 9))
@@ -186,7 +168,7 @@ def check_build_mapm_volume(rng, cases):
         cpg = int(rng.integers(1, 3))
         split = (2, 3, 3)
         h, w = int(rng.integers(6, 10)), int(rng.integers(8, 14))
-        cfg = acv.AcvConfig(d_max=8, n_groups=sum(split), group_split=split)
+        cfg = acv.AcvConfig(d_max=8, group_split=split)
         levels = []
         for k, s in zip((1, 2, 3), split):
             levels.append((_rand_feature(rng, s * cpg, h, w),
@@ -231,18 +213,6 @@ def check_attention_filter(rng, cases):
                             a.data[0, di, y, x] * concat.data[ci, di, y, x])
         ones = volume_core.CostVolume(np.ones((1, d, h, w), dtype=np.float32))
         assert np.array_equal(acv.attention_filter(ones, concat).data, concat.data)
-
-
-def check_regress_attention_disparity(rng, cases):
-    for _ in range(cases):
-        d, h, w = int(rng.integers(2, 9)), int(rng.integers(2, 6)), int(rng.integers(2, 6))
-        a = volume_core.CostVolume(rng.standard_normal((1, d, h, w)).astype(np.float32))
-        disp = acv.regress_attention_disparity(a)
-        p = volume_core.softmax_over_disparity(a)
-        expect = volume_core.soft_argmin(p)
-        assert np.max(np.abs(disp.data - expect.data)) < 1e-9
-    flat = volume_core.CostVolume(np.zeros((1, 8, 3, 3), dtype=np.float32))
-    assert np.all(np.abs(acv.regress_attention_disparity(flat).data - 3.5) < 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -672,32 +642,6 @@ def check_smooth_l1(rng, cases):
     assert metrics.smooth_l1(volume_core.DisparityMap([[2.0]]), zero, m) == 1.5
 
 
-def check_acv_total_loss(rng, cases):
-    for _ in range(cases):
-        h, w = int(rng.integers(2, 7)), int(rng.integers(2, 7))
-        maps = [volume_core.DisparityMap(rng.random((h, w)) * 10) for _ in range(5)]
-        mask = metrics.EvalMask.full(h, w)
-        w_ = metrics.LossWeights()
-        got = metrics.acv_total_loss(maps[0], maps[1], maps[2], maps[3], maps[4], mask, w_)
-        expect = (w_.lambda_att * metrics.smooth_l1(maps[0], maps[4], mask)
-                  + w_.lambda_0 * metrics.smooth_l1(maps[1], maps[4], mask)
-                  + w_.lambda_1 * metrics.smooth_l1(maps[2], maps[4], mask)
-                  + w_.lambda_2 * metrics.smooth_l1(maps[3], maps[4], mask))
-        assert abs(got - expect) < 1e-9
-
-
-def check_fast_acv_total_loss(rng, cases):
-    for _ in range(cases):
-        h, w = int(rng.integers(2, 7)), int(rng.integers(2, 7))
-        maps = [volume_core.DisparityMap(rng.random((h, w)) * 10) for _ in range(3)]
-        mask = metrics.EvalMask.full(h, w)
-        w_ = metrics.LossWeights()
-        got = metrics.fast_acv_total_loss(maps[0], maps[1], maps[2], mask, w_)
-        expect = (w_.lambda_att_f * metrics.smooth_l1(maps[0], maps[2], mask)
-                  + w_.lambda_f * metrics.smooth_l1(maps[1], maps[2], mask))
-        assert abs(got - expect) < 1e-9
-
-
 # ---------------------------------------------------------------------------
 # io_formats oracles
 
@@ -774,13 +718,11 @@ CHECKS = [
     ("soft_argmin", check_soft_argmin),
     ("group_correlation", check_group_correlation),
     ("build_concat_volume", check_build_concat_volume),
-    ("upsample_volume_trilinear", check_upsample_volume_trilinear),
     ("unfold_cross", check_unfold_cross),
     ("mapm_level", check_mapm_level),
     ("build_mapm_volume", check_build_mapm_volume),
     ("generate_attention_weights", check_generate_attention_weights),
     ("attention_filter", check_attention_filter),
-    ("regress_attention_disparity", check_regress_attention_disparity),
     ("regress_initial_disparity", check_regress_initial_disparity),
     ("sample_cross_disparities", check_sample_cross_disparities),
     ("matching_score", check_matching_score),
@@ -802,8 +744,6 @@ CHECKS = [
     ("d1", check_d1),
     ("bad_x", check_bad_x),
     ("smooth_l1", check_smooth_l1),
-    ("acv_total_loss", check_acv_total_loss),
-    ("fast_acv_total_loss", check_fast_acv_total_loss),
     ("pfm_round_trip", check_pfm_round_trip),
     ("kitti_png_round_trip", check_kitti_png_round_trip),
     ("generate_stereogram", check_generate_stereogram),

@@ -366,25 +366,6 @@ def _resize_linear(arr, axis, out_len, align_corners=True):
     return lo + t * (hi - lo)
 
 
-def upsample_volume_trilinear(v: CostVolume, factor: int) -> CostVolume:
-    """Upsample disparity, height and width by an integer factor.
-
-    Corner-aligned linear interpolation along all three axes; factor 1 is
-    the identity.  Disparity values regressed from the result must be
-    rescaled by the factor, since the disparity axis is stretched too.
-    """
-    if int(factor) != factor or factor < 1:
-        raise ValueError("upsample factor must be a positive integer")
-    factor = int(factor)
-    if factor == 1:
-        return CostVolume(v.data.copy(), v.resolution_scale)
-    out = v.data
-    for axis in (1, 2, 3):
-        out = _resize_linear(out, axis, v.data.shape[axis] * factor, align_corners=True)
-    new_scale = max(1, v.resolution_scale // factor)
-    return CostVolume(np.ascontiguousarray(out, dtype=np.float32), new_scale)
-
-
 CROSS_OFFSETS = ((0, 0), (0, -1), (0, 1), (-1, 0), (1, 0))
 CROSS_NAMES = ("center", "up", "down", "left", "right")
 

@@ -10,9 +10,14 @@ from stereo_costvol.acv import (
     generate_attention_weights,
     identity_regularizer,
     mapm_level,
-    regress_attention_disparity,
 )
-from stereo_costvol.volume_core import CostVolume, FeatureMap, group_correlation
+from stereo_costvol.volume_core import (
+    CostVolume,
+    FeatureMap,
+    group_correlation,
+    soft_argmin,
+    softmax_over_disparity,
+)
 
 
 def rand_feature(rng, c, h, w):
@@ -30,8 +35,6 @@ def test_patch_weights_validation():
 def test_acv_config_invariants():
     with pytest.raises(ValueError):
         AcvConfig(d_max=30)
-    with pytest.raises(ValueError):
-        AcvConfig(d_max=32, n_groups=39)
     cfg = AcvConfig(d_max=192)
     assert cfg.n_groups == 40 and cfg.group_split == (8, 16, 16) and cfg.concat_channels == 32
 
@@ -102,7 +105,7 @@ def test_mapm_volume_has_forty_groups():
 
 def test_mapm_volume_group_slices_match_levels():
     rng = np.random.default_rng(4)
-    cfg = AcvConfig(d_max=16, n_groups=8, group_split=(2, 3, 3))
+    cfg = AcvConfig(d_max=16, group_split=(2, 3, 3))
     levels = []
     for k, split in zip((1, 2, 3), cfg.group_split):
         levels.append((rand_feature(rng, split * 2, 6, 9),
@@ -185,25 +188,6 @@ def test_attention_filter_shape_mismatch():
         attention_filter(a, concat)
 
 
-# ---------------------------------------------------------------------------
-# regress_attention_disparity
-
-def test_regress_attention_dominant_logit():
-    a = np.zeros((1, 8, 2, 2), dtype=np.float32)
-    a[0, 5] = 40.0
-    disp = regress_attention_disparity(CostVolume(a))
-    assert np.max(np.abs(disp.data - 5.0)) < 1e-3
-
-
-def test_regress_attention_constant_is_midpoint():
-    a = CostVolume(np.full((1, 8, 3, 3), 0.7, dtype=np.float32))
-    assert np.allclose(regress_attention_disparity(a).data, 3.5, atol=1e-12)
-
-
-def test_regress_attention_matches_composition():
-    selftest.check_regress_attention_disparity(np.random.default_rng(10), 10)
-
-
 def test_identical_images_attention_peaks_at_zero():
     # random-texture features, left == right: regressed d_att stays below 1
     rng = np.random.default_rng(11)
@@ -213,7 +197,7 @@ def test_identical_images_attention_peaks_at_zero():
         fm.data *= 2.0
     levels = [(feats[i], feats[i], PatchWeights.uniform(i + 1)) for i in range(3)]
     a = generate_attention_weights(build_mapm_volume(levels, cfg))
-    d_att = regress_attention_disparity(a)
+    d_att = soft_argmin(softmax_over_disparity(a))
     assert np.all(d_att.data[3:-3, 3:-3] < 1.0)
 
 

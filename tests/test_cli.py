@@ -134,6 +134,23 @@ def test_bad_config_file_exits_two(pair, tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_config_seed_key_is_unknown(pair, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 1\n")
+    code = cli.main(["match", pair["left"], pair["right"], "--config", str(cfg),
+                     "-o", str(tmp_path / "x.pfm")])
+    assert code == 2
+    assert "unknown key" in capsys.readouterr().err
+
+
+def test_match_malformed_pgm_exits_two(pair, tmp_path, capsys):
+    bad = tmp_path / "bad.pgm"
+    bad.write_bytes(b"P5\n2 1\n200\n" + bytes([10, 255]))
+    code = cli.main(["match", str(bad), pair["right"], "-o", str(tmp_path / "x.pfm")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # eval
 

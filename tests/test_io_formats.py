@@ -131,6 +131,21 @@ def test_ascii_pgm_parses():
     assert img.intensities[0, 1] == np.float32(128 / 255.0)
 
 
+@pytest.mark.parametrize("blob", [
+    b"P5\n2 1\n200\n" + bytes([10, 255]),   # binary sample above maxval
+    b"P2\n2 1\n255\n1 abc\n",               # non-integer ASCII sample
+    b"P2\n2 1\n255\n1 -5\n",                # negative ASCII sample
+    b"P2\n2 1\n255\n70000 1\n",             # ASCII sample beyond 16 bits
+    b"P2\n2 1\n100\n1 101\n",               # ASCII sample above maxval
+    b"P5\n-2 1\n255\n\x00\x00",            # negative width
+    b"P5\n2 0\n255\n",                     # zero height
+], ids=["p5-above-maxval", "p2-non-integer", "p2-negative", "p2-overflow",
+        "p2-above-maxval", "negative-width", "zero-height"])
+def test_malformed_pgm_raises_format_error(blob):
+    with pytest.raises(FormatError):
+        read_gray_image(blob)
+
+
 def test_read_gray_image_rejects_unknown():
     with pytest.raises(FormatError):
         read_gray_image(b"BM000000")

@@ -4,13 +4,10 @@ import pytest
 from stereo_costvol import selftest
 from stereo_costvol.metrics import (
     EvalMask,
-    LossWeights,
-    acv_total_loss,
     bad_x,
     d1,
     epe,
     exclude_border,
-    fast_acv_total_loss,
     smooth_l1,
 )
 from stereo_costvol.volume_core import DisparityMap
@@ -117,7 +114,7 @@ def test_d1_never_exceeds_bad_three():
 
 
 # ---------------------------------------------------------------------------
-# smooth_l1 and losses
+# smooth_l1
 
 def test_smooth_l1_branch_values():
     zero = dm([[0.0]])
@@ -125,37 +122,6 @@ def test_smooth_l1_branch_values():
     assert smooth_l1(zero, zero, m) == 0.0
     assert smooth_l1(dm([[0.5]]), zero, m) == 0.125
     assert smooth_l1(dm([[2.0]]), zero, m) == 1.5
-
-
-def test_acv_loss_zero_at_ground_truth():
-    gt = dm([[3.0, 4.0], [5.0, 6.0]])
-    assert acv_total_loss(gt, gt, gt, gt, gt, FULL22) == 0.0
-
-
-def test_acv_loss_weighted_sum_of_unit_terms():
-    # an error of 1.5 px puts smooth-L1 exactly at 1.0 on the linear branch
-    gt = dm([[0.0, 0.0], [0.0, 0.0]])
-    off = dm([[1.5, 1.5], [1.5, 1.5]])
-    w = LossWeights()
-    assert (w.lambda_att, w.lambda_0, w.lambda_1, w.lambda_2) == (0.5, 0.5, 0.7, 1.0)
-    total = acv_total_loss(off, off, off, off, gt, FULL22, w)
-    assert abs(total - 2.7) < 1e-12
-
-
-def test_fast_acv_loss_defaults():
-    w = LossWeights()
-    assert (w.lambda_att_f, w.lambda_f) == (0.5, 1.0)
-    gt = dm([[0.0]])
-    both_zero = fast_acv_total_loss(gt, gt, gt, EvalMask.full(1, 1))
-    assert both_zero == 0.0
-    # terms (2, 1): errors 2.5 px and 1.5 px on the linear branch
-    total = fast_acv_total_loss(dm([[2.5]]), dm([[1.5]]), gt, EvalMask.full(1, 1))
-    assert abs(total - 2.0) < 1e-12
-
-
-def test_loss_weights_reject_negative():
-    with pytest.raises(ValueError):
-        LossWeights(lambda_att=-0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +165,6 @@ def test_metrics_are_nonnegative_and_bounded():
     selftest.check_d1,
     selftest.check_bad_x,
     selftest.check_smooth_l1,
-    selftest.check_acv_total_loss,
-    selftest.check_fast_acv_total_loss,
 ])
 def test_randomized_oracles(check):
     check(np.random.default_rng(55), 12)

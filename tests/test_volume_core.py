@@ -14,7 +14,6 @@ from stereo_costvol.volume_core import (
     soft_argmin,
     softmax_over_disparity,
     unfold_cross,
-    upsample_volume_trilinear,
 )
 
 
@@ -220,44 +219,6 @@ def test_concat_volume_shape_is_doubled_channels():
 
 
 # ---------------------------------------------------------------------------
-# upsample_volume_trilinear
-
-def test_upsample_factor_one_is_bitwise_identity():
-    rng = np.random.default_rng(10)
-    vol = CostVolume(rng.standard_normal((2, 3, 4, 5)).astype(np.float32))
-    out = upsample_volume_trilinear(vol, 1)
-    assert np.array_equal(out.data, vol.data)
-    assert out.data is not vol.data
-
-
-def test_upsample_constant_volume_stays_constant():
-    vol = CostVolume(np.full((1, 3, 4, 5), -2.25, dtype=np.float32))
-    out = upsample_volume_trilinear(vol, 2)
-    assert out.data.shape == (1, 6, 8, 10)
-    assert np.all(out.data == -2.25)
-
-
-def test_upsample_linear_ramp_matches_analytic():
-    d, h, w = 4, 3, 3
-    ramp = np.broadcast_to(np.arange(d, dtype=np.float32)[:, None, None], (d, h, w))
-    out = upsample_volume_trilinear(CostVolume(ramp[None].copy()), 2)
-    for j in range(2 * d):
-        expect = j * (d - 1) / (2 * d - 1)
-        assert np.max(np.abs(out.data[0, j] - expect)) < 1e-6
-
-
-def test_upsample_rejects_factor_zero():
-    vol = CostVolume(np.zeros((1, 2, 2, 2), dtype=np.float32))
-    with pytest.raises(ValueError):
-        upsample_volume_trilinear(vol, 0)
-
-
-def test_upsample_rescales_resolution():
-    vol = CostVolume(np.zeros((1, 2, 2, 2), dtype=np.float32), resolution_scale=8)
-    assert upsample_volume_trilinear(vol, 2).resolution_scale == 4
-
-
-# ---------------------------------------------------------------------------
 # unfold_cross
 
 def test_unfold_cross_constant_volume():
@@ -309,7 +270,6 @@ def test_unfold_cross_requires_radius():
     selftest.check_group_correlation,
     selftest.check_build_concat_volume,
     selftest.check_concat_cost,
-    selftest.check_upsample_volume_trilinear,
     selftest.check_unfold_cross,
 ])
 def test_randomized_oracles(check):
