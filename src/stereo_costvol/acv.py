@@ -1,8 +1,8 @@
 """Attention concatenation volume construction.
 
-Builds a multi-level adaptive patch-matching correlation volume, compresses
-it into single-channel attention weights, and filters a concatenation
-volume with them.  Patch weights are plain configuration here (uniform by
+Builds a multi-level adaptive patch-matching correlation volume and
+compresses it into single-channel attention weights that filter a matching
+cost volume.  Patch weights are plain configuration here (uniform by
 default) and the learned aggregation network is replaced by a pluggable
 regularizer callable, so every step stays a deterministic tensor operation.
 """
@@ -191,7 +191,12 @@ def generate_attention_weights(c_patch: CostVolume,
 
 
 def attention_filter(a: CostVolume, c_concat: CostVolume) -> CostVolume:
-    """Scale every channel of a concatenation volume by the attention weights."""
+    """Scale every channel of a volume by the single-channel attention weights.
+
+    run_acv_pipeline filters the compressed concatenation cost, so the
+    weights enter linearly; filtering the concatenation volume itself and
+    then reading it out would square them.
+    """
     if a.channels != 1:
         raise ValueError("attention_filter: attention volume must have a single channel")
     if a.data.shape[1:] != c_concat.data.shape[1:]:

@@ -432,6 +432,8 @@ def main(argv=None) -> int:
             args.threads = _resolve_threads(args, {})
         except ValueError as exc:
             return _fail(str(exc))
+    if args.command == "bench" and args.runs < 1:
+        return _fail(f"--runs must be >= 1, got {args.runs}")
     if args.command == "bench" and args.k_sweep:
         for token in args.k_sweep.split(","):
             if not token.strip().isdigit():

@@ -37,14 +37,11 @@ class VapConfig:
     confidence that decreases linearly with distribution variance.
     """
 
-    upsample_factor: int = 2
     radius: int = 1
     alpha: float = 1.0
     beta: float = -1.0
 
     def __post_init__(self):
-        if self.upsample_factor < 1:
-            raise ValueError("upsample_factor must be >= 1")
         if self.radius < 1:
             raise ValueError("radius must be >= 1")
         if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):

@@ -94,7 +94,7 @@ def read_pfm(data: bytes) -> DisparityMap:
         scale = float(scale_tok)
     except ValueError as exc:
         raise PfmError("malformed PFM header") from exc
-    if w < 1 or h < 1 or scale == 0.0:
+    if w < 1 or h < 1 or scale == 0.0 or not np.isfinite(scale):
         raise PfmError("malformed PFM header")
     pos += 1  # single whitespace byte terminates the header
     expected = w * h * 4

@@ -55,13 +55,17 @@ from .volume_core import (
     unfold_cross,
 )
 
-# build_concat_volume, attention_filter, build_compact_concat and
-# compress_concat_volume (below) are the reference ops that concat_cost
-# streams.  The runners no longer call them, but they stay attributes of
-# this module so oracle tests and call-site tracing still find them here.
+# build_concat_volume, build_compact_concat and compress_concat_volume
+# (below) are reference ops: group_correlation with one group equals the
+# compressed dense concatenation volume, and concat_cost streams the compact
+# one.  The runners no longer call them, but they stay attributes of this
+# module, next to attention_filter, so oracle tests and call-site tracing
+# still find them here.
 
 CHANNELS_PER_GROUP = 8
 FAST_CORR_GROUPS = 12
+# Fast-path low-resolution correlation runs at 1 / (4 * this) scale.
+FAST_UPSAMPLE_FACTOR = 2
 CENSUS_WINDOW = 5
 
 MODES = ("acv", "fast_acv")
@@ -94,7 +98,7 @@ class PipelineConfig:
             raise ValueError(f"regularizer must be one of {REGULARIZERS}")
         AcvConfig(d_max=self.d_max)  # raises on a d_max the acv layout cannot use
         if self.mode == "fast_acv":
-            low_scale = 4 * self.vap.upsample_factor
+            low_scale = 4 * FAST_UPSAMPLE_FACTOR
             if self.d_max % low_scale != 0:
                 raise ValueError(f"d_max must be divisible by {low_scale} in fast_acv mode")
             if not 1 <= self.k <= self.d_max // 4:
@@ -117,7 +121,7 @@ class PipelineConfig:
             "n_groups": self.acv.n_groups,
             "group_split": list(self.acv.group_split),
             "concat_channels": self.acv.concat_channels,
-            "upsample_factor": self.vap.upsample_factor,
+            "upsample_factor": FAST_UPSAMPLE_FACTOR,
             "radius": self.vap.radius,
             "alpha": self.vap.alpha,
             "beta": self.vap.beta,
@@ -134,10 +138,10 @@ class AllocationMeter:
     """Tracks named volume allocations and the peak number of live elements.
 
     Counts are logical volume elements of the paper's architecture, not
-    bytes held: the concatenation volumes ("concat", "filtered" in acv,
-    "compact_concat" in fast_acv) are streamed one slice at a time by
-    concat_cost and never held whole, yet are booked at full size in the
-    order the architecture allocates and frees them.
+    bytes held: the concatenation volumes ("concat" in acv,
+    "compact_concat" in fast_acv) are never held whole, since both matchers
+    read their cost straight from the features, yet are booked at full size
+    in the order the architecture allocates and frees them.
     """
 
     def __init__(self):
@@ -271,7 +275,8 @@ def build_feature_pyramid(image: np.ndarray, cfg: PipelineConfig) -> FeaturePyra
     Pseudo-levels l1..l3 at quarter resolution come from the quarter image
     and its 2x / 4x box-downsampled versions (upsampled back), with channel
     counts tiled to the grouped correlation layout.  f_quarter feeds
-    concatenation volumes and f_corr feeds the low-resolution correlation.
+    concatenation costs and f_corr (eighth resolution) feeds fast_acv's
+    low-resolution correlation.
     """
     img = np.asarray(getattr(image, "intensities", image), dtype=np.float32)
     if img.ndim != 2:
@@ -294,12 +299,7 @@ def build_feature_pyramid(image: np.ndarray, cfg: PipelineConfig) -> FeaturePyra
     l3 = FeatureMap(_tile_channels(_resize_features(base16.data, h4, w4),
                                    split[2] * CHANNELS_PER_GROUP), 4)
     f_quarter = FeatureMap(_tile_channels(base4.data, cfg.acv.concat_channels), 4)
-
-    corr_scale = 4 * cfg.vap.upsample_factor if cfg.mode == "fast_acv" else 8
-    corr_base = base8 if corr_scale == 8 else _base_features(box_downsample(img, corr_scale),
-                                                             backend, corr_scale)
-    f_corr = FeatureMap(_tile_channels(corr_base.data, FAST_CORR_GROUPS * CHANNELS_PER_GROUP),
-                        corr_scale)
+    f_corr = FeatureMap(_tile_channels(base8.data, FAST_CORR_GROUPS * CHANNELS_PER_GROUP), 8)
     return FeaturePyramid((l1, l2, l3), f_quarter, f_corr)
 
 
@@ -361,8 +361,8 @@ def expected_volume_elements(cfg: PipelineConfig, height: int, width: int) -> Di
     """Analytic element counts for every volume a pipeline run allocates.
 
     These are logical (paper-architecture) volume elements, matching what
-    AllocationMeter books; the concatenation volumes among them are
-    streamed slice by slice and never materialized whole.
+    AllocationMeter books; the concatenation volumes among them are never
+    materialized whole.
     """
     h4, w4 = height // 4, width // 4
     d4 = cfg.d_max // 4
@@ -372,10 +372,10 @@ def expected_volume_elements(cfg: PipelineConfig, height: int, width: int) -> Di
             "correlation": cfg.acv.n_groups * d4 * h4 * w4,
             "attention": d4 * h4 * w4,
             "concat": nc2 * d4 * h4 * w4,
-            "filtered": nc2 * d4 * h4 * w4,
             "compressed": d4 * h4 * w4,
+            "filtered": d4 * h4 * w4,
         }
-    low = 4 * cfg.vap.upsample_factor
+    low = 4 * FAST_UPSAMPLE_FACTOR
     dl, hl, wl = cfg.d_max // low, height // low, width // low
     return {
         "correlation": FAST_CORR_GROUPS * dl * hl * wl,
@@ -404,16 +404,15 @@ def _check_pair(left, right):
     return l, r
 
 
-def _upsample_fast_volume(v: CostVolume, factor: int) -> CostVolume:
-    """Fast-path volume upsampling to quarter resolution.
+def _upsample_fast_volume(v: CostVolume) -> CostVolume:
+    """Fast-path volume upsampling by FAST_UPSAMPLE_FACTOR to quarter resolution.
 
     Spatial axes interpolate corner-aligned; the disparity axis keeps its
     index scale (output bin j reads input coordinate j / factor, clamped at
     the top) so that bin indices remain integer pixel disparities for
     hypothesis selection and compact gathers.
     """
-    if factor == 1:
-        return CostVolume(v.data.copy(), v.resolution_scale)
+    factor = FAST_UPSAMPLE_FACTOR
     out = _resize_linear(v.data, 1, v.disparities * factor, align_corners=False)
     out = _resize_linear(out, 2, v.height * factor, align_corners=True)
     out = _resize_linear(out, 3, v.width * factor, align_corners=True)
@@ -435,9 +434,15 @@ def run_acv_pipeline(left, right, cfg: PipelineConfig,
                      report: Optional[RunReport] = None) -> DisparityMap:
     """Full attention-concatenation-volume matcher at full output resolution.
 
-    Features -> patch-matching volume -> attention weights -> concatenation
-    volume -> attention filtering -> compression and regularization ->
-    tempered softmax and soft-argmin -> x4 scale and bilinear upsampling.
+    Features -> patch-matching volume -> attention weights -> compressed
+    concatenation cost -> attention filtering -> regularization -> tempered
+    softmax and soft-argmin -> x4 scale and bilinear upsampling.
+
+    The compressed concatenation volume is its fixed channel-pair readout,
+    i.e. a one-group correlation, so it is computed as one.  Filtering after
+    that readout lets the attention enter the cost linearly, as in fast_acv;
+    filtering the concatenation volume first would scale both halves and
+    square it, losing its sign and flattening the peaks.
     """
     l_img, r_img = _check_pair(left, right)
     h, w = l_img.shape
@@ -459,15 +464,16 @@ def run_acv_pipeline(left, right, cfg: PipelineConfig,
     meter.alloc("attention", a.elements)
     meter.release("correlation")
     del c_patch
-    # Streams concat -> attention_filter -> compress_concat_volume; the meter
-    # still books the logical concat and filtered volumes in that order.
-    cost = concat_cost(pyr_l.f_quarter, pyr_r.f_quarter, cfg.d_max // 4, a, cfg.threads)
-    concat_elements = 2 * pyr_l.f_quarter.channels * cost.elements
-    meter.alloc("concat", concat_elements)
-    meter.alloc("filtered", concat_elements)
+    # The meter still books the logical concat volume the correlation reads.
+    compressed = group_correlation(pyr_l.f_quarter, pyr_r.f_quarter, cfg.d_max // 4, 1,
+                                   cfg.threads)
+    meter.alloc("concat", 2 * pyr_l.f_quarter.channels * compressed.elements)
+    meter.alloc("compressed", compressed.elements)
     meter.release("concat")
-    meter.alloc("compressed", cost.elements)
-    meter.release("filtered")
+    cost = attention_filter(a, compressed)
+    meter.alloc("filtered", cost.elements)
+    meter.release("compressed")
+    del compressed
     stage_ms["volume_construction"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
@@ -503,7 +509,6 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
     reg = make_regularizer(cfg.regularizer, cfg.box_radius)
     meter = AllocationMeter()
     stage_ms = {}
-    factor = cfg.vap.upsample_factor
 
     t0 = time.perf_counter()
     pyr_l = build_feature_pyramid(l_img, cfg)
@@ -511,14 +516,14 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
     stage_ms["feature_extraction"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
-    d_low = cfg.d_max // (4 * factor)
+    d_low = cfg.d_max // (4 * FAST_UPSAMPLE_FACTOR)
     corr = group_correlation(pyr_l.f_corr, pyr_r.f_corr, d_low, FAST_CORR_GROUPS, cfg.threads)
     meter.alloc("correlation", corr.elements)
     a_low = generate_attention_weights(corr, reg)
     meter.alloc("low_res_attention", a_low.elements)
     meter.release("correlation")
     del corr
-    v_init = _scaled(_upsample_fast_volume(a_low, factor), cfg.temperature)
+    v_init = _scaled(_upsample_fast_volume(a_low), cfg.temperature)
     meter.alloc("v_init", v_init.elements)
     meter.release("low_res_attention")
     del a_low

@@ -394,30 +394,21 @@ def check_build_compact_concat(rng, cases):
 
 
 def check_concat_cost(rng, cases):
-    for case in range(cases):
+    for _ in range(cases):
         c, h, w = int(rng.integers(1, 5)), int(rng.integers(2, 6)), int(rng.integers(3, 9))
         n = int(rng.integers(1, 5))
         f_l = _rand_feature(rng, c, h, w)
         f_r = _rand_feature(rng, c, h, w)
-        if case % 2:
-            d_hyp = rng.integers(0, w + 2, size=(n, h, w)).astype(np.int32)
-            disparities, attention = d_hyp, None
-        else:
-            d_hyp = np.broadcast_to(np.arange(n)[:, None, None], (n, h, w))
-            disparities = n
-            attention = volume_core.CostVolume(
-                rng.standard_normal((1, n, h, w)).astype(np.float32))
-        threads = int(rng.integers(1, 4))
-        cost = volume_core.concat_cost(f_l, f_r, disparities, attention, threads)
+        d_hyp = rng.integers(0, w + 2, size=(n, h, w)).astype(np.int32)
+        cost = volume_core.concat_cost(f_l, f_r, d_hyp, int(rng.integers(1, 4)))
         assert cost.data.shape == (1, n, h, w)
         for k in range(n):
             for y in range(h):
                 for x in range(w):
-                    a = 1.0 if attention is None else float(attention.data[0, k, y, x])
                     src = x - int(d_hyp[k, y, x])
                     expect = sum(
-                        a * float(f_l.data[ci, y, x]) *
-                        (a * float(f_r.data[ci, y, src]) if 0 <= src < w else 0.0)
+                        float(f_l.data[ci, y, x]) *
+                        (float(f_r.data[ci, y, src]) if 0 <= src < w else 0.0)
                         for ci in range(c)) / c
                     assert abs(cost.data[0, k, y, x] - expect) < 1e-5
 

@@ -274,64 +274,37 @@ def _pair_readout(left, right):
     return (total / np.float32(c)).astype(np.float32, copy=False)
 
 
-def concat_cost(f_l: FeatureMap, f_r: FeatureMap, disparities, attention=None,
-                threads: int = 1) -> CostVolume:
-    """Compressed concatenation-volume cost, streamed one slice at a time.
+def concat_cost(f_l: FeatureMap, f_r: FeatureMap, d_hyp, threads: int = 1) -> CostVolume:
+    """Compressed compact concatenation-volume cost, streamed one slice at a time.
 
-    `disparities` is either a count D, for the dense volume of
-    build_concat_volume (slice d pairs f_l(x, y) with f_r(x - d, y)), or an
-    integer (K, height, width) array of per-pixel hypotheses, for the compact
-    volume of build_compact_concat.  Right features are zero where x - d
-    leaves the frame.  An optional single-channel attention volume scales
-    both halves of each slice, as attention_filter does.
-
-    The result equals compress_concat_volume of that (filtered) volume bit
-    for bit, but the 2C-channel volume itself is never held whole: each
-    worker gathers one slice and writes its readout straight into the
-    (1, slices, height, width) cost.
+    `d_hyp` is an integer (K, height, width) array of per-pixel hypotheses:
+    slice k pairs f_l(x, y) with f_r(x - d_hyp[k, y, x], y), zero where that
+    sample leaves the frame.  The result equals compress_concat_volume of
+    build_compact_concat bit for bit, but the 2C-channel volume itself is
+    never held whole: each worker gathers one slice and writes its readout
+    straight into the (1, K, height, width) cost.
     """
     if f_l.data.shape != f_r.data.shape:
         raise ValueError("concat_cost: feature map shapes differ")
     c, h, w = f_l.data.shape
-    fr = f_r.data
-    if isinstance(disparities, (int, np.integer)):
-        n = int(disparities)
-
-        def right_of(d):
-            out = np.zeros_like(fr)
-            if d < w:
-                out[..., d:] = fr[..., :w - d]
-            return out
-    else:
-        d_hyp = np.asarray(disparities)
-        if not np.issubdtype(d_hyp.dtype, np.integer):
-            raise ValueError("concat_cost: d_hyp must be integer indices")
-        if d_hyp.ndim != 3 or d_hyp.shape[1:] != (h, w):
-            raise ValueError("concat_cost: d_hyp must be (K, height, width)")
-        n = d_hyp.shape[0]
-        # Gather rows of the flattened map; the appended zero column is the
-        # source of every out-of-frame sample.
-        flat = np.concatenate([fr.reshape(c, h * w), np.zeros((c, 1), np.float32)], axis=1)
-        row_start = (np.arange(h) * w)[:, None]
-        xs = np.arange(w)
-
-        def right_of(k):
-            src = xs - d_hyp[k]
-            idx = np.where((src >= 0) & (src <= w - 1), row_start + src, h * w)
-            return np.take(flat, idx.ravel(), axis=1).reshape(c, h, w)
-    if attention is not None:
-        if attention.channels != 1:
-            raise ValueError("concat_cost: attention volume must have a single channel")
-        if attention.data.shape[1:] != (n, h, w):
-            raise ValueError("concat_cost: attention/concat shape mismatch")
+    d_hyp = np.asarray(d_hyp)
+    if not np.issubdtype(d_hyp.dtype, np.integer):
+        raise ValueError("concat_cost: d_hyp must be integer indices")
+    if d_hyp.ndim != 3 or d_hyp.shape[1:] != (h, w):
+        raise ValueError("concat_cost: d_hyp must be (K, height, width)")
+    n = d_hyp.shape[0]
+    # Gather rows of the flattened map; the appended zero column is the
+    # source of every out-of-frame sample.
+    flat = np.concatenate([f_r.data.reshape(c, h * w), np.zeros((c, 1), np.float32)], axis=1)
+    row_start = (np.arange(h) * w)[:, None]
+    xs = np.arange(w)
     cost = np.empty((1, n, h, w), dtype=np.float32)
 
     def run(k):
-        left, right = f_l.data, right_of(k)
-        if attention is not None:
-            a = attention.data[0, k]
-            left, right = a * left, a * right
-        cost[0, k] = _pair_readout(left, right)
+        src = xs - d_hyp[k]
+        idx = np.where((src >= 0) & (src <= w - 1), row_start + src, h * w)
+        right = np.take(flat, idx.ravel(), axis=1).reshape(c, h, w)
+        cost[0, k] = _pair_readout(f_l.data, right)
 
     _run_over_disparities(n, run, threads)
     return CostVolume(cost, f_l.resolution_scale)

@@ -193,6 +193,15 @@ def test_eval_kitti_ground_truth_mask(tmp_path, capsys):
     assert scores["epe"] == 0.0     # the wild pixel is masked out
 
 
+def test_eval_non_finite_pfm_scale_exits_two(tmp_path, capsys):
+    gt = tmp_path / "gt.pfm"
+    gt.write_bytes(write_pfm(DisparityMap(np.zeros((1, 2)))))
+    bad = tmp_path / "bad.pfm"
+    bad.write_bytes(b"Pf\n2 1\nnan\n" + b"\x00" * 8)
+    assert cli.main(["eval", str(bad), str(gt)]) == 2
+    assert "malformed PFM header" in capsys.readouterr().err
+
+
 def test_eval_shape_mismatch(tmp_path, capsys):
     a = tmp_path / "a.pfm"
     b = tmp_path / "b.pfm"
@@ -252,6 +261,14 @@ def test_bench_bad_env_threads_exits_two(capsys, monkeypatch, raw):
                      "--dmax", "16", "--k-sweep", "4", "--runs", "1"])
     assert code == 2
     assert f"STEREO_COSTVOL_THREADS must be an integer >= 1, got {raw!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("runs", ["0", "-1"])
+def test_bench_rejects_runs_below_one(capsys, runs):
+    code = cli.main(["bench", "--modes", "fast_acv", "--sizes", "64x64",
+                     "--dmax", "16", "--k-sweep", "4", "--runs", runs])
+    assert code == 2
+    assert f"--runs must be >= 1, got {runs}" in capsys.readouterr().err
 
 
 def test_bench_rejects_bad_k(capsys):

@@ -36,11 +36,9 @@ def rand_feature(rng, c, h, w):
 
 def test_vap_config_validation():
     with pytest.raises(ValueError):
-        VapConfig(upsample_factor=0)
-    with pytest.raises(ValueError):
         VapConfig(radius=0)
     cfg = VapConfig()
-    assert (cfg.upsample_factor, cfg.radius, cfg.alpha, cfg.beta) == (2, 1, 1.0, -1.0)
+    assert (cfg.radius, cfg.alpha, cfg.beta) == (1, 1.0, -1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,12 @@ def test_pfm_rejects_non_finite_payload():
         read_pfm(blob)
 
 
+@pytest.mark.parametrize("scale", [b"nan", b"inf", b"-inf"])
+def test_pfm_rejects_non_finite_scale(scale):
+    with pytest.raises(PfmError, match="malformed PFM header"):
+        read_pfm(b"Pf\n2 1\n" + scale + b"\n" + b"\x00" * 8)
+
+
 def test_pfm_round_trip_randomized():
     selftest.check_pfm_round_trip(np.random.default_rng(0), 30)
 

@@ -22,9 +22,14 @@ from stereo_costvol.pipeline import (
     run_fast_acv_pipeline,
     run_pipeline,
 )
-from stereo_costvol.acv import attention_filter
 from stereo_costvol.fast_acv import build_compact_concat
-from stereo_costvol.volume_core import CostVolume, FeatureMap, build_concat_volume, concat_cost
+from stereo_costvol.volume_core import (
+    CostVolume,
+    FeatureMap,
+    build_concat_volume,
+    concat_cost,
+    group_correlation,
+)
 
 
 def stereogram(disparity=8, seed=7, h=128, w=256):
@@ -199,31 +204,32 @@ def test_concat_cost_matches_compact_reference(channels, k):
 
 @pytest.mark.parametrize("channels", [3, 32, 260])
 @pytest.mark.parametrize("d_max", [1, 7, 14])
-def test_concat_cost_matches_filtered_dense_reference(channels, d_max):
+def test_one_group_correlation_matches_compressed_concat(channels, d_max):
+    # acv reads its cost as a one-group correlation instead of compressing a
+    # dense concatenation volume; the two differ only in rounding order.
     rng = np.random.default_rng(channels * 10 + d_max)
     h, w = 6, 11  # d_max 14 > w leaves whole slices out of frame
     f_l, f_r = _signed_features(rng, channels, h, w), _signed_features(rng, channels, h, w)
-    a = CostVolume(rng.standard_normal((1, d_max, h, w)).astype(np.float32))
-    assert np.any(a.data < 0)
-    ref = compress_concat_volume(attention_filter(a, build_concat_volume(f_l, f_r, d_max)))
-    unfiltered = compress_concat_volume(build_concat_volume(f_l, f_r, d_max))
-    for threads in (1, 2, 8):
-        _assert_bitwise(concat_cost(f_l, f_r, d_max, a, threads), ref)
-        _assert_bitwise(concat_cost(f_l, f_r, d_max, threads=threads), unfiltered)
+    corr = group_correlation(f_l, f_r, d_max, 1)
+    ref = compress_concat_volume(build_concat_volume(f_l, f_r, d_max))
+    assert corr.resolution_scale == ref.resolution_scale
+    assert corr.data.shape == ref.data.shape
+    assert np.max(np.abs(corr.data - ref.data)) < 1e-6
+    # On sign-valued (census-like) features every partial sum is exact.
+    s_l, s_r = FeatureMap(np.sign(f_l.data), 4), FeatureMap(np.sign(f_r.data), 4)
+    _assert_bitwise(group_correlation(s_l, s_r, d_max, 1),
+                    compress_concat_volume(build_concat_volume(s_l, s_r, d_max)))
 
 
 def test_concat_cost_keeps_reference_input_checks():
     f = FeatureMap(np.ones((2, 3, 4), dtype=np.float32))
     with pytest.raises(ValueError, match="shapes differ"):
-        concat_cost(f, FeatureMap(np.ones((2, 3, 5), dtype=np.float32)), 2)
+        concat_cost(f, FeatureMap(np.ones((2, 3, 5), dtype=np.float32)),
+                    np.zeros((2, 3, 4), dtype=np.int32))
     with pytest.raises(ValueError, match="integer"):
         concat_cost(f, f, np.zeros((2, 3, 4)))
     with pytest.raises(ValueError, match="K, height, width"):
         concat_cost(f, f, np.zeros((2, 3, 5), dtype=np.int32))
-    with pytest.raises(ValueError, match="single channel"):
-        concat_cost(f, f, 2, CostVolume(np.ones((2, 2, 3, 4), dtype=np.float32)))
-    with pytest.raises(ValueError, match="shape mismatch"):
-        concat_cost(f, f, 2, CostVolume(np.ones((1, 3, 3, 4), dtype=np.float32)))
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +242,16 @@ def test_acv_pipeline_recovers_constant_disparity():
     interior = exclude_border(mask, 32)
     assert epe(pred, gt, interior) < 0.5
     assert pred.data.shape == (128, 256)
+
+
+@pytest.mark.parametrize("mode", ["acv", "fast_acv"])
+@pytest.mark.parametrize("seed", [7, 3])
+def test_full_range_recovers_constant_disparity(mode, seed):
+    # the CLI and bench defaults: D=192, K=24, temperature 64
+    left, right, gt, mask = generate_stereogram(StereogramSpec(128, 256, 8, 0.5, seed))
+    cfg = PipelineConfig(mode, 192, k=24)
+    pred = run_pipeline(left, right, cfg)
+    assert epe(pred, gt, exclude_border(mask, 32)) < 0.5
 
 
 def test_fast_pipeline_recovers_constant_disparity():
@@ -374,15 +390,14 @@ def test_compact_volume_element_arithmetic():
 
 
 def test_box3d_regularizer_through_pipeline():
-    # box averaging divides the cost peak by roughly the window size per
-    # regularized disparity pass, so the sharpness factor scales with it;
+    # both matchers run at the default temperature: the attention enters the
+    # filtered cost linearly, so box averaging leaves the peak sharp enough;
     # the true disparity sits mid-range so the d-axis smear stays symmetric
     left, right, gt, mask = stereogram(disparity=16, seed=6, h=192, w=384)
     interior = exclude_border(mask, 64)
     fast_cfg = PipelineConfig("fast_acv", 64, k=16, regularizer="box3d", box_radius=1)
     assert epe(run_fast_acv_pipeline(left, right, fast_cfg), gt, interior) < 2.0
-    acv_cfg = PipelineConfig("acv", 64, regularizer="box3d", box_radius=1,
-                             temperature=256.0)
+    acv_cfg = PipelineConfig("acv", 64, regularizer="box3d", box_radius=1)
     pred = run_acv_pipeline(left, right, acv_cfg)
     assert epe(pred, gt, interior) < 1.0
     assert pred.data.min() >= 0.0 and pred.data.max() <= 63.0
