@@ -16,10 +16,12 @@ import numpy as np
 
 from .volume_core import (
     CROSS_NAMES,
+    CROSS_OFFSETS,
     CostVolume,
     DisparityMap,
     FeatureMap,
     ProbabilityVolume,
+    _cross_indices,
     _cross_sample_2d,
     _pair_readout,
     soft_argmin,
@@ -74,7 +76,10 @@ class HypothesisSet:
         if d_hyp.shape[0] > 1:
             if np.any(np.diff(a_f, axis=0) > 0):
                 raise ValueError("HypothesisSet: attention weights must be sorted descending")
-            if np.any(np.diff(np.sort(d_hyp, axis=0), axis=0) == 0):
+            # Sort each pixel's hypotheses as one contiguous row.
+            per_pixel = np.ascontiguousarray(np.moveaxis(d_hyp, 0, -1))
+            per_pixel.sort(axis=-1)
+            if np.any(per_pixel[..., 1:] == per_pixel[..., :-1]):
                 raise ValueError("HypothesisSet: duplicate disparity hypothesis")
         if np.any(a_f.sum(axis=0) > 1.0 + 1e-5):
             raise ValueError("HypothesisSet: weight sum exceeds 1")
@@ -181,6 +186,14 @@ def propagation_weights(s: np.ndarray, c: np.ndarray) -> PropagationField:
     return PropagationField(s, c, w)
 
 
+def _cross_softmax(w: PropagationField) -> np.ndarray:
+    """Per-pixel float64 softmax of the weights over the five cross positions."""
+    logits = w.w.astype(np.float64)
+    logits -= logits.max(axis=0, keepdims=True)
+    expw = np.exp(logits)
+    return expw / expw.sum(axis=0, keepdims=True)
+
+
 def cross_propagate(v_u: CostVolume, w: PropagationField) -> CostVolume:
     """Convex combination of the unfolded planes, weighted per pixel.
 
@@ -191,12 +204,41 @@ def cross_propagate(v_u: CostVolume, w: PropagationField) -> CostVolume:
         raise ValueError(f"cross_propagate: expected {N_CROSS} unfolded channels")
     if w.w.shape[1:] != v_u.data.shape[2:]:
         raise ValueError("cross_propagate: weight/volume shape mismatch")
-    logits = w.w.astype(np.float64)
-    logits -= logits.max(axis=0, keepdims=True)
-    expw = np.exp(logits)
-    probs = expw / expw.sum(axis=0, keepdims=True)
-    out = np.einsum("mdhw,mhw->dhw", v_u.data.astype(np.float64), probs)
+    out = np.einsum("mdhw,mhw->dhw", v_u.data.astype(np.float64), _cross_softmax(w))
     return CostVolume(out[None].astype(np.float32), v_u.resolution_scale)
+
+
+# Disparity slices per block of cross_propagate_volume.
+_PROPAGATE_BLOCK = 4
+
+
+def cross_propagate_volume(v: CostVolume, radius: int, w: PropagationField) -> CostVolume:
+    """cross_propagate(unfold_cross(v, radius), w) without the unfolded volume.
+
+    Works through a few disparity slices at a time: their five edge-clamped
+    cross shifts go into a small float64 block that the reference's
+    per-pixel contraction reduces, so the result is bitwise equal while the
+    five-plane volume and its float64 copy are never held whole.
+    """
+    if v.channels != 1:
+        raise ValueError("cross_propagate_volume: cost volume must have a single channel")
+    if radius < 1:
+        raise ValueError("cross_propagate_volume: radius must be >= 1")
+    d, h, width = v.data.shape[1:]
+    if w.w.shape[1:] != (h, width):
+        raise ValueError("cross_propagate_volume: weight/volume shape mismatch")
+    probs = _cross_softmax(w)
+    shifts = list(zip(CROSS_OFFSETS, _cross_indices(h, width, radius)))
+    block = np.empty((N_CROSS, min(_PROPAGATE_BLOCK, d), h, width))
+    out = np.empty((1, d, h, width), dtype=np.float32)
+    for d0 in range(0, d, _PROPAGATE_BLOCK):
+        src = v.data[0, d0:d0 + _PROPAGATE_BLOCK]
+        n = src.shape[0]
+        for m, ((dx, dy), (ys, xs)) in enumerate(shifts):
+            plane = np.take(src, ys, axis=1) if dy else src
+            block[m, :n] = np.take(plane, xs, axis=2) if dx else plane
+        out[0, d0:d0 + n] = np.einsum("mdhw,mhw->dhw", block[:, :n], probs)
+    return CostVolume(out, v.resolution_scale)
 
 
 def f2i_topk(p: ProbabilityVolume, k: int) -> HypothesisSet:
@@ -207,9 +249,15 @@ def f2i_topk(p: ProbabilityVolume, k: int) -> HypothesisSet:
     """
     if not 1 <= k <= p.disparities:
         raise ValueError(f"f2i_topk: k must be in [1, {p.disparities}]")
-    order = np.argsort(-p.data, axis=0, kind="stable")[:k]
-    a_f = np.take_along_axis(p.data, order, axis=0)
-    return HypothesisSet(order.astype(np.int32), a_f)
+    # A stable sort of each pixel's contiguous row gives the same order as
+    # one over axis 0, at a fraction of the strided cost.
+    neg = np.empty(p.data.shape[1:] + p.data.shape[:1])
+    np.negative(np.moveaxis(p.data, 0, -1), out=neg)
+    order = np.argsort(neg, axis=-1, kind="stable")[..., :k]
+    d_hyp = np.ascontiguousarray(np.moveaxis(order, -1, 0), dtype=np.int32)
+    hw = d_hyp[0].size
+    a_f = np.take(p.data.reshape(-1), d_hyp * np.intp(hw) + np.arange(hw).reshape(d_hyp.shape[1:]))
+    return HypothesisSet(d_hyp, a_f)
 
 
 def build_compact_concat(f_l: FeatureMap, f_r: FeatureMap, d_hyp: np.ndarray) -> CostVolume:

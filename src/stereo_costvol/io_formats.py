@@ -184,8 +184,11 @@ def _decode_gray_png(data: bytes) -> Tuple[np.ndarray, int]:
     while pos + 8 <= len(data):
         length, tag = struct.unpack(">I4s", data[pos:pos + 8])
         body = data[pos + 8:pos + 8 + length]
-        if len(body) < length:
+        crc = data[pos + 8 + length:pos + 12 + length]
+        if len(body) < length or len(crc) < 4:
             raise PngError("truncated PNG chunk")
+        if zlib.crc32(body, zlib.crc32(tag)) != struct.unpack(">I", crc)[0]:
+            raise PngError(f"PNG chunk {tag!r} fails its CRC check")
         pos += 12 + length
         if tag == b"IHDR":
             ihdr = body
@@ -195,7 +198,11 @@ def _decode_gray_png(data: bytes) -> Tuple[np.ndarray, int]:
             break
     if ihdr is None or not idat:
         raise PngError("missing PNG chunks")
+    if len(ihdr) != 13:
+        raise PngError(f"PNG IHDR chunk must be 13 bytes, got {len(ihdr)}")
     w, h, bit_depth, color_type, _, _, interlace = struct.unpack(">IIBBBBB", ihdr)
+    if w == 0 or h == 0:
+        raise PngError(f"PNG image size {w}x{h} is empty")
     if color_type != 0:
         raise PngError("multi-channel PNG unsupported (need grayscale)")
     if bit_depth not in (8, 16):

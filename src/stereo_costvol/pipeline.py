@@ -27,10 +27,12 @@ from .acv import (
     identity_regularizer,
 )
 from .fast_acv import (
+    N_CROSS,
     VapConfig,
     build_compact_concat,
     confidence,
     cross_propagate,
+    cross_propagate_volume,
     estimate_uncertainty,
     f2i_topk,
     fast_attention_filter,
@@ -55,14 +57,17 @@ from .volume_core import (
     unfold_cross,
 )
 
-# build_concat_volume, build_compact_concat and compress_concat_volume
-# (below) are reference ops: group_correlation with one group equals the
-# compressed dense concatenation volume, and concat_cost streams the compact
-# one.  The runners no longer call them, but they stay attributes of this
-# module, next to attention_filter, so oracle tests and call-site tracing
-# still find them here.
+# build_concat_volume, build_compact_concat, compress_concat_volume (below),
+# unfold_cross and cross_propagate are reference ops: group_correlation with
+# one group equals the compressed dense concatenation volume, concat_cost
+# streams the compact one, and cross_propagate_volume streams the unfolded
+# propagation.  The runners no longer call them, but they stay attributes of
+# this module, next to attention_filter, so oracle tests and call-site
+# tracing still find them here.
 
 CHANNELS_PER_GROUP = 8
+# Logical group count of fast_acv's low-resolution correlation; the meter
+# books it, while the runner computes the one group it equals.
 FAST_CORR_GROUPS = 12
 # Fast-path low-resolution correlation runs at 1 / (4 * this) scale.
 FAST_UPSAMPLE_FACTOR = 2
@@ -140,8 +145,11 @@ class AllocationMeter:
     Counts are logical volume elements of the paper's architecture, not
     bytes held: the concatenation volumes ("concat" in acv,
     "compact_concat" in fast_acv) are never held whole, since both matchers
-    read their cost straight from the features, yet are booked at full size
-    in the order the architecture allocates and frees them.
+    read their cost straight from the features, and neither is fast_acv's
+    five-plane "unfolded" volume, which the propagation reads straight from
+    v_init.  fast_acv's "correlation" is booked with FAST_CORR_GROUPS groups
+    although one is computed.  All are booked at full size in the order the
+    architecture allocates and frees them.
     """
 
     def __init__(self):
@@ -262,21 +270,27 @@ def _resize_features(data: np.ndarray, height: int, width: int) -> np.ndarray:
 
 @dataclass
 class FeaturePyramid:
-    """Feature maps the pipelines consume, all derived from one image."""
+    """Feature maps the pipelines consume, all derived from one image.
 
-    levels: Tuple[FeatureMap, FeatureMap, FeatureMap]
+    levels holds acv's three tiled patch-matching levels and is None in
+    fast_acv mode, which never reads them.
+    """
+
+    levels: Optional[Tuple[FeatureMap, FeatureMap, FeatureMap]]
     f_quarter: FeatureMap
     f_corr: FeatureMap
 
 
 def build_feature_pyramid(image: np.ndarray, cfg: PipelineConfig) -> FeaturePyramid:
-    """Census/gradient features at the scales both matchers need.
+    """Census/gradient features at the scales the configured matcher reads.
 
-    Pseudo-levels l1..l3 at quarter resolution come from the quarter image
-    and its 2x / 4x box-downsampled versions (upsampled back), with channel
-    counts tiled to the grouped correlation layout.  f_quarter feeds
-    concatenation costs and f_corr (eighth resolution) feeds fast_acv's
-    low-resolution correlation.
+    f_quarter (quarter resolution, channels tiled to the concatenation
+    width) feeds the concatenation costs of both matchers.  f_corr is the
+    untiled eighth-resolution base map; fast_acv correlates it as one
+    group.  In acv mode only, pseudo-levels l1..l3 at quarter resolution
+    come from the quarter image and its 2x / 4x box-downsampled versions
+    (upsampled back), with channel counts tiled to the grouped
+    patch-matching layout.
     """
     img = np.asarray(getattr(image, "intensities", image), dtype=np.float32)
     if img.ndim != 2:
@@ -285,22 +299,21 @@ def build_feature_pyramid(image: np.ndarray, cfg: PipelineConfig) -> FeaturePyra
     if h % 8 != 0 or w % 8 != 0:
         raise ValueError("image dimensions must be divisible by 8")
     backend = cfg.feature_backend
-    h4, w4 = h // 4, w // 4
-
-    img4 = box_downsample(img, 4)
-    base4 = _base_features(img4, backend, 4)
+    base4 = _base_features(box_downsample(img, 4), backend, 4)
     base8 = _base_features(box_downsample(img, 8), backend, 8)
-    base16 = _base_features(box_downsample(img, 16), backend, 16)
+    f_quarter = FeatureMap(_tile_channels(base4.data, cfg.acv.concat_channels), 4)
+    if cfg.mode != "acv":
+        return FeaturePyramid(None, f_quarter, base8)
 
+    base16 = _base_features(box_downsample(img, 16), backend, 16)
+    h4, w4 = h // 4, w // 4
     split = cfg.acv.group_split
     l1 = FeatureMap(_tile_channels(base4.data, split[0] * CHANNELS_PER_GROUP), 4)
     l2 = FeatureMap(_tile_channels(_resize_features(base8.data, h4, w4),
                                    split[1] * CHANNELS_PER_GROUP), 4)
     l3 = FeatureMap(_tile_channels(_resize_features(base16.data, h4, w4),
                                    split[2] * CHANNELS_PER_GROUP), 4)
-    f_quarter = FeatureMap(_tile_channels(base4.data, cfg.acv.concat_channels), 4)
-    f_corr = FeatureMap(_tile_channels(base8.data, FAST_CORR_GROUPS * CHANNELS_PER_GROUP), 8)
-    return FeaturePyramid((l1, l2, l3), f_quarter, f_corr)
+    return FeaturePyramid((l1, l2, l3), f_quarter, base8)
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +374,9 @@ def expected_volume_elements(cfg: PipelineConfig, height: int, width: int) -> Di
     """Analytic element counts for every volume a pipeline run allocates.
 
     These are logical (paper-architecture) volume elements, matching what
-    AllocationMeter books; the concatenation volumes among them are never
-    materialized whole.
+    AllocationMeter books; the concatenation volumes and fast_acv's
+    "unfolded" volume are never materialized whole, and fast_acv's grouped
+    "correlation" is computed as the one group it equals.
     """
     h4, w4 = height // 4, width // 4
     d4 = cfg.d_max // 4
@@ -503,6 +517,15 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
     upsampling -> volume attention propagation -> top-K hypothesis
     selection -> compact filtered concatenation volume -> top-2 softmax
     prediction -> x4 scale and bilinear upsampling.
+
+    Only what the result reads is computed.  The FAST_CORR_GROUPS groups of
+    the paper's correlation are tiled copies of f_corr's channels (four
+    copies each of three 8-channel blocks for census, twelve copies of one
+    for gradient features), and both regularizers are linear, so the group
+    mean of the regularized correlation is the regularized one-group
+    correlation of the untiled f_corr.  The propagation reads v_init's
+    cross shifts in place of the unfolded volume.  The meter still books
+    the logical grouped "correlation" and the "unfolded" volume.
     """
     l_img, r_img = _check_pair(left, right)
     h, w = l_img.shape
@@ -517,8 +540,8 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
 
     t0 = time.perf_counter()
     d_low = cfg.d_max // (4 * FAST_UPSAMPLE_FACTOR)
-    corr = group_correlation(pyr_l.f_corr, pyr_r.f_corr, d_low, FAST_CORR_GROUPS, cfg.threads)
-    meter.alloc("correlation", corr.elements)
+    corr = group_correlation(pyr_l.f_corr, pyr_r.f_corr, d_low, 1, cfg.threads)
+    meter.alloc("correlation", FAST_CORR_GROUPS * corr.elements)
     a_low = generate_attention_weights(corr, reg)
     meter.alloc("low_res_attention", a_low.elements)
     meter.release("correlation")
@@ -529,18 +552,18 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
     del a_low
 
     p_init, d_init = regress_initial_disparity(v_init)
+    u = estimate_uncertainty(p_init, d_init)
+    del p_init
     planes = sample_cross_disparities(d_init, cfg.vap.radius)
     scores = matching_score(pyr_l.f_quarter, pyr_r.f_quarter, planes)
-    u = estimate_uncertainty(p_init, d_init)
     conf = _cross_sample_2d(confidence(u, cfg.vap.alpha, cfg.vap.beta), cfg.vap.radius)
     pw = propagation_weights(scores, conf)
-    unfolded = unfold_cross(v_init, cfg.vap.radius)
-    meter.alloc("unfolded", unfolded.elements)
-    v_prop = cross_propagate(unfolded, pw)
+    v_prop = cross_propagate_volume(v_init, cfg.vap.radius, pw)
+    meter.alloc("unfolded", N_CROSS * v_init.elements)
     meter.alloc("propagated", v_prop.elements)
     meter.release("unfolded")
     meter.release("v_init")
-    del unfolded, v_init
+    del v_init
 
     hyp = f2i_topk(softmax_over_disparity(v_prop), cfg.k)
     meter.release("propagated")

@@ -354,6 +354,37 @@ def check_cross_propagate(rng, cases):
     assert np.max(np.abs(out.data[0] - v_u.data[0])) < 1e-6
 
 
+def check_cross_propagate_volume(rng, cases):
+    offsets = {"center": (0, 0), "up": (0, -1), "down": (0, 1), "left": (-1, 0), "right": (1, 0)}
+    for case in range(cases):
+        # more slices than one block, and radii reaching past the frame
+        d, h, w = int(rng.integers(1, 10)), int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        radius = int(rng.integers(1, 4))
+        vol = volume_core.CostVolume((rng.standard_normal((1, d, h, w)) * 10).astype(np.float32))
+        s = rng.standard_normal((5, h, w)).astype(np.float32) * 3
+        if case % 3 == 1:
+            s[:, ::2] = 0.0
+        elif case % 3 == 2:
+            s = -np.abs(s)
+        field = fast_acv.propagation_weights(s, rng.standard_normal((5, h, w)).astype(np.float32))
+        out = fast_acv.cross_propagate_volume(vol, radius, field)
+        ref = fast_acv.cross_propagate(volume_core.unfold_cross(vol, radius), field)
+        assert np.array_equal(out.data.view(np.uint32), ref.data.view(np.uint32))
+        for y in range(h):
+            for x in range(w):
+                col = field.w[:, y, x].astype(np.float64)
+                e = np.exp(col - col.max())
+                probs = e / e.sum()
+                for di in range(d):
+                    expect = 0.0
+                    for m, name in enumerate(volume_core.CROSS_NAMES):
+                        dx, dy = offsets[name]
+                        sy = min(max(y + dy * radius, 0), h - 1)
+                        sx = min(max(x + dx * radius, 0), w - 1)
+                        expect += probs[m] * float(vol.data[0, di, sy, sx])
+                    assert abs(out.data[0, di, y, x] - expect) < 1e-5
+
+
 def check_f2i_topk(rng, cases):
     for _ in range(cases):
         d, h, w = int(rng.integers(2, 9)), int(rng.integers(2, 6)), int(rng.integers(2, 6))
@@ -478,22 +509,29 @@ def check_census_features(rng, cases):
 
 
 def check_build_feature_pyramid(rng, cases):
-    cfg = pipeline.PipelineConfig("fast_acv", 16, k=4)
     img = rng.random((16, 32)).astype(np.float32)
-    pyr_a = pipeline.build_feature_pyramid(img, cfg)
-    pyr_b = pipeline.build_feature_pyramid(img, cfg)
-    split = cfg.acv.group_split
-    assert pyr_a.levels[0].channels == split[0] * pipeline.CHANNELS_PER_GROUP
-    assert pyr_a.levels[1].channels == split[1] * pipeline.CHANNELS_PER_GROUP
-    assert pyr_a.levels[2].channels == split[2] * pipeline.CHANNELS_PER_GROUP
-    assert pyr_a.f_quarter.channels == cfg.acv.concat_channels
-    assert pyr_a.f_corr.channels == pipeline.FAST_CORR_GROUPS * pipeline.CHANNELS_PER_GROUP
-    for fm_a, fm_b in zip(pyr_a.levels + (pyr_a.f_quarter, pyr_a.f_corr),
-                          pyr_b.levels + (pyr_b.f_quarter, pyr_b.f_corr)):
-        assert np.array_equal(fm_a.data, fm_b.data)
-    const = pipeline.build_feature_pyramid(np.full((16, 32), 0.75, np.float32), cfg)
-    for fm in const.levels + (const.f_quarter, const.f_corr):
-        assert np.all(fm.data == 0.0)
+    f_corr = pipeline.census_features(pipeline.box_downsample(img, 8))
+    for mode in pipeline.MODES:
+        cfg = pipeline.PipelineConfig(mode, 16, k=4)
+        pyr_a = pipeline.build_feature_pyramid(img, cfg)
+        pyr_b = pipeline.build_feature_pyramid(img, cfg)
+        maps_a, maps_b = (pyr_a.f_quarter, pyr_a.f_corr), (pyr_b.f_quarter, pyr_b.f_corr)
+        if mode == "acv":
+            split = cfg.acv.group_split
+            assert [lvl.channels for lvl in pyr_a.levels] == \
+                [s * pipeline.CHANNELS_PER_GROUP for s in split]
+            maps_a, maps_b = pyr_a.levels + maps_a, pyr_b.levels + maps_b
+        else:
+            assert pyr_a.levels is None
+        assert pyr_a.f_quarter.channels == cfg.acv.concat_channels
+        # f_corr is the untiled eighth-resolution census map
+        assert pyr_a.f_corr.resolution_scale == 8
+        assert np.array_equal(pyr_a.f_corr.data, f_corr.data)
+        for fm_a, fm_b in zip(maps_a, maps_b):
+            assert np.array_equal(fm_a.data, fm_b.data)
+        const = pipeline.build_feature_pyramid(np.full((16, 32), 0.75, np.float32), cfg)
+        for fm in (const.levels or ()) + (const.f_quarter, const.f_corr):
+            assert np.all(fm.data == 0.0)
 
 
 def check_box3d_regularize(rng, cases):
@@ -721,6 +759,7 @@ CHECKS = [
     ("confidence", check_confidence),
     ("propagation_weights", check_propagation_weights),
     ("cross_propagate", check_cross_propagate),
+    ("cross_propagate_volume", check_cross_propagate_volume),
     ("f2i_topk", check_f2i_topk),
     ("build_compact_concat", check_build_compact_concat),
     ("concat_cost", check_concat_cost),

@@ -343,15 +343,22 @@ CROSS_OFFSETS = ((0, 0), (0, -1), (0, 1), (-1, 0), (1, 0))
 CROSS_NAMES = ("center", "up", "down", "left", "right")
 
 
+def _cross_indices(h, w, radius):
+    """Row and column indices of the center and four cross samples, in order.
+
+    Indices past an edge clamp to it, so sampling with them replicates the
+    nearest edge value.
+    """
+    return [(np.clip(np.arange(h) + dy * radius, 0, h - 1),
+             np.clip(np.arange(w) + dx * radius, 0, w - 1))
+            for dx, dy in CROSS_OFFSETS]
+
+
 def _cross_sample_2d(arr, radius):
     """Stack arr sampled at the center and four cross offsets, edge replicated."""
     h, w = arr.shape[-2:]
-    planes = []
-    for dx, dy in CROSS_OFFSETS:
-        ys = np.clip(np.arange(h) + dy * radius, 0, h - 1)
-        xs = np.clip(np.arange(w) + dx * radius, 0, w - 1)
-        planes.append(arr[..., ys[:, None], xs[None, :]])
-    return np.stack(planes, axis=0)
+    return np.stack([arr[..., ys[:, None], xs[None, :]]
+                     for ys, xs in _cross_indices(h, w, radius)], axis=0)
 
 
 def unfold_cross(v: CostVolume, radius: int) -> CostVolume:

@@ -1,4 +1,6 @@
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -149,6 +151,34 @@ def test_match_malformed_pgm_exits_two(pair, tmp_path, capsys):
     code = cli.main(["match", str(bad), pair["right"], "-o", str(tmp_path / "x.pfm")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _gray_png(w, h, ihdr_len=13, flip_iend_crc=False):
+    """8-bit grayscale PNG of zero pixels; IHDR cut or zero-padded to ihdr_len bytes."""
+    ihdr = (struct.pack(">IIBBBBB", w, h, 8, 0, 0, 0, 0) + b"\x00")[:ihdr_len]
+    chunks = [(b"IHDR", ihdr), (b"IDAT", zlib.compress(b"\x00" * (h * (w + 1)))),
+              (b"IEND", b"")]
+    blob = b"\x89PNG\r\n\x1a\n"
+    for tag, body in chunks:
+        crc = zlib.crc32(tag + body) ^ (1 if flip_iend_crc and tag == b"IEND" else 0)
+        blob += struct.pack(">I", len(body)) + tag + body + struct.pack(">I", crc)
+    return blob
+
+
+@pytest.mark.parametrize("blob,message", [
+    (_gray_png(128, 64, ihdr_len=5), "13 bytes"),
+    (_gray_png(128, 64, ihdr_len=14), "13 bytes"),
+    (_gray_png(0, 64), "empty"),
+    (_gray_png(128, 0), "empty"),
+    (_gray_png(128, 64, flip_iend_crc=True), "CRC"),
+], ids=["ihdr-5-bytes", "ihdr-14-bytes", "zero-width", "zero-height", "bad-iend-crc"])
+def test_match_malformed_png_exits_two(pair, tmp_path, capsys, blob, message):
+    bad = tmp_path / "bad.png"
+    bad.write_bytes(blob)
+    code = cli.main(["match", str(bad), pair["right"], "-o", str(tmp_path / "x.pfm")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from stereo_costvol.fast_acv import (
     build_compact_concat,
     confidence,
     cross_propagate,
+    cross_propagate_volume,
     estimate_uncertainty,
     f2i_topk,
     fast_attention_filter,
@@ -200,6 +201,41 @@ def test_cross_propagate_convexity_bound():
         assert np.all(out.data[0] <= v_u.data.max(axis=0))
 
 
+@pytest.mark.parametrize("radius", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(1, 1, 1), (3, 2, 9), (4, 9, 2), (5, 6, 7), (11, 12, 16)])
+@pytest.mark.parametrize("weights", ["mixed", "zero", "negative"])
+def test_cross_propagate_volume_is_bitwise_reference(radius, shape, weights):
+    # shapes cover one partial block, several blocks, and radii >= height
+    # or width, where every shifted sample clamps to the edge
+    d, h, w = shape
+    rng = np.random.default_rng(radius * 100 + d)
+    data = (rng.standard_normal((1, d, h, w)) * 20).astype(np.float32)
+    data[0, :, ::3] = 0.0
+    data[0, :, 1::3, ::2] = -0.0
+    vol = CostVolume(data, 4)
+    s = rng.standard_normal((5, h, w)).astype(np.float32) * 3
+    if weights == "zero":
+        s[:] = 0.0
+    elif weights == "negative":
+        s = -np.abs(s) - 0.5
+    field = propagation_weights(s, rng.standard_normal((5, h, w)).astype(np.float32))
+    out = cross_propagate_volume(vol, radius, field)
+    ref = cross_propagate(unfold_cross(vol, radius), field)
+    assert out.resolution_scale == ref.resolution_scale == 4
+    assert out.data.shape == ref.data.shape
+    assert np.array_equal(out.data.view(np.uint32), ref.data.view(np.uint32))
+
+
+def test_cross_propagate_volume_input_checks():
+    field = propagation_weights(np.zeros((5, 3, 4), np.float32), np.zeros((5, 3, 4), np.float32))
+    with pytest.raises(ValueError, match="single channel"):
+        cross_propagate_volume(CostVolume(np.zeros((2, 2, 3, 4), np.float32)), 1, field)
+    with pytest.raises(ValueError, match="radius"):
+        cross_propagate_volume(CostVolume(np.zeros((1, 2, 3, 4), np.float32)), 0, field)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        cross_propagate_volume(CostVolume(np.zeros((1, 2, 3, 5), np.float32)), 1, field)
+
+
 def test_vap_identity_round_trip():
     # center-dominant propagation reproduces the input
     rng = np.random.default_rng(10)
@@ -349,6 +385,7 @@ def test_predict_top_out_of_range():
     selftest.check_confidence,
     selftest.check_propagation_weights,
     selftest.check_cross_propagate,
+    selftest.check_cross_propagate_volume,
     selftest.check_build_compact_concat,
     selftest.check_fast_attention_filter,
 ])

@@ -1,4 +1,5 @@
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -107,6 +108,58 @@ def test_kitti_png_rejects_corrupt_stream():
     blob[50] ^= 0xFF  # flip bits inside the compressed payload
     with pytest.raises(PngError):
         read_kitti_disp_png(bytes(blob))
+
+
+def _png(ihdr, rows=b"\x00\x07", crc_flip=None, iend_crc=True):
+    """Hand-built PNG; crc_flip names a chunk whose CRC gets one bit flipped."""
+    blob = b"\x89PNG\r\n\x1a\n"
+    for tag, body in ((b"IHDR", ihdr), (b"IDAT", zlib.compress(rows)), (b"IEND", b"")):
+        crc = zlib.crc32(tag + body) ^ (1 if tag == crc_flip else 0)
+        blob += struct.pack(">I", len(body)) + tag + body
+        if tag != b"IEND" or iend_crc:
+            blob += struct.pack(">I", crc)
+    return blob
+
+
+def _ihdr(w, h):
+    return struct.pack(">IIBBBBB", w, h, 8, 0, 0, 0, 0)
+
+
+def test_hand_built_png_decodes():
+    img = read_gray_image(_png(_ihdr(1, 1)))
+    assert img.intensities.shape == (1, 1)
+    assert img.intensities[0, 0] == np.float32(7 / 255.0)
+
+
+@pytest.mark.parametrize("blob,message", [
+    (_png(_ihdr(1, 1)[:5]), "13 bytes"),
+    (_png(_ihdr(1, 1) + b"\x00"), "13 bytes"),
+    (_png(_ihdr(0, 1), rows=b"\x00"), "empty"),
+    (_png(_ihdr(1, 0), rows=b""), "empty"),
+    (_png(_ihdr(0, 0), rows=b""), "empty"),
+], ids=["ihdr-5-bytes", "ihdr-14-bytes", "zero-width", "zero-height", "zero-both"])
+def test_malformed_png_header_raises_png_error(blob, message):
+    with pytest.raises(PngError, match=message):
+        read_gray_image(blob)
+
+
+@pytest.mark.parametrize("tag", [b"IHDR", b"IDAT", b"IEND"])
+def test_png_chunk_crc_mismatch_raises_png_error(tag):
+    with pytest.raises(PngError, match="CRC"):
+        read_gray_image(_png(_ihdr(1, 1), crc_flip=tag))
+
+
+def test_written_png_with_flipped_iend_crc_raises_png_error():
+    raw = np.full((2, 3), 300, dtype=np.uint16)
+    blob = bytearray(write_kitti_disp_png(DisparityMap(raw / 256.0)))
+    blob[-1] ^= 0x01  # the file ends with IEND's CRC
+    with pytest.raises(PngError, match="IEND"):
+        read_kitti_disp_png(bytes(blob))
+
+
+def test_png_missing_final_crc_raises_png_error():
+    with pytest.raises(PngError, match="truncated"):
+        read_gray_image(_png(_ihdr(1, 1), iend_crc=False))
 
 
 def test_kitti_png_round_trip_randomized():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from stereo_costvol.pipeline import (
     FAST_CORR_GROUPS,
     PipelineConfig,
     RunReport,
+    _tile_channels,
     box3d_regularize,
     box_downsample,
     build_feature_pyramid,
@@ -18,6 +21,7 @@ from stereo_costvol.pipeline import (
     compress_concat_volume,
     expected_volume_elements,
     gradient_features,
+    make_regularizer,
     run_acv_pipeline,
     run_fast_acv_pipeline,
     run_pipeline,
@@ -98,15 +102,21 @@ def test_gradient_features_shape_and_sign():
 # pyramid
 
 def test_pyramid_channel_layout():
-    cfg = PipelineConfig("fast_acv", 32, k=8)
     img = np.random.default_rng(0).random((32, 64)).astype(np.float32)
-    pyr = build_feature_pyramid(img, cfg)
-    assert [lvl.channels for lvl in pyr.levels] == \
-        [s * CHANNELS_PER_GROUP for s in cfg.acv.group_split]
-    assert pyr.f_quarter.channels == cfg.acv.concat_channels
-    assert pyr.f_corr.channels == FAST_CORR_GROUPS * CHANNELS_PER_GROUP
-    assert pyr.f_quarter.data.shape[1:] == (8, 16)
-    assert pyr.f_corr.data.shape[1:] == (4, 8)
+    for mode, (backend, base_channels) in itertools.product(
+            ("acv", "fast_acv"), (("census", 24), ("gradient", 4))):
+        cfg = PipelineConfig(mode, 32, k=8, feature_backend=backend)
+        pyr = build_feature_pyramid(img, cfg)
+        if mode == "acv":
+            assert [lvl.channels for lvl in pyr.levels] == \
+                [s * CHANNELS_PER_GROUP for s in cfg.acv.group_split]
+        else:
+            # fast_acv never reads the tiled patch-matching levels
+            assert pyr.levels is None
+        assert pyr.f_quarter.channels == cfg.acv.concat_channels
+        assert pyr.f_corr.channels == base_channels
+        assert pyr.f_quarter.data.shape[1:] == (8, 16)
+        assert pyr.f_corr.data.shape[1:] == (4, 8)
 
 
 def test_pyramid_determinism_and_constant_invariance():
@@ -219,6 +229,28 @@ def test_one_group_correlation_matches_compressed_concat(channels, d_max):
     s_l, s_r = FeatureMap(np.sign(f_l.data), 4), FeatureMap(np.sign(f_r.data), 4)
     _assert_bitwise(group_correlation(s_l, s_r, d_max, 1),
                     compress_concat_volume(build_concat_volume(s_l, s_r, d_max)))
+
+
+@pytest.mark.parametrize("backend", ["census", "gradient"])
+@pytest.mark.parametrize("regularizer", ["identity", "box3d"])
+def test_one_group_f_corr_attention_matches_tiled_groups(backend, regularizer):
+    # fast_acv correlates the untiled f_corr as one group.  The paper's
+    # FAST_CORR_GROUPS groups over tiled channels repeat the same blocks,
+    # and both regularizers are linear, so the group mean agrees.
+    left, right, _, _ = stereogram(disparity=16)
+    cfg = PipelineConfig("fast_acv", 64, k=8, feature_backend=backend, regularizer=regularizer)
+    reg = make_regularizer(regularizer, cfg.box_radius)
+    pyr_l, pyr_r = build_feature_pyramid(left, cfg), build_feature_pyramid(right, cfg)
+    d_low = cfg.d_max // 8
+    one = generate_attention_weights(group_correlation(pyr_l.f_corr, pyr_r.f_corr, d_low, 1), reg)
+    tiled_l, tiled_r = (FeatureMap(_tile_channels(p.f_corr.data,
+                                                  FAST_CORR_GROUPS * CHANNELS_PER_GROUP), 8)
+                        for p in (pyr_l, pyr_r))
+    tiled = generate_attention_weights(
+        group_correlation(tiled_l, tiled_r, d_low, FAST_CORR_GROUPS), reg)
+    assert one.data.shape == tiled.data.shape == (1, d_low, 16, 32)
+    assert np.abs(tiled.data).max() > 0.1
+    assert np.max(np.abs(one.data - tiled.data)) <= 1e-6
 
 
 def test_concat_cost_keeps_reference_input_checks():
