@@ -438,9 +438,11 @@ def main(argv=None) -> int:
         for token in args.k_sweep.split(","):
             if not token.strip().isdigit():
                 return _fail(f"bad K value {token.strip()!r}")
-        for k in (int(t) for t in args.k_sweep.split(",")):
-            if not 1 <= k <= args.dmax // 4:
-                return _fail(f"K={k} outside [1, dmax/4]")
+        # Only fast_acv reads K.
+        if "fast_acv" in (m.strip() for m in args.modes.split(",")):
+            for k in (int(t) for t in args.k_sweep.split(",")):
+                if not 1 <= k <= args.dmax // 4:
+                    return _fail(f"K={k} outside [1, dmax/4]")
     return args.func(args)
 
 

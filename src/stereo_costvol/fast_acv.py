@@ -21,9 +21,12 @@ from .volume_core import (
     DisparityMap,
     FeatureMap,
     ProbabilityVolume,
+    _all_finite,
     _cross_indices,
     _cross_sample_2d,
     _pair_readout,
+    _run_over_disparities,
+    _softmax0,
     soft_argmin,
     softmax_over_disparity,
 )
@@ -128,33 +131,56 @@ def sample_cross_disparities(d_init: DisparityMap, radius: int) -> np.ndarray:
     return _cross_sample_2d(d_init.data, radius).astype(np.float64)
 
 
-def matching_score(f_l: FeatureMap, f_r: FeatureMap, d_m: np.ndarray) -> np.ndarray:
-    """Channel-normalized inner product at the sampled candidate disparities.
+def matching_score(f_l: FeatureMap, f_r: FeatureMap, d: np.ndarray,
+                   threads: int = 1) -> np.ndarray:
+    """Channel-normalized inner product at per-pixel disparity planes.
 
-    S_m(y, x) = (1 / C) * <F_l(y, x), F_r(y, x - d_m(y, x))>.  Fractional
-    disparities sample F_r by linear interpolation along width; samples
-    that fall outside the frame score zero.
+    S(y, x) = (1 / C) * <F_l(y, x), F_r(y, x - d(y, x))> for each plane of
+    `d` (M, height, width): VAP's fractional cross candidates or F2I's
+    integer hypotheses.  Fractional disparities sample F_r by linear
+    interpolation along width; a plane without them reads F_r directly, so
+    at hypotheses this equals compress_concat_volume(build_compact_concat)
+    bit for bit.  Out-of-frame samples read an appended zero column.  Each
+    worker reuses its gather buffers across the planes it owns.
     """
     if f_l.data.shape != f_r.data.shape:
         raise ValueError("matching_score: feature map shapes differ")
-    d_m = np.asarray(d_m, dtype=np.float64)
     c, h, w = f_l.data.shape
-    if d_m.ndim != 3 or d_m.shape[1:] != (h, w):
-        raise ValueError("matching_score: candidate planes must be (M, height, width)")
-    xs = np.arange(w, dtype=np.float64)
-    scores = np.empty(d_m.shape, dtype=np.float32)
-    flat = f_r.data.reshape(c, h * w)
+    d = np.asarray(d)
+    if d.ndim != 3 or d.shape[1:] != (h, w):
+        raise ValueError("matching_score: disparity planes must be (M, height, width)")
+    if not _all_finite(d):
+        raise ValueError("matching_score: disparities must be finite")
+    n = d.shape[0]
+    flat = np.concatenate([f_r.data.reshape(c, h * w), np.zeros((c, 1), np.float32)], axis=1)
     row_start = (np.arange(h) * w)[:, None]
-    for m in range(d_m.shape[0]):
-        u = xs[None, :] - d_m[m]
-        inside = (u >= 0.0) & (u <= w - 1)
-        u0 = np.clip(np.floor(u).astype(np.intp), 0, max(w - 2, 0))
-        u1 = np.minimum(u0 + 1, w - 1)
-        t = np.clip(u - u0, 0.0, 1.0).astype(np.float32)
-        lo = np.take(flat, (row_start + u0).ravel(), axis=1).reshape(c, h, w)
-        hi = np.take(flat, (row_start + u1).ravel(), axis=1).reshape(c, h, w)
-        sampled = lo + t[None] * (hi - lo)
-        scores[m] = np.where(inside, _pair_readout(f_l.data, sampled), 0.0)
+    xs = np.arange(w, dtype=np.float64)
+    scores = np.empty((n, h, w), dtype=np.float32)
+    workers = max(1, min(threads, n))
+
+    def gather(col, inside, out):
+        idx = np.where(inside, row_start + col.astype(np.intp), h * w)
+        # Every index is in range; "clip" lets take write straight into out.
+        np.take(flat, idx.ravel(), axis=1, out=out, mode="clip")
+
+    def run(first):
+        lo, hi = np.empty((2, c, h * w), dtype=np.float32)
+        for m in range(first, n, workers):
+            u = xs - d[m]
+            inside = (u >= 0.0) & (u <= w - 1)
+            u0 = np.floor(u)
+            blend = not np.array_equal(u0, u)
+            u0 = np.clip(u0, 0, max(w - 2, 0) if blend else w - 1)
+            gather(u0, inside, lo)
+            if blend:  # lo + t * (hi - lo), in place
+                gather(np.minimum(u0 + 1, w - 1), inside, hi)
+                hi -= lo
+                hi *= np.clip(u - u0, 0.0, 1.0).astype(np.float32).reshape(-1)
+                lo += hi
+            sampled = lo.reshape(c, h, w)
+            scores[m] = _pair_readout(f_l.data, sampled, out=sampled)
+
+    _run_over_disparities(workers, run, threads)
     return scores
 
 
@@ -186,14 +212,6 @@ def propagation_weights(s: np.ndarray, c: np.ndarray) -> PropagationField:
     return PropagationField(s, c, w)
 
 
-def _cross_softmax(w: PropagationField) -> np.ndarray:
-    """Per-pixel float64 softmax of the weights over the five cross positions."""
-    logits = w.w.astype(np.float64)
-    logits -= logits.max(axis=0, keepdims=True)
-    expw = np.exp(logits)
-    return expw / expw.sum(axis=0, keepdims=True)
-
-
 def cross_propagate(v_u: CostVolume, w: PropagationField) -> CostVolume:
     """Convex combination of the unfolded planes, weighted per pixel.
 
@@ -204,7 +222,8 @@ def cross_propagate(v_u: CostVolume, w: PropagationField) -> CostVolume:
         raise ValueError(f"cross_propagate: expected {N_CROSS} unfolded channels")
     if w.w.shape[1:] != v_u.data.shape[2:]:
         raise ValueError("cross_propagate: weight/volume shape mismatch")
-    out = np.einsum("mdhw,mhw->dhw", v_u.data.astype(np.float64), _cross_softmax(w))
+    probs = _softmax0(w.w.astype(np.float64))
+    out = np.einsum("mdhw,mhw->dhw", v_u.data.astype(np.float64), probs)
     return CostVolume(out[None].astype(np.float32), v_u.resolution_scale)
 
 
@@ -227,7 +246,7 @@ def cross_propagate_volume(v: CostVolume, radius: int, w: PropagationField) -> C
     d, h, width = v.data.shape[1:]
     if w.w.shape[1:] != (h, width):
         raise ValueError("cross_propagate_volume: weight/volume shape mismatch")
-    probs = _cross_softmax(w)
+    probs = _softmax0(w.w.astype(np.float64))
     shifts = list(zip(CROSS_OFFSETS, _cross_indices(h, width, radius)))
     block = np.empty((N_CROSS, min(_PROPAGATE_BLOCK, d), h, width))
     out = np.empty((1, d, h, width), dtype=np.float32)
@@ -295,27 +314,28 @@ def fast_attention_filter(a_f: np.ndarray, c_compact: CostVolume) -> CostVolume:
     return CostVolume(a_f[None] * c_compact.data, c_compact.resolution_scale)
 
 
-def predict_from_hypotheses(v: CostVolume, d_hyp: np.ndarray, top: int = 2) -> DisparityMap:
-    """Softmax-expected disparity over the strongest aggregated hypotheses.
+def predict_from_hypotheses(v: CostVolume, d_hyp: np.ndarray) -> DisparityMap:
+    """Softmax-expected disparity over the two strongest aggregated hypotheses.
 
-    Selects the `top` largest values per pixel from the single-channel
-    aggregated volume, softmaxes them, and returns the expectation of the
-    matching hypothesis disparities (at the volume's resolution scale; the
-    caller rescales to full resolution).
+    Picks the two largest values per pixel from the single-channel
+    aggregated volume (ties toward the smaller hypothesis index; one value
+    when K = 1), softmaxes them, and returns the expectation of the matching
+    hypothesis disparities (at the volume's resolution scale; the caller
+    rescales to full resolution).
     """
     if v.channels != 1:
         raise ValueError("predict_from_hypotheses: volume must have a single channel")
     d_hyp = np.asarray(d_hyp)
     if d_hyp.shape != v.data.shape[1:]:
         raise ValueError("predict_from_hypotheses: hypothesis/volume shape mismatch")
-    k = v.disparities
-    if not 1 <= top <= k:
-        raise ValueError(f"predict_from_hypotheses: top must be in [1, {k}]")
     vals = v.data[0].astype(np.float64)
-    order = np.argsort(-vals, axis=0, kind="stable")[:top]
-    sel = np.take_along_axis(vals, order, axis=0)
-    hyps = np.take_along_axis(d_hyp.astype(np.float64), order, axis=0)
-    sel -= sel.max(axis=0, keepdims=True)
-    expv = np.exp(sel)
-    weights = expv / expv.sum(axis=0, keepdims=True)
+    sel, picked = [], []
+    for _ in range(min(2, v.disparities)):
+        # argmax takes the first maximum; the finite volume never picks -inf.
+        i = vals.argmax(axis=0)[None]
+        sel.append(np.take_along_axis(vals, i, axis=0))
+        picked.append(np.take_along_axis(d_hyp, i, axis=0))
+        np.put_along_axis(vals, i, -np.inf, axis=0)
+    weights = _softmax0(np.concatenate(sel))
+    hyps = np.concatenate(picked).astype(np.float64)
     return DisparityMap((weights * hyps).sum(axis=0), v.resolution_scale)

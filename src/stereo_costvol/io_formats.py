@@ -10,6 +10,7 @@ byte-deterministic.
 from __future__ import annotations
 
 import struct
+import sys
 import zlib
 from dataclasses import dataclass
 from typing import Tuple, Union
@@ -211,12 +212,20 @@ def _decode_gray_png(data: bytes) -> Tuple[np.ndarray, int]:
         raise PngError("interlaced PNG unsupported")
     bpp = bit_depth // 8
     stride = w * bpp
+    size = h * (stride + 1)
+    if size >= sys.maxsize:
+        raise PngError(f"PNG image size {w}x{h} is too large")
+    # Inflate one byte past the expected size at most, so a stream that
+    # inflates far beyond it fails without being held in memory.
+    inflater = zlib.decompressobj()
     try:
-        raw = zlib.decompress(idat)
+        raw = inflater.decompress(idat, size + 1)
     except zlib.error as exc:
         raise PngError(f"corrupt PNG data: {exc}") from exc
-    if len(raw) != h * (stride + 1):
+    if len(raw) != size:
         raise PngError("PNG payload size mismatch")
+    if not inflater.eof:
+        raise PngError("corrupt PNG data: incomplete or truncated stream")
     flat = bytes(_unfilter_scanlines(raw, h, stride, bpp))
     dtype = ">u2" if bit_depth == 16 else np.uint8
     return np.frombuffer(flat, dtype=dtype).reshape(h, w).astype(np.uint16), bit_depth

@@ -50,7 +50,6 @@ from .volume_core import (
     _pair_readout,
     _resize_linear,
     build_concat_volume,
-    concat_cost,
     group_correlation,
     soft_argmin,
     softmax_over_disparity,
@@ -59,11 +58,11 @@ from .volume_core import (
 
 # build_concat_volume, build_compact_concat, compress_concat_volume (below),
 # unfold_cross and cross_propagate are reference ops: group_correlation with
-# one group equals the compressed dense concatenation volume, concat_cost
-# streams the compact one, and cross_propagate_volume streams the unfolded
-# propagation.  The runners no longer call them, but they stay attributes of
-# this module, next to attention_filter, so oracle tests and call-site
-# tracing still find them here.
+# one group and matching_score at the hypotheses equal the compressed dense
+# and compact concatenation volumes, and cross_propagate_volume streams the
+# unfolded propagation.  The runners no longer call them, but they stay
+# attributes of this module, next to attention_filter, so oracle tests and
+# call-site tracing still find them here.
 
 CHANNELS_PER_GROUP = 8
 # Logical group count of fast_acv's low-resolution correlation; the meter
@@ -143,13 +142,13 @@ class AllocationMeter:
     """Tracks named volume allocations and the peak number of live elements.
 
     Counts are logical volume elements of the paper's architecture, not
-    bytes held: the concatenation volumes ("concat" in acv,
-    "compact_concat" in fast_acv) are never held whole, since both matchers
-    read their cost straight from the features, and neither is fast_acv's
-    five-plane "unfolded" volume, which the propagation reads straight from
-    v_init.  fast_acv's "correlation" is booked with FAST_CORR_GROUPS groups
-    although one is computed.  All are booked at full size in the order the
-    architecture allocates and frees them.
+    bytes held.  The concatenation volumes are never built: acv reads its
+    "concat" cost as a one-group correlation and fast_acv its
+    "compact_concat" cost as the matching score at the hypotheses.  Nor is
+    fast_acv's five-plane "unfolded" volume, which the propagation reads
+    straight from v_init.  fast_acv's "correlation" is booked with
+    FAST_CORR_GROUPS groups although one is computed.  All are booked at
+    full size in the order the architecture allocates and frees them.
     """
 
     def __init__(self):
@@ -374,9 +373,10 @@ def expected_volume_elements(cfg: PipelineConfig, height: int, width: int) -> Di
     """Analytic element counts for every volume a pipeline run allocates.
 
     These are logical (paper-architecture) volume elements, matching what
-    AllocationMeter books; the concatenation volumes and fast_acv's
-    "unfolded" volume are never materialized whole, and fast_acv's grouped
-    "correlation" is computed as the one group it equals.
+    AllocationMeter books; the concatenation volumes (read as their
+    compressed costs) and fast_acv's "unfolded" volume are never
+    materialized, and fast_acv's grouped "correlation" is computed as the
+    one group it equals.
     """
     h4, w4 = height // 4, width // 4
     d4 = cfg.d_max // 4
@@ -524,8 +524,10 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
     for gradient features), and both regularizers are linear, so the group
     mean of the regularized correlation is the regularized one-group
     correlation of the untiled f_corr.  The propagation reads v_init's
-    cross shifts in place of the unfolded volume.  The meter still books
-    the logical grouped "correlation" and the "unfolded" volume.
+    cross shifts in place of the unfolded volume, and matching_score reads
+    the compact volume's compressed cost at the hypotheses.  The meter still
+    books the logical grouped "correlation", "unfolded" and "compact_concat"
+    volumes.
     """
     l_img, r_img = _check_pair(left, right)
     h, w = l_img.shape
@@ -555,7 +557,7 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
     u = estimate_uncertainty(p_init, d_init)
     del p_init
     planes = sample_cross_disparities(d_init, cfg.vap.radius)
-    scores = matching_score(pyr_l.f_quarter, pyr_r.f_quarter, planes)
+    scores = matching_score(pyr_l.f_quarter, pyr_r.f_quarter, planes, cfg.threads)
     conf = _cross_sample_2d(confidence(u, cfg.vap.alpha, cfg.vap.beta), cfg.vap.radius)
     pw = propagation_weights(scores, conf)
     v_prop = cross_propagate_volume(v_init, cfg.vap.radius, pw)
@@ -568,9 +570,10 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
     hyp = f2i_topk(softmax_over_disparity(v_prop), cfg.k)
     meter.release("propagated")
     del v_prop
-    # Streams build_compact_concat -> compress_concat_volume; the meter still
-    # books the logical compact volume.
-    cost_k = concat_cost(pyr_l.f_quarter, pyr_r.f_quarter, hyp.d_hyp, threads=cfg.threads)
+    # The compressed compact concatenation volume is the matching score at
+    # the hypotheses; the meter still books the logical compact volume.
+    cost_k = CostVolume(matching_score(pyr_l.f_quarter, pyr_r.f_quarter, hyp.d_hyp,
+                                       cfg.threads)[None], 4)
     meter.alloc("compact_concat", 2 * pyr_l.f_quarter.channels * cost_k.elements)
     meter.alloc("compressed", cost_k.elements)
     meter.release("compact_concat")
@@ -588,8 +591,7 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
     stage_ms["aggregation"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
-    top = min(2, cfg.k)
-    d_quarter = predict_from_hypotheses(_scaled(cost, cfg.temperature), hyp.d_hyp, top)
+    d_quarter = predict_from_hypotheses(_scaled(cost, cfg.temperature), hyp.d_hyp)
     full = _upsample_disparity_full(DisparityMap(d_quarter.data * 4.0, 4), h, w)
     stage_ms["prediction"] = (time.perf_counter() - t0) * 1000.0
 

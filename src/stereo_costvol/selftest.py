@@ -250,24 +250,32 @@ def check_matching_score(rng, cases):
         c, h, w = int(rng.integers(1, 6)), int(rng.integers(2, 7)), int(rng.integers(4, 12))
         f_l = _rand_feature(rng, c, h, w)
         f_r = _rand_feature(rng, c, h, w)
+        threads = int(rng.integers(1, 4))
         d_m = (rng.random((5, h, w)) * (w + 2) - 1.0)
-        scores = fast_acv.matching_score(f_l, f_r, d_m)
-        for m in range(5):
-            for y in range(h):
-                for x in range(w):
-                    u = x - d_m[m, y, x]
-                    if u < 0 or u > w - 1:
-                        expect = 0.0
-                    else:
-                        u0 = int(math.floor(u))
-                        u1 = min(u0 + 1, w - 1)
-                        t = u - u0
-                        expect = sum(
-                            float(f_l.data[ci, y, x]) *
-                            ((1 - t) * float(f_r.data[ci, y, u0]) +
-                             t * float(f_r.data[ci, y, u1]))
-                            for ci in range(c)) / c
-                    assert abs(scores[m, y, x] - expect) < 1e-5
+        # F2I hypotheses: integer planes, some pointing off the frame.
+        d_hyp = rng.integers(0, w + 2, size=(int(rng.integers(1, 5)), h, w)).astype(np.int32)
+        for d in (d_m, d_hyp):
+            scores = fast_acv.matching_score(f_l, f_r, d, threads)
+            assert scores.shape == d.shape and scores.dtype == np.float32
+            for m in range(d.shape[0]):
+                for y in range(h):
+                    for x in range(w):
+                        u = x - float(d[m, y, x])
+                        if u < 0 or u > w - 1:
+                            expect = 0.0
+                        else:
+                            u0 = int(math.floor(u))
+                            u1 = min(u0 + 1, w - 1)
+                            t = u - u0
+                            expect = sum(
+                                float(f_l.data[ci, y, x]) *
+                                ((1 - t) * float(f_r.data[ci, y, u0]) +
+                                 t * float(f_r.data[ci, y, u1]))
+                                for ci in range(c)) / c
+                        assert abs(scores[m, y, x] - expect) < 1e-5
+        # Integer-valued float planes take the same path as integer ones.
+        as_float = fast_acv.matching_score(f_l, f_r, d_hyp.astype(np.float64))
+        assert np.array_equal(as_float, fast_acv.matching_score(f_l, f_r, d_hyp))
     f = _rand_feature(rng, 4, 3, 6)
     self_score = fast_acv.matching_score(f, f, np.zeros((5, 3, 6)))
     assert np.all(self_score >= 0.0)
@@ -424,26 +432,6 @@ def check_build_compact_concat(rng, cases):
                         assert vol.data[c + ci, ki, y, x] == expect
 
 
-def check_concat_cost(rng, cases):
-    for _ in range(cases):
-        c, h, w = int(rng.integers(1, 5)), int(rng.integers(2, 6)), int(rng.integers(3, 9))
-        n = int(rng.integers(1, 5))
-        f_l = _rand_feature(rng, c, h, w)
-        f_r = _rand_feature(rng, c, h, w)
-        d_hyp = rng.integers(0, w + 2, size=(n, h, w)).astype(np.int32)
-        cost = volume_core.concat_cost(f_l, f_r, d_hyp, int(rng.integers(1, 4)))
-        assert cost.data.shape == (1, n, h, w)
-        for k in range(n):
-            for y in range(h):
-                for x in range(w):
-                    src = x - int(d_hyp[k, y, x])
-                    expect = sum(
-                        float(f_l.data[ci, y, x]) *
-                        (float(f_r.data[ci, y, src]) if 0 <= src < w else 0.0)
-                        for ci in range(c)) / c
-                    assert abs(cost.data[0, k, y, x] - expect) < 1e-5
-
-
 def check_fast_attention_filter(rng, cases):
     for _ in range(cases):
         c, k = int(rng.integers(1, 5)), int(rng.integers(1, 5))
@@ -464,21 +452,26 @@ def check_fast_attention_filter(rng, cases):
 
 
 def check_predict_from_hypotheses(rng, cases):
-    for _ in range(cases):
-        k, h, w = int(rng.integers(2, 8)), int(rng.integers(2, 6)), int(rng.integers(2, 6))
-        top = int(rng.integers(1, k + 1))
-        v = volume_core.CostVolume(rng.standard_normal((1, k, h, w)).astype(np.float32) * 4)
+    for case in range(cases):
+        k, h, w = int(rng.integers(1, 8)), int(rng.integers(2, 6)), int(rng.integers(2, 6))
+        raw = rng.standard_normal((1, k, h, w)) * 4
+        if case % 2:
+            raw = np.round(raw / 4)  # few distinct values: many ties
+        v = volume_core.CostVolume(raw.astype(np.float32))
         d_hyp = rng.integers(0, 48, size=(k, h, w)).astype(np.int32)
-        disp = fast_acv.predict_from_hypotheses(v, d_hyp, top)
+        disp = fast_acv.predict_from_hypotheses(v, d_hyp)
+        if k == 1:
+            assert np.array_equal(disp.data, d_hyp[0].astype(np.float64))
         for y in range(h):
             for x in range(w):
-                order = sorted(range(k), key=lambda i: (-v.data[0, i, y, x], i))[:top]
+                # The top two by value; ties go to the smaller index.
+                order = sorted(range(k), key=lambda i: (-v.data[0, i, y, x], i))[:2]
                 vals = [float(v.data[0, i, y, x]) for i in order]
                 m = max(vals)
                 e = [math.exp(val - m) for val in vals]
                 s = sum(e)
                 expect = sum(e[j] / s * float(d_hyp[order[j], y, x])
-                             for j in range(top))
+                             for j in range(len(order)))
                 assert abs(disp.data[y, x] - expect) < 1e-9
 
 
@@ -762,7 +755,6 @@ CHECKS = [
     ("cross_propagate_volume", check_cross_propagate_volume),
     ("f2i_topk", check_f2i_topk),
     ("build_compact_concat", check_build_compact_concat),
-    ("concat_cost", check_concat_cost),
     ("fast_attention_filter", check_fast_attention_filter),
     ("predict_from_hypotheses", check_predict_from_hypotheses),
     ("census_features", check_census_features),

@@ -192,19 +192,26 @@ def _group_inner(fl_g, fr_g, d):
     return out
 
 
-def softmax_over_disparity(v: CostVolume) -> ProbabilityVolume:
-    """Convert a single-channel cost volume to per-pixel disparity probabilities.
+def _softmax0(logits):
+    """Softmax over axis 0 of a float64 array, computed in place.
 
     Stabilized by subtracting the per-pixel maximum before exponentiation.
+    The caller hands over `logits`; it is overwritten by the result.
     """
+    logits -= logits.max(axis=0, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=0, keepdims=True)
+    return logits
+
+
+def softmax_over_disparity(v: CostVolume) -> ProbabilityVolume:
+    """Convert a single-channel cost volume to per-pixel disparity probabilities."""
     if v.channels != 1:
         raise ValueError("softmax_over_disparity: cost volume must have a single channel")
     logits = v.data[0].astype(np.float64)
     if not _all_finite(logits):
         raise ValueError("non-finite cost")
-    shifted = logits - logits.max(axis=0, keepdims=True)
-    expd = np.exp(shifted)
-    return ProbabilityVolume(expd / expd.sum(axis=0, keepdims=True))
+    return ProbabilityVolume(_softmax0(logits))
 
 
 def soft_argmin(p: ProbabilityVolume, resolution_scale: int = 1) -> DisparityMap:
@@ -261,53 +268,18 @@ def build_concat_volume(f_l: FeatureMap, f_r: FeatureMap, d_max: int) -> CostVol
     return CostVolume(volume, f_l.resolution_scale)
 
 
-def _pair_readout(left, right):
+def _pair_readout(left, right, out=None):
     """Mean over axis 0 of the channel products left * right, as float32.
 
     The sum runs channel by channel in float32, or in float64 above 256
     channels.  Every concatenation readout goes through here, so splitting
-    the work along any other axis cannot change a single bit.
+    the work along any other axis cannot change a single bit.  The products
+    go to `out` when given (it may be `right` itself).
     """
     c = left.shape[0]
     sum_dtype = np.float64 if c > 256 else np.float32
-    total = (left * right).sum(axis=0, dtype=sum_dtype)
+    total = np.multiply(left, right, out=out).sum(axis=0, dtype=sum_dtype)
     return (total / np.float32(c)).astype(np.float32, copy=False)
-
-
-def concat_cost(f_l: FeatureMap, f_r: FeatureMap, d_hyp, threads: int = 1) -> CostVolume:
-    """Compressed compact concatenation-volume cost, streamed one slice at a time.
-
-    `d_hyp` is an integer (K, height, width) array of per-pixel hypotheses:
-    slice k pairs f_l(x, y) with f_r(x - d_hyp[k, y, x], y), zero where that
-    sample leaves the frame.  The result equals compress_concat_volume of
-    build_compact_concat bit for bit, but the 2C-channel volume itself is
-    never held whole: each worker gathers one slice and writes its readout
-    straight into the (1, K, height, width) cost.
-    """
-    if f_l.data.shape != f_r.data.shape:
-        raise ValueError("concat_cost: feature map shapes differ")
-    c, h, w = f_l.data.shape
-    d_hyp = np.asarray(d_hyp)
-    if not np.issubdtype(d_hyp.dtype, np.integer):
-        raise ValueError("concat_cost: d_hyp must be integer indices")
-    if d_hyp.ndim != 3 or d_hyp.shape[1:] != (h, w):
-        raise ValueError("concat_cost: d_hyp must be (K, height, width)")
-    n = d_hyp.shape[0]
-    # Gather rows of the flattened map; the appended zero column is the
-    # source of every out-of-frame sample.
-    flat = np.concatenate([f_r.data.reshape(c, h * w), np.zeros((c, 1), np.float32)], axis=1)
-    row_start = (np.arange(h) * w)[:, None]
-    xs = np.arange(w)
-    cost = np.empty((1, n, h, w), dtype=np.float32)
-
-    def run(k):
-        src = xs - d_hyp[k]
-        idx = np.where((src >= 0) & (src <= w - 1), row_start + src, h * w)
-        right = np.take(flat, idx.ravel(), axis=1).reshape(c, h, w)
-        cost[0, k] = _pair_readout(f_l.data, right)
-
-    _run_over_disparities(n, run, threads)
-    return CostVolume(cost, f_l.resolution_scale)
 
 
 def _resize_linear(arr, axis, out_len, align_corners=True):

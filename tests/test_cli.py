@@ -153,10 +153,15 @@ def test_match_malformed_pgm_exits_two(pair, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def _gray_png(w, h, ihdr_len=13, flip_iend_crc=False):
-    """8-bit grayscale PNG of zero pixels; IHDR cut or zero-padded to ihdr_len bytes."""
+def _gray_png(w, h, ihdr_len=13, flip_iend_crc=False, rows=None):
+    """8-bit grayscale PNG of zero pixels; IHDR cut or zero-padded to ihdr_len bytes.
+
+    rows replaces the filtered scanlines that IDAT compresses.
+    """
     ihdr = (struct.pack(">IIBBBBB", w, h, 8, 0, 0, 0, 0) + b"\x00")[:ihdr_len]
-    chunks = [(b"IHDR", ihdr), (b"IDAT", zlib.compress(b"\x00" * (h * (w + 1)))),
+    if rows is None:
+        rows = b"\x00" * (h * (w + 1))
+    chunks = [(b"IHDR", ihdr), (b"IDAT", zlib.compress(rows)),
               (b"IEND", b"")]
     blob = b"\x89PNG\r\n\x1a\n"
     for tag, body in chunks:
@@ -171,7 +176,9 @@ def _gray_png(w, h, ihdr_len=13, flip_iend_crc=False):
     (_gray_png(0, 64), "empty"),
     (_gray_png(128, 0), "empty"),
     (_gray_png(128, 64, flip_iend_crc=True), "CRC"),
-], ids=["ihdr-5-bytes", "ihdr-14-bytes", "zero-width", "zero-height", "bad-iend-crc"])
+    (_gray_png(8, 8, rows=bytes(16 << 20)), "size mismatch"),
+], ids=["ihdr-5-bytes", "ihdr-14-bytes", "zero-width", "zero-height", "bad-iend-crc",
+        "inflates-past-size"])
 def test_match_malformed_png_exits_two(pair, tmp_path, capsys, blob, message):
     bad = tmp_path / "bad.png"
     bad.write_bytes(blob)
@@ -303,6 +310,15 @@ def test_bench_rejects_runs_below_one(capsys, runs):
 
 def test_bench_rejects_bad_k(capsys):
     assert cli.main(["bench", "--dmax", "32", "--k-sweep", "64"]) == 2
+
+
+def test_bench_ignores_k_sweep_without_fast_acv(capsys):
+    # acv reads no K, so the default sweep (up to 48) does not limit its dmax.
+    code = cli.main(["bench", "--modes", "acv", "--sizes", "64x64", "--dmax", "32",
+                     "--runs", "1", "--json"])
+    assert code == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [(r["mode"], r["k"]) for r in rows] == [("acv", None)]
 
 
 # ---------------------------------------------------------------------------

@@ -355,7 +355,7 @@ def test_fast_attention_filter_identity_zero_homogeneous():
 def test_predict_two_term_softmax():
     v = np.array([5.0, 1.0], dtype=np.float32).reshape(1, 2, 1, 1)
     d_hyp = np.array([10, 20], dtype=np.int32).reshape(2, 1, 1)
-    disp = predict_from_hypotheses(CostVolume(v), d_hyp, 2)
+    disp = predict_from_hypotheses(CostVolume(v), d_hyp)
     sigma = math.exp(5.0) / (math.exp(5.0) + math.exp(1.0))
     assert abs(disp.data[0, 0] - (10 * sigma + 20 * (1 - sigma))) < 1e-9
 
@@ -363,19 +363,12 @@ def test_predict_two_term_softmax():
 def test_predict_saturated_value_wins():
     v = np.array([42.0, 2.0, 1.0], dtype=np.float32).reshape(1, 3, 1, 1)
     d_hyp = np.array([7, 3, 1], dtype=np.int32).reshape(3, 1, 1)
-    disp = predict_from_hypotheses(CostVolume(v), d_hyp, 2)
+    disp = predict_from_hypotheses(CostVolume(v), d_hyp)
     assert abs(disp.data[0, 0] - 7.0) < 1e-6
 
 
 def test_predict_top_equals_k_oracle():
     selftest.check_predict_from_hypotheses(np.random.default_rng(17), 15)
-
-
-def test_predict_top_out_of_range():
-    v = CostVolume(np.zeros((1, 3, 2, 2), dtype=np.float32))
-    d_hyp = np.zeros((3, 2, 2), dtype=np.int32)
-    with pytest.raises(ValueError):
-        predict_from_hypotheses(v, d_hyp, 4)
 
 
 @pytest.mark.parametrize("check", [

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -160,6 +161,25 @@ def test_written_png_with_flipped_iend_crc_raises_png_error():
 def test_png_missing_final_crc_raises_png_error():
     with pytest.raises(PngError, match="truncated"):
         read_gray_image(_png(_ihdr(1, 1), iend_crc=False))
+
+
+def test_png_inflating_past_its_size_raises_in_bounded_memory():
+    # An 8x8 image whose IDAT inflates to 16 MiB: the decoder stops one byte
+    # past the 72 bytes the header admits instead of holding it all.
+    blob = _png(_ihdr(8, 8), rows=bytes(16 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(PngError, match="size mismatch"):
+            read_gray_image(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_png_size_beyond_inflate_limit_raises_png_error():
+    with pytest.raises(PngError, match="too large"):
+        read_gray_image(_png(_ihdr(2 ** 32 - 1, 2 ** 32 - 1)))
 
 
 def test_kitti_png_round_trip_randomized():

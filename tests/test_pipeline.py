@@ -26,12 +26,11 @@ from stereo_costvol.pipeline import (
     run_fast_acv_pipeline,
     run_pipeline,
 )
-from stereo_costvol.fast_acv import build_compact_concat
+from stereo_costvol.fast_acv import build_compact_concat, matching_score
 from stereo_costvol.volume_core import (
     CostVolume,
     FeatureMap,
     build_concat_volume,
-    concat_cost,
     group_correlation,
 )
 
@@ -182,7 +181,7 @@ def test_compress_concat_requires_even_channels():
 
 
 # ---------------------------------------------------------------------------
-# streamed concatenation cost vs the reference ops
+# compressed concatenation costs vs the reference ops
 
 def _signed_features(rng, c, h, w):
     """Normal features with exact +0/-0 entries mixed in, as census maps have."""
@@ -201,6 +200,7 @@ def _assert_bitwise(got, ref):
 @pytest.mark.parametrize("channels", [3, 32, 260])
 @pytest.mark.parametrize("k", [1, 5])
 def test_concat_cost_matches_compact_reference(channels, k):
+    # fast_acv's compact cost is matching_score at its integer hypotheses.
     rng = np.random.default_rng(channels * 10 + k)
     h, w = 6, 11
     f_l, f_r = _signed_features(rng, channels, h, w), _signed_features(rng, channels, h, w)
@@ -209,7 +209,7 @@ def test_concat_cost_matches_compact_reference(channels, k):
     assert np.any(d_hyp > w)
     ref = compress_concat_volume(build_compact_concat(f_l, f_r, d_hyp))
     for threads in (1, 2, 8):
-        _assert_bitwise(concat_cost(f_l, f_r, d_hyp, threads=threads), ref)
+        _assert_bitwise(CostVolume(matching_score(f_l, f_r, d_hyp, threads)[None], 4), ref)
 
 
 @pytest.mark.parametrize("channels", [3, 32, 260])
@@ -254,14 +254,16 @@ def test_one_group_f_corr_attention_matches_tiled_groups(backend, regularizer):
 
 
 def test_concat_cost_keeps_reference_input_checks():
+    # matching_score accepts real-valued planes, so only the shape checks
+    # of build_compact_concat carry over, plus finiteness.
     f = FeatureMap(np.ones((2, 3, 4), dtype=np.float32))
     with pytest.raises(ValueError, match="shapes differ"):
-        concat_cost(f, FeatureMap(np.ones((2, 3, 5), dtype=np.float32)),
-                    np.zeros((2, 3, 4), dtype=np.int32))
-    with pytest.raises(ValueError, match="integer"):
-        concat_cost(f, f, np.zeros((2, 3, 4)))
-    with pytest.raises(ValueError, match="K, height, width"):
-        concat_cost(f, f, np.zeros((2, 3, 5), dtype=np.int32))
+        matching_score(f, FeatureMap(np.ones((2, 3, 5), dtype=np.float32)),
+                       np.zeros((2, 3, 4), dtype=np.int32))
+    with pytest.raises(ValueError, match="M, height, width"):
+        matching_score(f, f, np.zeros((2, 3, 5), dtype=np.int32))
+    with pytest.raises(ValueError, match="finite"):
+        matching_score(f, f, np.full((2, 3, 4), np.nan))
 
 
 # ---------------------------------------------------------------------------
