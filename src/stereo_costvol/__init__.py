@@ -34,6 +34,7 @@ from .fast_acv import (
     matching_score,
     predict_from_hypotheses,
     propagation_weights,
+    read_disparity_planes,
     regress_initial_disparity,
     sample_cross_disparities,
 )

@@ -85,7 +85,12 @@ class AcvConfig:
 
 
 def _shift_slices(h, w, dy, dx):
-    """Destination/source slice pairs realizing out(y, x) = src(y - dy, x - dx)."""
+    """Destination/source slice pairs realizing out(y, x) = src(y - dy, x - dx).
+
+    A shift by a whole axis or more gives empty slices; a negative stop
+    would otherwise wrap around.
+    """
+    dy, dx = max(-h, min(dy, h)), max(-w, min(dx, w))
     ys_dst = slice(max(dy, 0), h + min(dy, 0))
     xs_dst = slice(max(dx, 0), w + min(dx, 0))
     ys_src = slice(max(-dy, 0), h + min(-dy, 0))

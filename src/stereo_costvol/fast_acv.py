@@ -142,6 +142,10 @@ def matching_score(f_l: FeatureMap, f_r: FeatureMap, d: np.ndarray,
     at hypotheses this equals compress_concat_volume(build_compact_concat)
     bit for bit.  Out-of-frame samples read an appended zero column.  Each
     worker reuses its gather buffers across the planes it owns.
+
+    A reference op: the fast_acv runner reads the same scores from one dense
+    one-group correlation with read_disparity_planes, and this gather over
+    every channel of F_r is that op's oracle.
     """
     if f_l.data.shape != f_r.data.shape:
         raise ValueError("matching_score: feature map shapes differ")
@@ -182,6 +186,44 @@ def matching_score(f_l: FeatureMap, f_r: FeatureMap, d: np.ndarray,
 
     _run_over_disparities(workers, run, threads)
     return scores
+
+
+def read_disparity_planes(v: CostVolume, d: np.ndarray) -> np.ndarray:
+    """A single-channel volume read at per-pixel disparity planes.
+
+    out[m, y, x] = v(d[m, y, x], y, x) for each plane of `d` (M, height,
+    width) with values in [0, disparities - 1]: linear between the two
+    nearest bins for a fractional d, the bin itself for an integer one, and
+    0 wherever x - d < 0.  matching_score is linear in the sampled F_r, so
+    on the one-group correlation of (f_l, f_r) this reads
+    matching_score(f_l, f_r, d) up to rounding; at integer planes of
+    sign-valued features over a power-of-two channel count every sum is
+    exact and the two agree bit for bit (up to the sign of zero).
+    """
+    if v.channels != 1:
+        raise ValueError("read_disparity_planes: volume must have a single channel")
+    n_d, h, w = v.data.shape[1:]
+    d = np.asarray(d)
+    if d.ndim != 3 or d.shape[1:] != (h, w):
+        raise ValueError("read_disparity_planes: disparity planes must be (M, height, width)")
+    if not _all_finite(d):
+        raise ValueError("read_disparity_planes: disparities must be finite")
+    if d.size and (d.min() < 0 or d.max() > n_d - 1):
+        raise ValueError(f"read_disparity_planes: disparities must lie in [0, {n_d - 1}]")
+    flat = v.data.reshape(-1)
+    d0 = d.astype(np.intp)  # truncation floors d >= 0
+    idx = d0 * (h * w)
+    idx += np.arange(h * w).reshape(h, w)
+    out = np.take(flat, idx)
+    t = d - d0 if d.dtype.kind == "f" else 0
+    if np.any(t):  # lo + t * (hi - lo), rounded once to float32
+        # Only the top bin reads past the volume; "clip" keeps that read in
+        # range, and its t = 0 multiplies it away.
+        hi = np.take(flat, idx + h * w, mode="clip")
+        lo = out.astype(np.float64)
+        out = (lo + t * (hi - lo)).astype(np.float32)
+    np.copyto(out, 0.0, where=d > np.arange(w))
+    return out
 
 
 def estimate_uncertainty(p_init: ProbabilityVolume, d_init: DisparityMap) -> np.ndarray:

@@ -39,6 +39,7 @@ from .fast_acv import (
     matching_score,
     predict_from_hypotheses,
     propagation_weights,
+    read_disparity_planes,
     regress_initial_disparity,
     sample_cross_disparities,
 )
@@ -57,12 +58,14 @@ from .volume_core import (
 )
 
 # build_concat_volume, build_compact_concat, compress_concat_volume (below),
-# unfold_cross and cross_propagate are reference ops: group_correlation with
-# one group and matching_score at the hypotheses equal the compressed dense
-# and compact concatenation volumes, and cross_propagate_volume streams the
-# unfolded propagation.  The runners no longer call them, but they stay
-# attributes of this module, next to attention_filter, so oracle tests and
-# call-site tracing still find them here.
+# matching_score, unfold_cross and cross_propagate are reference ops:
+# group_correlation with one group equals the compressed dense
+# concatenation volume, read_disparity_planes on it equals matching_score at
+# VAP's candidates and the compressed compact volume at the hypotheses, and
+# cross_propagate_volume streams the unfolded propagation.  The runners no
+# longer call them, but they stay attributes of this module, next to
+# attention_filter, so oracle tests and call-site tracing still find them
+# here.
 
 CHANNELS_PER_GROUP = 8
 # Logical group count of fast_acv's low-resolution correlation; the meter
@@ -143,9 +146,11 @@ class AllocationMeter:
 
     Counts are logical volume elements of the paper's architecture, not
     bytes held.  The concatenation volumes are never built: acv reads its
-    "concat" cost as a one-group correlation and fast_acv its
-    "compact_concat" cost as the matching score at the hypotheses.  Nor is
-    fast_acv's five-plane "unfolded" volume, which the propagation reads
+    "concat" cost as a one-group quarter-resolution correlation, and
+    fast_acv reads its "compact_concat" cost from the same correlation at
+    the hypotheses.  That dense correlation is not booked in fast_acv mode,
+    where it stands in for the compact volume's feature gathers.  Nor is
+    fast_acv's five-plane "unfolded" volume built; the propagation reads it
     straight from v_init.  fast_acv's "correlation" is booked with
     FAST_CORR_GROUPS groups although one is computed.  All are booked at
     full size in the order the architecture allocates and frees them.
@@ -524,10 +529,15 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
     for gradient features), and both regularizers are linear, so the group
     mean of the regularized correlation is the regularized one-group
     correlation of the untiled f_corr.  The propagation reads v_init's
-    cross shifts in place of the unfolded volume, and matching_score reads
-    the compact volume's compressed cost at the hypotheses.  The meter still
-    books the logical grouped "correlation", "unfolded" and "compact_concat"
-    volumes.
+    cross shifts in place of the unfolded volume.  VAP's feature-similarity
+    scores and the compact volume's compressed cost are both the one-channel
+    readout (1 / C)<F_l(x), F_r(x - d)>, so both are read with
+    read_disparity_planes from one dense one-group quarter-resolution
+    correlation, the one acv builds: linearly between bins at VAP's
+    fractional candidates, directly at the integer hypotheses.  That volume
+    lives from VAP to the compact cost.  The meter still books the logical
+    grouped "correlation", "unfolded" and "compact_concat" volumes, and not
+    this stand-in for their feature gathers.
     """
     l_img, r_img = _check_pair(left, right)
     h, w = l_img.shape
@@ -556,8 +566,13 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
     p_init, d_init = regress_initial_disparity(v_init)
     u = estimate_uncertainty(p_init, d_init)
     del p_init
+    # VAP's scores and the compact cost are both read from this one volume.
+    corr_q = group_correlation(pyr_l.f_quarter, pyr_r.f_quarter, cfg.d_max // 4, 1,
+                               cfg.threads)
     planes = sample_cross_disparities(d_init, cfg.vap.radius)
-    scores = matching_score(pyr_l.f_quarter, pyr_r.f_quarter, planes, cfg.threads)
+    # The soft-argmin can pass the top bin by a rounding error.
+    np.minimum(planes, corr_q.disparities - 1, out=planes)
+    scores = read_disparity_planes(corr_q, planes)
     conf = _cross_sample_2d(confidence(u, cfg.vap.alpha, cfg.vap.beta), cfg.vap.radius)
     pw = propagation_weights(scores, conf)
     v_prop = cross_propagate_volume(v_init, cfg.vap.radius, pw)
@@ -567,13 +582,15 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
     meter.release("v_init")
     del v_init
 
-    hyp = f2i_topk(softmax_over_disparity(v_prop), cfg.k)
-    meter.release("propagated")
+    p_prop = softmax_over_disparity(v_prop)
     del v_prop
-    # The compressed compact concatenation volume is the matching score at
-    # the hypotheses; the meter still books the logical compact volume.
-    cost_k = CostVolume(matching_score(pyr_l.f_quarter, pyr_r.f_quarter, hyp.d_hyp,
-                                       cfg.threads)[None], 4)
+    hyp = f2i_topk(p_prop, cfg.k)
+    meter.release("propagated")
+    del p_prop
+    # The compressed compact concatenation volume is the correlation at the
+    # hypotheses; the meter still books the logical compact volume.
+    cost_k = CostVolume(read_disparity_planes(corr_q, hyp.d_hyp)[None], 4)
+    del corr_q
     meter.alloc("compact_concat", 2 * pyr_l.f_quarter.channels * cost_k.elements)
     meter.alloc("compressed", cost_k.elements)
     meter.release("compact_concat")

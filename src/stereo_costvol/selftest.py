@@ -145,22 +145,28 @@ def _mapm_oracle(f_l, f_r, level, weights, d_max, n_groups):
     return out
 
 
+def _check_mapm_case(rng, level, h, w):
+    g, cpg = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+    d_max = int(rng.integers(1, 5))
+    f_l = _rand_feature(rng, g * cpg, h, w)
+    f_r = _rand_feature(rng, g * cpg, h, w)
+    weights = acv.PatchWeights(level, rng.random((3, 3)).astype(np.float32))
+    vol = acv.mapm_level(f_l, f_r, level, weights, d_max, g)
+    expect = _mapm_oracle(f_l, f_r, level, weights.weights, d_max, g)
+    assert np.max(np.abs(vol.data - expect)) < 1e-6
+    center = acv.PatchWeights.center_only(level)
+    direct = acv.mapm_level(f_l, f_r, level, center, d_max, g)
+    plain = volume_core.group_correlation(f_l, f_r, d_max, g)
+    assert np.array_equal(direct.data, plain.data)
+
+
 def check_mapm_level(rng, cases):
     for _ in range(cases):
         level = int(rng.integers(1, 4))
-        g, cpg = int(rng.integers(1, 3)), int(rng.integers(1, 4))
-        h, w = int(rng.integers(4, 11)), int(rng.integers(5, 13))
-        d_max = int(rng.integers(1, 5))
-        f_l = _rand_feature(rng, g * cpg, h, w)
-        f_r = _rand_feature(rng, g * cpg, h, w)
-        weights = acv.PatchWeights(level, rng.random((3, 3)).astype(np.float32))
-        vol = acv.mapm_level(f_l, f_r, level, weights, d_max, g)
-        expect = _mapm_oracle(f_l, f_r, level, weights.weights, d_max, g)
-        assert np.max(np.abs(vol.data - expect)) < 1e-6
-        center = acv.PatchWeights.center_only(level)
-        direct = acv.mapm_level(f_l, f_r, level, center, d_max, g)
-        plain = volume_core.group_correlation(f_l, f_r, d_max, g)
-        assert np.array_equal(direct.data, plain.data)
+        _check_mapm_case(rng, level, int(rng.integers(1, 11)), int(rng.integers(1, 13)))
+    # Frames no larger than the level-3 offset: some taps fall wholly outside.
+    for _ in range(2):
+        _check_mapm_case(rng, 3, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
 
 
 def check_build_mapm_volume(rng, cases):
@@ -281,6 +287,38 @@ def check_matching_score(rng, cases):
     assert np.all(self_score >= 0.0)
     far = fast_acv.matching_score(f, f, np.full((5, 3, 6), 99.0))
     assert np.all(far == 0.0)
+
+
+def check_read_disparity_planes(rng, cases):
+    for _ in range(cases):
+        n_d, h, w = int(rng.integers(1, 9)), int(rng.integers(1, 6)), int(rng.integers(1, 9))
+        vol = volume_core.CostVolume(rng.standard_normal((1, n_d, h, w)).astype(np.float32))
+        m = int(rng.integers(1, 6))
+        d_frac = rng.random((m, h, w)) * (n_d - 1)
+        d_int = rng.integers(0, n_d, size=(m, h, w)).astype(np.int32)
+        for d in (d_frac, d_int):
+            out = fast_acv.read_disparity_planes(vol, d)
+            assert out.shape == d.shape and out.dtype == np.float32
+            for mi in range(m):
+                for y in range(h):
+                    for x in range(w):
+                        dv = float(d[mi, y, x])
+                        if dv > x:
+                            expect = 0.0
+                        else:
+                            d0 = int(math.floor(dv))
+                            t = dv - d0
+                            expect = (1 - t) * float(vol.data[0, d0, y, x])
+                            if t:
+                                expect += t * float(vol.data[0, d0 + 1, y, x])
+                        assert abs(out[mi, y, x] - expect) < 1e-6
+        # Integer planes are direct lookups, whatever their dtype.
+        direct = fast_acv.read_disparity_planes(vol, d_int)
+        assert np.array_equal(fast_acv.read_disparity_planes(vol, d_int.astype(np.float64)),
+                              direct)
+        ys, xs = np.indices((h, w))
+        inside = d_int <= xs
+        assert np.array_equal(direct[inside], vol.data[0][d_int, ys, xs][inside])
 
 
 def check_estimate_uncertainty(rng, cases):
@@ -748,6 +786,7 @@ CHECKS = [
     ("regress_initial_disparity", check_regress_initial_disparity),
     ("sample_cross_disparities", check_sample_cross_disparities),
     ("matching_score", check_matching_score),
+    ("read_disparity_planes", check_read_disparity_planes),
     ("estimate_uncertainty", check_estimate_uncertainty),
     ("confidence", check_confidence),
     ("propagation_weights", check_propagation_weights),

@@ -46,6 +46,19 @@ def test_match_smoke(pair, tmp_path, capsys):
     assert "volume correlation" in capsys.readouterr().out
 
 
+def test_match_acv_on_eight_row_frames(tmp_path):
+    left, right, _, _ = generate_stereogram(StereogramSpec(8, 16, 2, 0.5, 4))
+    paths = []
+    for name, img in (("left", left), ("right", right)):
+        paths.append(tmp_path / f"{name}.pgm")
+        paths[-1].write_bytes(write_pgm(img))
+    out = tmp_path / "out.pfm"
+    code = cli.main(["match", str(paths[0]), str(paths[1]), "--mode", "acv",
+                     "--dmax", "16", "-o", str(out)])
+    assert code == 0
+    assert read_pfm(out.read_bytes()).data.shape == (8, 16)
+
+
 def test_match_kitti_output(pair, tmp_path):
     out = tmp_path / "out.png"
     code = cli.main(["match", pair["left"], pair["right"],

@@ -18,6 +18,7 @@ from stereo_costvol.fast_acv import (
     matching_score,
     predict_from_hypotheses,
     propagation_weights,
+    read_disparity_planes,
     regress_initial_disparity,
     sample_cross_disparities,
 )
@@ -27,6 +28,7 @@ from stereo_costvol.volume_core import (
     FeatureMap,
     ProbabilityVolume,
     build_concat_volume,
+    group_correlation,
     unfold_cross,
 )
 
@@ -106,6 +108,92 @@ def test_matching_score_prefers_true_shift():
 
 def test_matching_score_fractional_interpolation():
     selftest.check_matching_score(np.random.default_rng(4), 10)
+
+
+# ---------------------------------------------------------------------------
+# volume readout at disparity planes
+
+def _no_signed_zero(a):
+    # Adding +0 turns -0 into +0 and leaves every other value's bits alone.
+    return (a + np.float32(0.0)).view(np.uint32)
+
+
+def _vap_like_planes(rng, m, n_d, h, w):
+    """Fractional planes in [0, n_d - 1] with the edge cases pinned.
+
+    Plane 0 has d = 0 in the last column; plane 1 has d in (x, x + 1)
+    wherever that stays in range, where the readout must be 0.
+    """
+    d = rng.random((m, h, w)) * (n_d - 1)
+    d[0, :, w - 1] = 0.0
+    xs = np.broadcast_to(np.arange(w, dtype=np.float64), (h, w))
+    past = xs + rng.uniform(0.05, 0.95, size=(h, w))
+    fits = past <= n_d - 1
+    d[1][fits] = past[fits]
+    return d, fits
+
+
+@pytest.mark.parametrize("channels", [1, 3, 32, 260])
+@pytest.mark.parametrize("n_d, h, w", [(6, 5, 11), (9, 4, 5)])  # the second has D > W
+def test_read_disparity_planes_matches_matching_score_fractional(channels, n_d, h, w):
+    rng = np.random.default_rng(channels * 100 + n_d)
+    f_l, f_r = (FeatureMap(rng.uniform(-1, 1, (channels, h, w)).astype(np.float32), 4)
+                for _ in range(2))
+    d, past = _vap_like_planes(rng, 5, n_d, h, w)
+    assert past.any()
+    got = read_disparity_planes(group_correlation(f_l, f_r, n_d, 1), d)
+    ref = matching_score(f_l, f_r, d)
+    assert got.shape == d.shape and got.dtype == np.float32
+    assert np.max(np.abs(got - ref)) < 1e-6
+    assert np.all(got[1][past] == 0.0) and np.all(ref[1][past] == 0.0)
+
+
+@pytest.mark.parametrize("channels", [1, 8, 32])
+@pytest.mark.parametrize("n_d, h, w", [(6, 5, 11), (9, 4, 5)])
+@pytest.mark.parametrize("threads", [1, 2, 8])
+def test_read_disparity_planes_integer_planes_are_bitwise(channels, n_d, h, w, threads):
+    # Sign-valued features over a power-of-two channel count, as census
+    # f_quarter's 32 channels are: every sum and the 1 / C scale are exact.
+    rng = np.random.default_rng(channels * 100 + n_d)
+    f_l, f_r = (FeatureMap(rng.integers(-1, 2, (channels, h, w)).astype(np.float32), 4)
+                for _ in range(2))
+    d_hyp = rng.integers(0, n_d, size=(4, h, w)).astype(np.int32)
+    assert np.any(d_hyp > np.arange(w))  # some hypotheses leave the frame
+    corr = group_correlation(f_l, f_r, n_d, 1, threads)
+    got = read_disparity_planes(corr, d_hyp)
+    ref = matching_score(f_l, f_r, d_hyp, threads)
+    assert np.array_equal(_no_signed_zero(got), _no_signed_zero(ref))
+
+
+def test_read_disparity_planes_edge_columns():
+    n_d, h, w = 4, 2, 5
+    vol = CostVolume(np.arange(1, 1 + n_d * h * w, dtype=np.float32).reshape(1, n_d, h, w))
+    ys, xs = np.indices((h, w))
+    # d in (x, x + 1) reads 0; d == x reads its bin, up to the top one.
+    d_at = np.minimum(xs, n_d - 1)[None]
+    fits = xs + 0.5 <= n_d - 1
+    past = read_disparity_planes(vol, np.where(fits, xs + 0.5, 0.0)[None])
+    assert fits.any() and np.all(past[0][fits] == 0.0)
+    at = read_disparity_planes(vol, d_at.astype(np.float64))
+    assert np.array_equal(at[0], vol.data[0][d_at[0], ys, xs])
+    # d = 0 in the last column reads bin 0 exactly, integer or float plane.
+    for d in (np.zeros((1, h, w), np.int32), np.zeros((1, h, w))):
+        assert np.array_equal(read_disparity_planes(vol, d)[0, :, w - 1], vol.data[0, 0, :, w - 1])
+
+
+def test_read_disparity_planes_input_checks():
+    vol = CostVolume(np.ones((1, 4, 3, 5), dtype=np.float32))
+    with pytest.raises(ValueError, match="single channel"):
+        read_disparity_planes(CostVolume(np.ones((2, 4, 3, 5), dtype=np.float32)),
+                              np.zeros((1, 3, 5)))
+    for shape in ((1, 3, 4), (3, 5), (1, 1, 3, 5)):
+        with pytest.raises(ValueError, match="M, height, width"):
+            read_disparity_planes(vol, np.zeros(shape))
+    for bad in (np.nan, np.inf, -1e-9, 3.0 + 1e-9, -1, 4):
+        d = np.zeros((2, 3, 5), dtype=np.float64 if isinstance(bad, float) else np.int32)
+        d[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="finite" if not np.isfinite(bad) else r"\[0, 3\]"):
+            read_disparity_planes(vol, d)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +467,7 @@ def test_predict_top_equals_k_oracle():
     selftest.check_propagation_weights,
     selftest.check_cross_propagate,
     selftest.check_cross_propagate_volume,
+    selftest.check_read_disparity_planes,
     selftest.check_build_compact_concat,
     selftest.check_fast_attention_filter,
 ])

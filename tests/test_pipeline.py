@@ -266,8 +266,60 @@ def test_concat_cost_keeps_reference_input_checks():
         matching_score(f, f, np.full((2, 3, 4), np.nan))
 
 
+def test_fast_runner_reads_compact_cost_from_one_group_correlation(monkeypatch):
+    # The runner reads its compact cost from the dense one-group quarter
+    # correlation; on census pyramids that is matching_score at the
+    # hypotheses bit for bit (up to the sign of zero), and the runner never
+    # gathers features with matching_score itself.
+    import stereo_costvol.pipeline as pipeline_mod
+
+    seen = {"pyramids": [], "hyp": [], "cost": []}
+
+    def record(name, fn):
+        def wrapped(*args):
+            out = fn(*args)
+            seen[name].append((args, out))
+            return out
+        return wrapped
+
+    def no_gather(*args, **kwargs):
+        raise AssertionError("the fast_acv runner called matching_score")
+
+    monkeypatch.setattr(pipeline_mod, "build_feature_pyramid",
+                        record("pyramids", build_feature_pyramid))
+    monkeypatch.setattr(pipeline_mod, "f2i_topk", record("hyp", pipeline_mod.f2i_topk))
+    monkeypatch.setattr(pipeline_mod, "fast_attention_filter",
+                        record("cost", pipeline_mod.fast_attention_filter))
+    monkeypatch.setattr(pipeline_mod, "matching_score", no_gather)
+    left, right, _, _ = stereogram(seed=3, h=64, w=128)
+    run_fast_acv_pipeline(left, right, PipelineConfig("fast_acv", 32, k=8))
+
+    (_, pyr_l), (_, pyr_r) = seen["pyramids"]
+    [(_, hyp)] = seen["hyp"]
+    [((_, cost_k), _)] = seen["cost"]  # the compact cost is filter's second argument
+    ref = matching_score(pyr_l.f_quarter, pyr_r.f_quarter, hyp.d_hyp)
+    assert np.any(hyp.d_hyp > np.arange(128 // 4))  # out-of-frame hypotheses too
+    got = cost_k.data[0]
+    assert got.shape == ref.shape
+    zero = np.float32(0.0)
+    assert np.array_equal((got + zero).view(np.uint32), (ref + zero).view(np.uint32))
+
+
 # ---------------------------------------------------------------------------
 # end-to-end pipelines
+
+@pytest.mark.parametrize("shape", [(8, 8), (8, 16)])
+def test_acv_pipeline_runs_on_eight_row_frames(shape):
+    # At quarter resolution these frames are 2 rows high, smaller than the
+    # level-3 patch offsets, whose taps then fall wholly outside the frame.
+    rng = np.random.default_rng(shape[1])
+    left, right = rng.random(shape), rng.random(shape)
+    runs = [run_pipeline(left, right, PipelineConfig("acv", 16, threads=t)).data
+            for t in (1, 2)]
+    assert runs[0].shape == shape
+    assert runs[0].min() >= 0.0 and runs[0].max() <= 15.0
+    assert np.array_equal(runs[0], runs[1])
+
 
 def test_acv_pipeline_recovers_constant_disparity():
     left, right, gt, mask = stereogram()
