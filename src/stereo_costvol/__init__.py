@@ -12,7 +12,6 @@ from .volume_core import (
     unfold_cross,
 )
 from .acv import (
-    AcvConfig,
     PatchWeights,
     attention_filter,
     build_mapm_volume,

@@ -31,6 +31,11 @@ def identity_regularizer(v: CostVolume) -> CostVolume:
 
 
 _PATCH_LEVELS = (1, 2, 3)
+# The paper's ACV layout: 40 correlation groups of 8 channels, split 8/16/16
+# over the three patch levels, and 32-channel concatenation features.
+GROUP_SPLIT = (8, 16, 16)
+CHANNELS_PER_GROUP = 8
+CONCAT_CHANNELS = 32
 
 
 @dataclass
@@ -61,27 +66,6 @@ class PatchWeights:
         w = np.zeros((3, 3), dtype=np.float32)
         w[1, 1] = 1.0
         return cls(level, w)
-
-
-@dataclass
-class AcvConfig:
-    """Disparity range and group layout for attention volume construction."""
-
-    d_max: int
-    group_split: Tuple[int, int, int] = (8, 16, 16)
-    concat_channels: int = 32
-
-    def __post_init__(self):
-        if self.d_max < 4 or self.d_max % 4 != 0:
-            raise ValueError("d_max must be a positive multiple of 4")
-        if any(g < 1 for g in self.group_split):
-            raise ValueError("group_split entries must be positive")
-        if self.concat_channels < 1:
-            raise ValueError("concat_channels must be positive")
-
-    @property
-    def n_groups(self) -> int:
-        return sum(self.group_split)
 
 
 def _shift_slices(h, w, dy, dx):
@@ -145,41 +129,39 @@ def mapm_level(f_l: FeatureMap, f_r: FeatureMap, level: int, w: PatchWeights,
         out[:, d] = acc
 
     _run_over_disparities(d_max, run, threads)
-    return CostVolume(out, f_l.resolution_scale)
+    return CostVolume(out)
 
 
 def build_mapm_volume(levels: Sequence[Tuple[FeatureMap, FeatureMap, PatchWeights]],
-                      cfg: AcvConfig, threads: int = 1) -> CostVolume:
+                      d_max: int, threads: int = 1) -> CostVolume:
     """Concatenate per-level patch matching volumes into one grouped volume.
 
     levels supplies one (left features, right features, patch weights)
-    triple per pyramid level.  Level k contributes cfg.group_split[k]
-    correlation groups; the groups are stacked in level order, giving a
-    volume of cfg.n_groups groups over cfg.d_max // 4 disparity bins.
+    triple per pyramid level.  Level k contributes its channels /
+    CHANNELS_PER_GROUP correlation groups; the groups are stacked in level
+    order over d_max // 4 disparity bins.
     """
-    if len(levels) != len(cfg.group_split):
-        raise ValueError(f"expected {len(cfg.group_split)} levels, got {len(levels)}")
-    d_bins = cfg.d_max // 4
+    if len(levels) != len(GROUP_SPLIT):
+        raise ValueError(f"expected {len(GROUP_SPLIT)} levels, got {len(levels)}")
+    if d_max < 4:
+        raise ValueError("build_mapm_volume: d_max must be >= 4")
     shape_hw = levels[0][0].data.shape[1:]
-    cpg = None
-    for (f_l, f_r, w), split in zip(levels, cfg.group_split):
+    for f_l, f_r, _ in levels:
         if f_l.data.shape != f_r.data.shape:
             raise ValueError("build_mapm_volume: left/right shapes differ")
         if f_l.data.shape[1:] != shape_hw:
             raise ValueError("build_mapm_volume: levels disagree on spatial size")
-        if f_l.channels % split != 0:
-            raise ValueError("build_mapm_volume: level channels not divisible by its group count")
-        level_cpg = f_l.channels // split
-        if cpg is None:
-            cpg = level_cpg
-        elif level_cpg != cpg:
-            raise ValueError("build_mapm_volume: levels disagree on channels per group")
-    volume = np.zeros((cfg.n_groups, d_bins) + shape_hw, dtype=np.float32)
+        if f_l.channels % CHANNELS_PER_GROUP != 0:
+            raise ValueError(f"build_mapm_volume: {f_l.channels} channels are not groups "
+                             f"of {CHANNELS_PER_GROUP}")
+    splits = [f_l.channels // CHANNELS_PER_GROUP for f_l, _, _ in levels]
+    d_bins = d_max // 4
+    volume = np.zeros((sum(splits), d_bins) + shape_hw, dtype=np.float32)
     g0 = 0
-    for (f_l, f_r, w), split in zip(levels, cfg.group_split):
+    for (f_l, f_r, w), split in zip(levels, splits):
         mapm_level(f_l, f_r, w.level, w, d_bins, split, threads, out=volume[g0:g0 + split])
         g0 += split
-    return CostVolume(volume, levels[0][0].resolution_scale)
+    return CostVolume(volume)
 
 
 def generate_attention_weights(c_patch: CostVolume,
@@ -192,7 +174,7 @@ def generate_attention_weights(c_patch: CostVolume,
     reg = regularizer(c_patch)
     if reg.data.shape[1:] != c_patch.data.shape[1:]:
         raise ValueError("regularizer changed the volume geometry")
-    return CostVolume(reg.data.mean(axis=0, keepdims=True), c_patch.resolution_scale)
+    return CostVolume(reg.data.mean(axis=0, keepdims=True))
 
 
 def attention_filter(a: CostVolume, c_concat: CostVolume) -> CostVolume:
@@ -206,4 +188,4 @@ def attention_filter(a: CostVolume, c_concat: CostVolume) -> CostVolume:
         raise ValueError("attention_filter: attention volume must have a single channel")
     if a.data.shape[1:] != c_concat.data.shape[1:]:
         raise ValueError("attention_filter: attention/concat shape mismatch")
-    return CostVolume(a.data * c_concat.data, c_concat.resolution_scale)
+    return CostVolume(a.data * c_concat.data)

@@ -261,14 +261,29 @@ def _bench_case(mode, height, width, d_max, k, threads, runs, seed, temperature)
 
 def cmd_bench(args) -> int:
     try:
-        modes = [m.strip() for m in args.modes.split(",")]
+        threads = _resolve_threads(args, {})
+    except ValueError as exc:
+        return _fail(str(exc))
+    if args.runs < 1:
+        return _fail(f"--runs must be >= 1, got {args.runs}")
+    k_tokens = [t.strip() for t in args.k_sweep.split(",")]
+    for token in k_tokens:
+        if not token.isdigit():
+            return _fail(f"bad K value {token!r}")
+    ks = [int(t) for t in k_tokens]
+    modes = [m.strip() for m in args.modes.split(",")]
+    try:
         sizes = _parse_sizes(args.sizes)
-        ks = [int(t) for t in args.k_sweep.split(",")]
     except ValueError as exc:
         return _fail(f"bad sweep specification: {exc}")
     for m in modes:
         if m not in ("acv", "fast_acv"):
             return _fail(f"unknown mode {m!r}")
+    # Only fast_acv reads K.
+    if "fast_acv" in modes:
+        for k in ks:
+            if not 1 <= k <= args.dmax // 4:
+                return _fail(f"K={k} outside [1, dmax/4]")
 
     rows = []
     try:
@@ -277,7 +292,7 @@ def cmd_bench(args) -> int:
                 k_values = ks if mode == "fast_acv" else [ks[0]]
                 for k in k_values:
                     rows.append(_bench_case(mode, height, width, args.dmax, k,
-                                            args.threads, args.runs, args.seed,
+                                            threads, args.runs, args.seed,
                                             args.temperature))
                     if mode != "fast_acv":
                         break
@@ -314,7 +329,7 @@ def cmd_bench(args) -> int:
             })
             trends.append({
                 "height": height, "width": width, "k": row["k"],
-                "threads": args.threads,
+                "threads": threads,
                 "fast_ms": row["construction_plus_aggregation_ms"],
                 "acv_ms": acv_row["construction_plus_aggregation_ms"],
                 "fast_below_acv":
@@ -360,7 +375,9 @@ def cmd_bench(args) -> int:
 # selftest
 
 def cmd_selftest(args) -> int:
-    return selftest.run_selftest(cases=args.cases, seed=args.seed or 0)
+    if args.cases < 1:
+        return _fail(f"--cases must be >= 1, got {args.cases}")
+    return selftest.run_selftest(cases=args.cases, seed=args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -427,22 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "bench":
-        try:
-            args.threads = _resolve_threads(args, {})
-        except ValueError as exc:
-            return _fail(str(exc))
-    if args.command == "bench" and args.runs < 1:
-        return _fail(f"--runs must be >= 1, got {args.runs}")
-    if args.command == "bench" and args.k_sweep:
-        for token in args.k_sweep.split(","):
-            if not token.strip().isdigit():
-                return _fail(f"bad K value {token.strip()!r}")
-        # Only fast_acv reads K.
-        if "fast_acv" in (m.strip() for m in args.modes.split(",")):
-            for k in (int(t) for t in args.k_sweep.split(",")):
-                if not 1 <= k <= args.dmax // 4:
-                    return _fail(f"K={k} outside [1, dmax/4]")
     return args.func(args)
 
 

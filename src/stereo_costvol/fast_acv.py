@@ -25,7 +25,6 @@ from .volume_core import (
     _cross_indices,
     _cross_sample_2d,
     _pair_readout,
-    _run_over_disparities,
     _softmax0,
     soft_argmin,
     softmax_over_disparity,
@@ -117,7 +116,7 @@ class PropagationField:
 def regress_initial_disparity(v_init: CostVolume) -> Tuple[ProbabilityVolume, DisparityMap]:
     """Probability volume and soft-argmin disparity from an initial volume."""
     p = softmax_over_disparity(v_init)
-    return p, soft_argmin(p, v_init.resolution_scale)
+    return p, soft_argmin(p)
 
 
 def sample_cross_disparities(d_init: DisparityMap, radius: int) -> np.ndarray:
@@ -131,8 +130,7 @@ def sample_cross_disparities(d_init: DisparityMap, radius: int) -> np.ndarray:
     return _cross_sample_2d(d_init.data, radius).astype(np.float64)
 
 
-def matching_score(f_l: FeatureMap, f_r: FeatureMap, d: np.ndarray,
-                   threads: int = 1) -> np.ndarray:
+def matching_score(f_l: FeatureMap, f_r: FeatureMap, d: np.ndarray) -> np.ndarray:
     """Channel-normalized inner product at per-pixel disparity planes.
 
     S(y, x) = (1 / C) * <F_l(y, x), F_r(y, x - d(y, x))> for each plane of
@@ -140,12 +138,11 @@ def matching_score(f_l: FeatureMap, f_r: FeatureMap, d: np.ndarray,
     integer hypotheses.  Fractional disparities sample F_r by linear
     interpolation along width; a plane without them reads F_r directly, so
     at hypotheses this equals compress_concat_volume(build_compact_concat)
-    bit for bit.  Out-of-frame samples read an appended zero column.  Each
-    worker reuses its gather buffers across the planes it owns.
+    bit for bit.  Out-of-frame samples read an appended zero column.
 
-    A reference op: the fast_acv runner reads the same scores from one dense
-    one-group correlation with read_disparity_planes, and this gather over
-    every channel of F_r is that op's oracle.
+    A test-only reference op: the fast_acv runner reads the same scores
+    from one dense one-group correlation with read_disparity_planes, and
+    this plain gather over every channel of F_r is that op's oracle.
     """
     if f_l.data.shape != f_r.data.shape:
         raise ValueError("matching_score: feature map shapes differ")
@@ -155,36 +152,26 @@ def matching_score(f_l: FeatureMap, f_r: FeatureMap, d: np.ndarray,
         raise ValueError("matching_score: disparity planes must be (M, height, width)")
     if not _all_finite(d):
         raise ValueError("matching_score: disparities must be finite")
-    n = d.shape[0]
     flat = np.concatenate([f_r.data.reshape(c, h * w), np.zeros((c, 1), np.float32)], axis=1)
     row_start = (np.arange(h) * w)[:, None]
     xs = np.arange(w, dtype=np.float64)
-    scores = np.empty((n, h, w), dtype=np.float32)
-    workers = max(1, min(threads, n))
 
-    def gather(col, inside, out):
-        idx = np.where(inside, row_start + col.astype(np.intp), h * w)
-        # Every index is in range; "clip" lets take write straight into out.
-        np.take(flat, idx.ravel(), axis=1, out=out, mode="clip")
+    def gather(col, inside):
+        return flat[:, np.where(inside, row_start + col.astype(np.intp), h * w).ravel()]
 
-    def run(first):
-        lo, hi = np.empty((2, c, h * w), dtype=np.float32)
-        for m in range(first, n, workers):
-            u = xs - d[m]
-            inside = (u >= 0.0) & (u <= w - 1)
-            u0 = np.floor(u)
-            blend = not np.array_equal(u0, u)
-            u0 = np.clip(u0, 0, max(w - 2, 0) if blend else w - 1)
-            gather(u0, inside, lo)
-            if blend:  # lo + t * (hi - lo), in place
-                gather(np.minimum(u0 + 1, w - 1), inside, hi)
-                hi -= lo
-                hi *= np.clip(u - u0, 0.0, 1.0).astype(np.float32).reshape(-1)
-                lo += hi
-            sampled = lo.reshape(c, h, w)
-            scores[m] = _pair_readout(f_l.data, sampled, out=sampled)
-
-    _run_over_disparities(workers, run, threads)
+    scores = np.empty((d.shape[0], h, w), dtype=np.float32)
+    for m, plane in enumerate(d):
+        u = xs - plane
+        inside = (u >= 0.0) & (u <= w - 1)
+        u0 = np.floor(u)
+        blend = not np.array_equal(u0, u)
+        u0 = np.clip(u0, 0, max(w - 2, 0) if blend else w - 1)
+        sampled = gather(u0, inside)
+        if blend:
+            hi = gather(np.minimum(u0 + 1, w - 1), inside)
+            t = np.clip(u - u0, 0.0, 1.0).astype(np.float32).reshape(-1)
+            sampled = sampled + t * (hi - sampled)
+        scores[m] = _pair_readout(f_l.data, sampled.reshape(c, h, w))
     return scores
 
 
@@ -266,7 +253,7 @@ def cross_propagate(v_u: CostVolume, w: PropagationField) -> CostVolume:
         raise ValueError("cross_propagate: weight/volume shape mismatch")
     probs = _softmax0(w.w.astype(np.float64))
     out = np.einsum("mdhw,mhw->dhw", v_u.data.astype(np.float64), probs)
-    return CostVolume(out[None].astype(np.float32), v_u.resolution_scale)
+    return CostVolume(out[None].astype(np.float32))
 
 
 # Disparity slices per block of cross_propagate_volume.
@@ -299,7 +286,7 @@ def cross_propagate_volume(v: CostVolume, radius: int, w: PropagationField) -> C
             plane = np.take(src, ys, axis=1) if dy else src
             block[m, :n] = np.take(plane, xs, axis=2) if dx else plane
         out[0, d0:d0 + n] = np.einsum("mdhw,mhw->dhw", block[:, :n], probs)
-    return CostVolume(out, v.resolution_scale)
+    return CostVolume(out)
 
 
 def f2i_topk(p: ProbabilityVolume, k: int) -> HypothesisSet:
@@ -345,7 +332,7 @@ def build_compact_concat(f_l: FeatureMap, f_r: FeatureMap, d_hyp: np.ndarray) ->
     gathered = f_r.data[:, rows, src]
     volume[:c] = f_l.data[:, None]
     volume[c:] = np.where(inside[None], gathered, 0.0)
-    return CostVolume(volume, f_l.resolution_scale)
+    return CostVolume(volume)
 
 
 def fast_attention_filter(a_f: np.ndarray, c_compact: CostVolume) -> CostVolume:
@@ -353,7 +340,7 @@ def fast_attention_filter(a_f: np.ndarray, c_compact: CostVolume) -> CostVolume:
     a_f = np.asarray(a_f, dtype=np.float32)
     if a_f.shape != c_compact.data.shape[1:]:
         raise ValueError("fast_attention_filter: weight/volume shape mismatch")
-    return CostVolume(a_f[None] * c_compact.data, c_compact.resolution_scale)
+    return CostVolume(a_f[None] * c_compact.data)
 
 
 def predict_from_hypotheses(v: CostVolume, d_hyp: np.ndarray) -> DisparityMap:
@@ -380,4 +367,4 @@ def predict_from_hypotheses(v: CostVolume, d_hyp: np.ndarray) -> DisparityMap:
         np.put_along_axis(vals, i, -np.inf, axis=0)
     weights = _softmax0(np.concatenate(sel))
     hyps = np.concatenate(picked).astype(np.float64)
-    return DisparityMap((weights * hyps).sum(axis=0), v.resolution_scale)
+    return DisparityMap((weights * hyps).sum(axis=0))

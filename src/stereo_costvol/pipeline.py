@@ -18,7 +18,9 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .acv import (
-    AcvConfig,
+    CHANNELS_PER_GROUP,
+    CONCAT_CHANNELS,
+    GROUP_SPLIT,
     PatchWeights,
     VolumeRegularizer,
     attention_filter,
@@ -65,9 +67,9 @@ from .volume_core import (
 # cross_propagate_volume streams the unfolded propagation.  The runners no
 # longer call them, but they stay attributes of this module, next to
 # attention_filter, so oracle tests and call-site tracing still find them
-# here.
+# here.  matching_score is a plain single-threaded gather: only tests and
+# selftest call it.
 
-CHANNELS_PER_GROUP = 8
 # Logical group count of fast_acv's low-resolution correlation; the meter
 # books it, while the runner computes the one group it equals.
 FAST_CORR_GROUPS = 12
@@ -103,7 +105,8 @@ class PipelineConfig:
             raise ValueError(f"feature_backend must be one of {FEATURE_BACKENDS}")
         if self.regularizer not in REGULARIZERS:
             raise ValueError(f"regularizer must be one of {REGULARIZERS}")
-        AcvConfig(d_max=self.d_max)  # raises on a d_max the acv layout cannot use
+        if self.d_max < 4 or self.d_max % 4 != 0:
+            raise ValueError("d_max must be a positive multiple of 4")
         if self.mode == "fast_acv":
             low_scale = 4 * FAST_UPSAMPLE_FACTOR
             if self.d_max % low_scale != 0:
@@ -117,17 +120,13 @@ class PipelineConfig:
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
 
-    @property
-    def acv(self) -> AcvConfig:
-        return AcvConfig(d_max=self.d_max)
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "mode": self.mode,
             "d_max": self.d_max,
-            "n_groups": self.acv.n_groups,
-            "group_split": list(self.acv.group_split),
-            "concat_channels": self.acv.concat_channels,
+            "n_groups": sum(GROUP_SPLIT),
+            "group_split": list(GROUP_SPLIT),
+            "concat_channels": CONCAT_CHANNELS,
             "upsample_factor": FAST_UPSAMPLE_FACTOR,
             "radius": self.vap.radius,
             "alpha": self.vap.alpha,
@@ -207,8 +206,7 @@ class RunReport:
 # ---------------------------------------------------------------------------
 # Deterministic feature extraction
 
-def census_features(intensities: np.ndarray, window: int = CENSUS_WINDOW,
-                    resolution_scale: int = 1) -> FeatureMap:
+def census_features(intensities: np.ndarray, window: int = CENSUS_WINDOW) -> FeatureMap:
     """Census transform: one +/-1 sign channel per off-center window pixel.
 
     Channel b holds sign(I(neighbor_b) - I(center)); ties map to 0 and the
@@ -229,10 +227,10 @@ def census_features(intensities: np.ndarray, window: int = CENSUS_WINDOW,
                 continue
             neigh = padded[r + dy:r + dy + h, r + dx:r + dx + w]
             channels.append(np.sign(neigh - img))
-    return FeatureMap(np.stack(channels, axis=0), resolution_scale)
+    return FeatureMap(np.stack(channels, axis=0))
 
 
-def gradient_features(intensities: np.ndarray, resolution_scale: int = 1) -> FeatureMap:
+def gradient_features(intensities: np.ndarray) -> FeatureMap:
     """Central-difference gradients plus their signs as a 4-channel map."""
     img = np.asarray(intensities, dtype=np.float32)
     if img.ndim != 2:
@@ -240,13 +238,13 @@ def gradient_features(intensities: np.ndarray, resolution_scale: int = 1) -> Fea
     padded = np.pad(img, 1, mode="edge")
     dx = 0.5 * (padded[1:-1, 2:] - padded[1:-1, :-2])
     dy = 0.5 * (padded[2:, 1:-1] - padded[:-2, 1:-1])
-    return FeatureMap(np.stack([dx, dy, np.sign(dx), np.sign(dy)], axis=0), resolution_scale)
+    return FeatureMap(np.stack([dx, dy, np.sign(dx), np.sign(dy)], axis=0))
 
 
-def _base_features(img: np.ndarray, backend: str, scale: int) -> FeatureMap:
+def _base_features(img: np.ndarray, backend: str) -> FeatureMap:
     if backend == "census":
-        return census_features(img, CENSUS_WINDOW, scale)
-    return gradient_features(img, scale)
+        return census_features(img, CENSUS_WINDOW)
+    return gradient_features(img)
 
 
 def box_downsample(img: np.ndarray, factor: int) -> np.ndarray:
@@ -303,20 +301,18 @@ def build_feature_pyramid(image: np.ndarray, cfg: PipelineConfig) -> FeaturePyra
     if h % 8 != 0 or w % 8 != 0:
         raise ValueError("image dimensions must be divisible by 8")
     backend = cfg.feature_backend
-    base4 = _base_features(box_downsample(img, 4), backend, 4)
-    base8 = _base_features(box_downsample(img, 8), backend, 8)
-    f_quarter = FeatureMap(_tile_channels(base4.data, cfg.acv.concat_channels), 4)
+    base4 = _base_features(box_downsample(img, 4), backend)
+    base8 = _base_features(box_downsample(img, 8), backend)
+    f_quarter = FeatureMap(_tile_channels(base4.data, CONCAT_CHANNELS))
     if cfg.mode != "acv":
         return FeaturePyramid(None, f_quarter, base8)
 
-    base16 = _base_features(box_downsample(img, 16), backend, 16)
+    base16 = _base_features(box_downsample(img, 16), backend)
     h4, w4 = h // 4, w // 4
-    split = cfg.acv.group_split
-    l1 = FeatureMap(_tile_channels(base4.data, split[0] * CHANNELS_PER_GROUP), 4)
-    l2 = FeatureMap(_tile_channels(_resize_features(base8.data, h4, w4),
-                                   split[1] * CHANNELS_PER_GROUP), 4)
-    l3 = FeatureMap(_tile_channels(_resize_features(base16.data, h4, w4),
-                                   split[2] * CHANNELS_PER_GROUP), 4)
+    n1, n2, n3 = (g * CHANNELS_PER_GROUP for g in GROUP_SPLIT)
+    l1 = FeatureMap(_tile_channels(base4.data, n1))
+    l2 = FeatureMap(_tile_channels(_resize_features(base8.data, h4, w4), n2))
+    l3 = FeatureMap(_tile_channels(_resize_features(base16.data, h4, w4), n3))
     return FeaturePyramid((l1, l2, l3), f_quarter, base8)
 
 
@@ -332,7 +328,7 @@ def box3d_regularize(v: CostVolume, radius: int) -> CostVolume:
     if radius < 0:
         raise ValueError("box3d radius must be >= 0")
     if radius == 0:
-        return CostVolume(v.data.copy(), v.resolution_scale)
+        return CostVolume(v.data.copy())
     out = v.data.astype(np.float64)
     win = 2 * radius + 1
     for axis in (1, 2, 3):
@@ -347,7 +343,7 @@ def box3d_regularize(v: CostVolume, radius: int) -> CostVolume:
         upper = np.take(cs, np.arange(win, win + n), axis=axis)
         lower = np.take(cs, np.arange(0, n), axis=axis)
         out = (upper - lower) / win
-    return CostVolume(out.astype(np.float32), v.resolution_scale)
+    return CostVolume(out.astype(np.float32))
 
 
 def make_regularizer(name: str, box_radius: int = 1) -> VolumeRegularizer:
@@ -368,7 +364,7 @@ def compress_concat_volume(v: CostVolume) -> CostVolume:
     if v.channels % 2 != 0:
         raise ValueError("concatenation volume must have an even channel count")
     half = v.channels // 2
-    return CostVolume(_pair_readout(v.data[:half], v.data[half:])[None], v.resolution_scale)
+    return CostVolume(_pair_readout(v.data[:half], v.data[half:])[None])
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +381,10 @@ def expected_volume_elements(cfg: PipelineConfig, height: int, width: int) -> Di
     """
     h4, w4 = height // 4, width // 4
     d4 = cfg.d_max // 4
-    nc2 = 2 * cfg.acv.concat_channels
+    nc2 = 2 * CONCAT_CHANNELS
     if cfg.mode == "acv":
         return {
-            "correlation": cfg.acv.n_groups * d4 * h4 * w4,
+            "correlation": sum(GROUP_SPLIT) * d4 * h4 * w4,
             "attention": d4 * h4 * w4,
             "concat": nc2 * d4 * h4 * w4,
             "compressed": d4 * h4 * w4,
@@ -435,18 +431,17 @@ def _upsample_fast_volume(v: CostVolume) -> CostVolume:
     out = _resize_linear(v.data, 1, v.disparities * factor, align_corners=False)
     out = _resize_linear(out, 2, v.height * factor, align_corners=True)
     out = _resize_linear(out, 3, v.width * factor, align_corners=True)
-    return CostVolume(np.ascontiguousarray(out, dtype=np.float32),
-                      max(1, v.resolution_scale // factor))
+    return CostVolume(np.ascontiguousarray(out, dtype=np.float32))
 
 
 def _upsample_disparity_full(d: DisparityMap, height: int, width: int) -> DisparityMap:
     data = _resize_linear(d.data, 0, height, align_corners=True)
     data = _resize_linear(data, 1, width, align_corners=True)
-    return DisparityMap(data, 1)
+    return DisparityMap(data)
 
 
 def _scaled(v: CostVolume, gain: float) -> CostVolume:
-    return CostVolume(v.data * np.float32(gain), v.resolution_scale)
+    return CostVolume(v.data * np.float32(gain))
 
 
 def run_acv_pipeline(left, right, cfg: PipelineConfig,
@@ -477,7 +472,7 @@ def run_acv_pipeline(left, right, cfg: PipelineConfig,
     t0 = time.perf_counter()
     weights = [PatchWeights.uniform(k) for k in (1, 2, 3)]
     levels = [(pyr_l.levels[i], pyr_r.levels[i], weights[i]) for i in range(3)]
-    c_patch = build_mapm_volume(levels, cfg.acv, cfg.threads)
+    c_patch = build_mapm_volume(levels, cfg.d_max, cfg.threads)
     meter.alloc("correlation", c_patch.elements)
     a = generate_attention_weights(c_patch, reg)
     meter.alloc("attention", a.elements)
@@ -501,8 +496,8 @@ def run_acv_pipeline(left, right, cfg: PipelineConfig,
 
     t0 = time.perf_counter()
     p = softmax_over_disparity(_scaled(cost, cfg.temperature))
-    d_quarter = soft_argmin(p, resolution_scale=4)
-    full = _upsample_disparity_full(DisparityMap(d_quarter.data * 4.0, 4), h, w)
+    d_quarter = soft_argmin(p)
+    full = _upsample_disparity_full(DisparityMap(d_quarter.data * 4.0), h, w)
     stage_ms["prediction"] = (time.perf_counter() - t0) * 1000.0
 
     if report is not None:
@@ -589,7 +584,7 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
     del p_prop
     # The compressed compact concatenation volume is the correlation at the
     # hypotheses; the meter still books the logical compact volume.
-    cost_k = CostVolume(read_disparity_planes(corr_q, hyp.d_hyp)[None], 4)
+    cost_k = CostVolume(read_disparity_planes(corr_q, hyp.d_hyp)[None])
     del corr_q
     meter.alloc("compact_concat", 2 * pyr_l.f_quarter.channels * cost_k.elements)
     meter.alloc("compressed", cost_k.elements)
@@ -609,7 +604,7 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
 
     t0 = time.perf_counter()
     d_quarter = predict_from_hypotheses(_scaled(cost, cfg.temperature), hyp.d_hyp)
-    full = _upsample_disparity_full(DisparityMap(d_quarter.data * 4.0, 4), h, w)
+    full = _upsample_disparity_full(DisparityMap(d_quarter.data * 4.0), h, w)
     stage_ms["prediction"] = (time.perf_counter() - t0) * 1000.0
 
     if report is not None:

@@ -17,8 +17,8 @@ import numpy as np
 from . import acv, fast_acv, io_formats, metrics, pipeline, volume_core
 
 
-def _rand_feature(rng, c, h, w, scale=1):
-    return volume_core.FeatureMap(rng.standard_normal((c, h, w)).astype(np.float32), scale)
+def _rand_feature(rng, c, h, w):
+    return volume_core.FeatureMap(rng.standard_normal((c, h, w)).astype(np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -170,22 +170,21 @@ def check_mapm_level(rng, cases):
 
 
 def check_build_mapm_volume(rng, cases):
+    # Each level contributes channels / CHANNELS_PER_GROUP groups.
     for _ in range(cases):
-        cpg = int(rng.integers(1, 3))
-        split = (2, 3, 3)
+        split = [int(s) for s in rng.integers(1, 4, size=3)]
         h, w = int(rng.integers(6, 10)), int(rng.integers(8, 14))
-        cfg = acv.AcvConfig(d_max=8, group_split=split)
         levels = []
         for k, s in zip((1, 2, 3), split):
-            levels.append((_rand_feature(rng, s * cpg, h, w),
-                           _rand_feature(rng, s * cpg, h, w),
+            levels.append((_rand_feature(rng, s * acv.CHANNELS_PER_GROUP, h, w),
+                           _rand_feature(rng, s * acv.CHANNELS_PER_GROUP, h, w),
                            acv.PatchWeights.uniform(k)))
-        vol = acv.build_mapm_volume(levels, cfg)
-        assert vol.channels == cfg.n_groups
-        assert vol.disparities == cfg.d_max // 4
+        vol = acv.build_mapm_volume(levels, 8)
+        assert vol.channels == sum(split)
+        assert vol.disparities == 2
         g0 = 0
         for (f_l, f_r, w_), s in zip(levels, split):
-            part = acv.mapm_level(f_l, f_r, w_.level, w_, cfg.d_max // 4, s)
+            part = acv.mapm_level(f_l, f_r, w_.level, w_, 2, s)
             assert np.array_equal(vol.data[g0:g0 + s], part.data)
             g0 += s
 
@@ -256,12 +255,11 @@ def check_matching_score(rng, cases):
         c, h, w = int(rng.integers(1, 6)), int(rng.integers(2, 7)), int(rng.integers(4, 12))
         f_l = _rand_feature(rng, c, h, w)
         f_r = _rand_feature(rng, c, h, w)
-        threads = int(rng.integers(1, 4))
         d_m = (rng.random((5, h, w)) * (w + 2) - 1.0)
         # F2I hypotheses: integer planes, some pointing off the frame.
         d_hyp = rng.integers(0, w + 2, size=(int(rng.integers(1, 5)), h, w)).astype(np.int32)
         for d in (d_m, d_hyp):
-            scores = fast_acv.matching_score(f_l, f_r, d, threads)
+            scores = fast_acv.matching_score(f_l, f_r, d)
             assert scores.shape == d.shape and scores.dtype == np.float32
             for m in range(d.shape[0]):
                 for y in range(h):
@@ -548,15 +546,14 @@ def check_build_feature_pyramid(rng, cases):
         pyr_b = pipeline.build_feature_pyramid(img, cfg)
         maps_a, maps_b = (pyr_a.f_quarter, pyr_a.f_corr), (pyr_b.f_quarter, pyr_b.f_corr)
         if mode == "acv":
-            split = cfg.acv.group_split
             assert [lvl.channels for lvl in pyr_a.levels] == \
-                [s * pipeline.CHANNELS_PER_GROUP for s in split]
+                [s * acv.CHANNELS_PER_GROUP for s in acv.GROUP_SPLIT]
             maps_a, maps_b = pyr_a.levels + maps_a, pyr_b.levels + maps_b
         else:
             assert pyr_a.levels is None
-        assert pyr_a.f_quarter.channels == cfg.acv.concat_channels
+        assert pyr_a.f_quarter.channels == acv.CONCAT_CHANNELS
         # f_corr is the untiled eighth-resolution census map
-        assert pyr_a.f_corr.resolution_scale == 8
+        assert pyr_a.f_corr.data.shape[1:] == (16 // 8, 32 // 8)
         assert np.array_equal(pyr_a.f_corr.data, f_corr.data)
         for fm_a, fm_b in zip(maps_a, maps_b):
             assert np.array_equal(fm_a.data, fm_b.data)

@@ -38,21 +38,14 @@ def _as_float32(data, name):
 
 @dataclass
 class FeatureMap:
-    """Per-pixel feature vectors, laid out (channels, height, width).
-
-    resolution_scale is the denominator relative to the full image, e.g. 4
-    for feature maps at quarter resolution.
-    """
+    """Per-pixel feature vectors, laid out (channels, height, width)."""
 
     data: np.ndarray
-    resolution_scale: int = 1
 
     def __post_init__(self):
         self.data = _as_float32(self.data, "FeatureMap")
         if self.data.ndim != 3:
             raise ValueError("FeatureMap data must be (channels, height, width)")
-        if self.resolution_scale < 1:
-            raise ValueError("resolution_scale must be >= 1")
 
     @property
     def channels(self) -> int:
@@ -76,14 +69,11 @@ class CostVolume:
     """
 
     data: np.ndarray
-    resolution_scale: int = 1
 
     def __post_init__(self):
         self.data = _as_float32(self.data, "CostVolume")
         if self.data.ndim != 4:
             raise ValueError("CostVolume data must be (channels, disparities, height, width)")
-        if self.resolution_scale < 1:
-            raise ValueError("resolution_scale must be >= 1")
 
     @property
     def channels(self) -> int:
@@ -140,10 +130,9 @@ class ProbabilityVolume:
 
 @dataclass
 class DisparityMap:
-    """Real-valued disparities in pixels at the stated resolution scale."""
+    """Real-valued disparities in pixels of the map's own resolution."""
 
     data: np.ndarray
-    resolution_scale: int = 1
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.float64)
@@ -151,8 +140,6 @@ class DisparityMap:
             raise ValueError("DisparityMap data must be (height, width)")
         if not _all_finite(arr):
             raise ValueError("DisparityMap: data contains non-finite values")
-        if self.resolution_scale < 1:
-            raise ValueError("resolution_scale must be >= 1")
         self.data = arr
 
     @property
@@ -214,11 +201,11 @@ def softmax_over_disparity(v: CostVolume) -> ProbabilityVolume:
     return ProbabilityVolume(_softmax0(logits))
 
 
-def soft_argmin(p: ProbabilityVolume, resolution_scale: int = 1) -> DisparityMap:
+def soft_argmin(p: ProbabilityVolume) -> DisparityMap:
     """Expected disparity under a probability volume (soft argmin regression)."""
     bins = np.arange(p.disparities, dtype=np.float64)
     disp = np.einsum("d,dhw->hw", bins, p.data)
-    return DisparityMap(disp, resolution_scale)
+    return DisparityMap(disp)
 
 
 def group_correlation(f_l: FeatureMap, f_r: FeatureMap, d_max: int, n_groups: int,
@@ -246,7 +233,7 @@ def group_correlation(f_l: FeatureMap, f_r: FeatureMap, d_max: int, n_groups: in
         volume[:, d] = _group_inner(fl_g, fr_g, d) * scale
 
     _run_over_disparities(d_max, run, threads)
-    return CostVolume(volume, f_l.resolution_scale)
+    return CostVolume(volume)
 
 
 def build_concat_volume(f_l: FeatureMap, f_r: FeatureMap, d_max: int) -> CostVolume:
@@ -265,20 +252,19 @@ def build_concat_volume(f_l: FeatureMap, f_r: FeatureMap, d_max: int) -> CostVol
             volume[c:, 0] = f_r.data
         elif d < w:
             volume[c:, d, :, d:] = f_r.data[..., :w - d]
-    return CostVolume(volume, f_l.resolution_scale)
+    return CostVolume(volume)
 
 
-def _pair_readout(left, right, out=None):
+def _pair_readout(left, right):
     """Mean over axis 0 of the channel products left * right, as float32.
 
     The sum runs channel by channel in float32, or in float64 above 256
     channels.  Every concatenation readout goes through here, so splitting
-    the work along any other axis cannot change a single bit.  The products
-    go to `out` when given (it may be `right` itself).
+    the work along any other axis cannot change a single bit.
     """
     c = left.shape[0]
     sum_dtype = np.float64 if c > 256 else np.float32
-    total = np.multiply(left, right, out=out).sum(axis=0, dtype=sum_dtype)
+    total = (left * right).sum(axis=0, dtype=sum_dtype)
     return (total / np.float32(c)).astype(np.float32, copy=False)
 
 
@@ -345,4 +331,4 @@ def unfold_cross(v: CostVolume, radius: int) -> CostVolume:
     if radius < 1:
         raise ValueError("unfold_cross: radius must be >= 1")
     planes = _cross_sample_2d(v.data[0], radius)
-    return CostVolume(planes, v.resolution_scale)
+    return CostVolume(planes)

@@ -3,7 +3,8 @@ import pytest
 
 from stereo_costvol import selftest
 from stereo_costvol.acv import (
-    AcvConfig,
+    CHANNELS_PER_GROUP,
+    GROUP_SPLIT,
     PatchWeights,
     attention_filter,
     build_mapm_volume,
@@ -11,6 +12,7 @@ from stereo_costvol.acv import (
     identity_regularizer,
     mapm_level,
 )
+from stereo_costvol.pipeline import PipelineConfig
 from stereo_costvol.volume_core import (
     CostVolume,
     FeatureMap,
@@ -21,7 +23,7 @@ from stereo_costvol.volume_core import (
 
 
 def rand_feature(rng, c, h, w):
-    return FeatureMap(rng.standard_normal((c, h, w)).astype(np.float32), 4)
+    return FeatureMap(rng.standard_normal((c, h, w)).astype(np.float32))
 
 
 def test_patch_weights_validation():
@@ -33,10 +35,13 @@ def test_patch_weights_validation():
 
 
 def test_acv_config_invariants():
-    with pytest.raises(ValueError):
-        AcvConfig(d_max=30)
-    cfg = AcvConfig(d_max=192)
-    assert cfg.n_groups == 40 and cfg.group_split == (8, 16, 16) and cfg.concat_channels == 32
+    # The paper's layout is fixed; the config echo still reports it.
+    with pytest.raises(ValueError, match="positive multiple of 4"):
+        PipelineConfig("acv", 30)
+    echo = PipelineConfig("acv", 192).as_dict()
+    assert echo["n_groups"] == 40
+    assert echo["group_split"] == [8, 16, 16]
+    assert echo["concat_channels"] == 32
 
 
 # ---------------------------------------------------------------------------
@@ -86,50 +91,57 @@ def test_mapm_rejects_bad_level():
 # ---------------------------------------------------------------------------
 # build_mapm_volume
 
-def _pyramid_levels(rng, cfg, h, w, cpg=2):
+def _pyramid_levels(rng, h, w, split=GROUP_SPLIT):
     levels = []
-    for k, split in zip((1, 2, 3), cfg.group_split):
-        levels.append((rand_feature(rng, split * cpg, h, w),
-                       rand_feature(rng, split * cpg, h, w),
+    for k, groups in zip((1, 2, 3), split):
+        levels.append((rand_feature(rng, groups * CHANNELS_PER_GROUP, h, w),
+                       rand_feature(rng, groups * CHANNELS_PER_GROUP, h, w),
                        PatchWeights.uniform(k)))
     return levels
 
 
 def test_mapm_volume_has_forty_groups():
     rng = np.random.default_rng(3)
-    cfg = AcvConfig(d_max=32)
-    vol = build_mapm_volume(_pyramid_levels(rng, cfg, 6, 8), cfg)
+    vol = build_mapm_volume(_pyramid_levels(rng, 6, 8), 32)
     assert vol.channels == 40
     assert vol.disparities == 8
 
 
 def test_mapm_volume_group_slices_match_levels():
+    # 16/24/24 channels are 2 + 3 + 3 groups of CHANNELS_PER_GROUP.
     rng = np.random.default_rng(4)
-    cfg = AcvConfig(d_max=16, group_split=(2, 3, 3))
-    levels = []
-    for k, split in zip((1, 2, 3), cfg.group_split):
-        levels.append((rand_feature(rng, split * 2, 6, 9),
-                       rand_feature(rng, split * 2, 6, 9),
-                       PatchWeights.uniform(k)))
-    vol = build_mapm_volume(levels, cfg)
+    levels = _pyramid_levels(rng, 6, 9, split=(2, 3, 3))
+    assert [f_l.channels for f_l, _, _ in levels] == [16, 24, 24]
+    vol = build_mapm_volume(levels, 16)
+    assert vol.channels == 8
     g0 = 0
-    for (f_l, f_r, w), split in zip(levels, cfg.group_split):
-        part = mapm_level(f_l, f_r, w.level, w, cfg.d_max // 4, split)
+    for (f_l, f_r, w), split in zip(levels, (2, 3, 3)):
+        part = mapm_level(f_l, f_r, w.level, w, 4, split)
         assert np.array_equal(vol.data[g0:g0 + split], part.data)
         g0 += split
 
 
 def test_mapm_volume_full_resolution_bins():
-    assert AcvConfig(d_max=192).d_max // 4 == 48
+    vol = build_mapm_volume(_pyramid_levels(np.random.default_rng(7), 2, 3), 192)
+    assert vol.disparities == 48
+
+
+def test_mapm_volume_rejects_partial_groups():
+    rng = np.random.default_rng(8)
+    levels = _pyramid_levels(rng, 4, 5, split=(1, 1, 1))
+    odd = (rand_feature(rng, 12, 4, 5), rand_feature(rng, 12, 4, 5), levels[2][2])
+    with pytest.raises(ValueError, match="groups of 8"):
+        build_mapm_volume(levels[:2] + [odd], 16)
+    with pytest.raises(ValueError, match="d_max"):
+        build_mapm_volume(levels, 3)
 
 
 def test_mapm_volume_shape_mismatch_error():
     rng = np.random.default_rng(5)
-    cfg = AcvConfig(d_max=16)
-    levels = _pyramid_levels(rng, cfg, 6, 8)
-    bad = (rand_feature(rng, cfg.group_split[2] * 2, 5, 8),) + levels[2][1:]
+    levels = _pyramid_levels(rng, 6, 8)
+    bad = (rand_feature(rng, GROUP_SPLIT[2] * CHANNELS_PER_GROUP, 5, 8),) + levels[2][1:]
     with pytest.raises(ValueError):
-        build_mapm_volume(levels[:2] + [bad], cfg)
+        build_mapm_volume(levels[:2] + [bad], 16)
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +203,11 @@ def test_attention_filter_shape_mismatch():
 def test_identical_images_attention_peaks_at_zero():
     # random-texture features, left == right: regressed d_att stays below 1
     rng = np.random.default_rng(11)
-    cfg = AcvConfig(d_max=32)
-    feats = [rand_feature(rng, split * 8, 12, 20) for split in cfg.group_split]
+    feats = [rand_feature(rng, split * CHANNELS_PER_GROUP, 12, 20) for split in GROUP_SPLIT]
     for fm in feats:
         fm.data *= 2.0
     levels = [(feats[i], feats[i], PatchWeights.uniform(i + 1)) for i in range(3)]
-    a = generate_attention_weights(build_mapm_volume(levels, cfg))
+    a = generate_attention_weights(build_mapm_volume(levels, 32))
     d_att = soft_argmin(softmax_over_disparity(a))
     assert np.all(d_att.data[3:-3, 3:-3] < 1.0)
 

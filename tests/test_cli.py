@@ -344,6 +344,15 @@ def test_selftest_passes(capsys):
     assert len(ok_lines) >= 25
 
 
+@pytest.mark.parametrize("cases", ["0", "-1"])
+def test_selftest_rejects_cases_below_one(capsys, cases):
+    # No randomized instance would run, so the suite could not fail.
+    assert cli.main(["selftest", "--cases", cases]) == 2
+    captured = capsys.readouterr()
+    assert f"--cases must be >= 1, got {cases}" in captured.err
+    assert "operations passed" not in captured.out
+
+
 def test_selftest_names_corrupted_operation(monkeypatch):
     # inject a wrong smooth-L1 breakpoint and expect the suite to name it
     def broken(pred, gt, mask):

@@ -34,7 +34,7 @@ from stereo_costvol.volume_core import (
 
 
 def rand_feature(rng, c, h, w):
-    return FeatureMap(rng.standard_normal((c, h, w)).astype(np.float32), 4)
+    return FeatureMap(rng.standard_normal((c, h, w)).astype(np.float32))
 
 
 def test_vap_config_validation():
@@ -137,7 +137,7 @@ def _vap_like_planes(rng, m, n_d, h, w):
 @pytest.mark.parametrize("n_d, h, w", [(6, 5, 11), (9, 4, 5)])  # the second has D > W
 def test_read_disparity_planes_matches_matching_score_fractional(channels, n_d, h, w):
     rng = np.random.default_rng(channels * 100 + n_d)
-    f_l, f_r = (FeatureMap(rng.uniform(-1, 1, (channels, h, w)).astype(np.float32), 4)
+    f_l, f_r = (FeatureMap(rng.uniform(-1, 1, (channels, h, w)).astype(np.float32))
                 for _ in range(2))
     d, past = _vap_like_planes(rng, 5, n_d, h, w)
     assert past.any()
@@ -155,13 +155,13 @@ def test_read_disparity_planes_integer_planes_are_bitwise(channels, n_d, h, w, t
     # Sign-valued features over a power-of-two channel count, as census
     # f_quarter's 32 channels are: every sum and the 1 / C scale are exact.
     rng = np.random.default_rng(channels * 100 + n_d)
-    f_l, f_r = (FeatureMap(rng.integers(-1, 2, (channels, h, w)).astype(np.float32), 4)
+    f_l, f_r = (FeatureMap(rng.integers(-1, 2, (channels, h, w)).astype(np.float32))
                 for _ in range(2))
     d_hyp = rng.integers(0, n_d, size=(4, h, w)).astype(np.int32)
     assert np.any(d_hyp > np.arange(w))  # some hypotheses leave the frame
     corr = group_correlation(f_l, f_r, n_d, 1, threads)
     got = read_disparity_planes(corr, d_hyp)
-    ref = matching_score(f_l, f_r, d_hyp, threads)
+    ref = matching_score(f_l, f_r, d_hyp)
     assert np.array_equal(_no_signed_zero(got), _no_signed_zero(ref))
 
 
@@ -300,7 +300,7 @@ def test_cross_propagate_volume_is_bitwise_reference(radius, shape, weights):
     data = (rng.standard_normal((1, d, h, w)) * 20).astype(np.float32)
     data[0, :, ::3] = 0.0
     data[0, :, 1::3, ::2] = -0.0
-    vol = CostVolume(data, 4)
+    vol = CostVolume(data)
     s = rng.standard_normal((5, h, w)).astype(np.float32) * 3
     if weights == "zero":
         s[:] = 0.0
@@ -309,7 +309,6 @@ def test_cross_propagate_volume_is_bitwise_reference(radius, shape, weights):
     field = propagation_weights(s, rng.standard_normal((5, h, w)).astype(np.float32))
     out = cross_propagate_volume(vol, radius, field)
     ref = cross_propagate(unfold_cross(vol, radius), field)
-    assert out.resolution_scale == ref.resolution_scale == 4
     assert out.data.shape == ref.data.shape
     assert np.array_equal(out.data.view(np.uint32), ref.data.view(np.uint32))
 

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from stereo_costvol import selftest
-from stereo_costvol.acv import PatchWeights, build_mapm_volume, \
-    generate_attention_weights
+from stereo_costvol.acv import CHANNELS_PER_GROUP, CONCAT_CHANNELS, GROUP_SPLIT, \
+    PatchWeights, build_mapm_volume, generate_attention_weights
 from stereo_costvol.io_formats import StereogramSpec, generate_stereogram
 from stereo_costvol.metrics import epe, exclude_border
 from stereo_costvol.pipeline import (
-    CHANNELS_PER_GROUP,
     FAST_CORR_GROUPS,
     PipelineConfig,
     RunReport,
@@ -108,11 +107,11 @@ def test_pyramid_channel_layout():
         pyr = build_feature_pyramid(img, cfg)
         if mode == "acv":
             assert [lvl.channels for lvl in pyr.levels] == \
-                [s * CHANNELS_PER_GROUP for s in cfg.acv.group_split]
+                [s * CHANNELS_PER_GROUP for s in GROUP_SPLIT]
         else:
             # fast_acv never reads the tiled patch-matching levels
             assert pyr.levels is None
-        assert pyr.f_quarter.channels == cfg.acv.concat_channels
+        assert pyr.f_quarter.channels == CONCAT_CHANNELS
         assert pyr.f_corr.channels == base_channels
         assert pyr.f_quarter.data.shape[1:] == (8, 16)
         assert pyr.f_corr.data.shape[1:] == (4, 8)
@@ -188,11 +187,10 @@ def _signed_features(rng, c, h, w):
     data = rng.standard_normal((c, h, w)).astype(np.float32)
     data[rng.random((c, h, w)) < 0.2] = 0.0
     data[rng.random((c, h, w)) < 0.1] = -0.0
-    return FeatureMap(data, 4)
+    return FeatureMap(data)
 
 
 def _assert_bitwise(got, ref):
-    assert got.resolution_scale == ref.resolution_scale
     assert got.data.shape == ref.data.shape
     assert np.array_equal(got.data.view(np.uint32), ref.data.view(np.uint32))
 
@@ -208,8 +206,7 @@ def test_concat_cost_matches_compact_reference(channels, k):
     d_hyp = rng.integers(0, 2 * w, size=(k, h, w)).astype(np.int32)
     assert np.any(d_hyp > w)
     ref = compress_concat_volume(build_compact_concat(f_l, f_r, d_hyp))
-    for threads in (1, 2, 8):
-        _assert_bitwise(CostVolume(matching_score(f_l, f_r, d_hyp, threads)[None], 4), ref)
+    _assert_bitwise(CostVolume(matching_score(f_l, f_r, d_hyp)[None]), ref)
 
 
 @pytest.mark.parametrize("channels", [3, 32, 260])
@@ -222,11 +219,10 @@ def test_one_group_correlation_matches_compressed_concat(channels, d_max):
     f_l, f_r = _signed_features(rng, channels, h, w), _signed_features(rng, channels, h, w)
     corr = group_correlation(f_l, f_r, d_max, 1)
     ref = compress_concat_volume(build_concat_volume(f_l, f_r, d_max))
-    assert corr.resolution_scale == ref.resolution_scale
     assert corr.data.shape == ref.data.shape
     assert np.max(np.abs(corr.data - ref.data)) < 1e-6
     # On sign-valued (census-like) features every partial sum is exact.
-    s_l, s_r = FeatureMap(np.sign(f_l.data), 4), FeatureMap(np.sign(f_r.data), 4)
+    s_l, s_r = FeatureMap(np.sign(f_l.data)), FeatureMap(np.sign(f_r.data))
     _assert_bitwise(group_correlation(s_l, s_r, d_max, 1),
                     compress_concat_volume(build_concat_volume(s_l, s_r, d_max)))
 
@@ -244,7 +240,7 @@ def test_one_group_f_corr_attention_matches_tiled_groups(backend, regularizer):
     d_low = cfg.d_max // 8
     one = generate_attention_weights(group_correlation(pyr_l.f_corr, pyr_r.f_corr, d_low, 1), reg)
     tiled_l, tiled_r = (FeatureMap(_tile_channels(p.f_corr.data,
-                                                  FAST_CORR_GROUPS * CHANNELS_PER_GROUP), 8)
+                                                  FAST_CORR_GROUPS * CHANNELS_PER_GROUP))
                         for p in (pyr_l, pyr_r))
     tiled = generate_attention_weights(
         group_correlation(tiled_l, tiled_r, d_low, FAST_CORR_GROUPS), reg)
@@ -382,7 +378,7 @@ def test_swapped_pair_search_range_semantics():
         pyr_r = build_feature_pyramid(r_img.intensities, cfg)
         weights = [PatchWeights.uniform(i) for i in (1, 2, 3)]
         levels = [(pyr_l.levels[i], pyr_r.levels[i], weights[i]) for i in range(3)]
-        a = generate_attention_weights(build_mapm_volume(levels, cfg.acv))
+        a = generate_attention_weights(build_mapm_volume(levels, cfg.d_max))
         inner = a.data[0][:, 8:-8, 8:-8]
         return inner.max(axis=0).mean(), np.median(inner.argmax(axis=0))
 

@@ -276,8 +276,8 @@ def check_concat_cost(rng, cases):
         f_l = rand_feature(rng, c, h, w)
         f_r = rand_feature(rng, c, h, w)
         d_hyp = rng.integers(0, w + 2, size=(n, h, w)).astype(np.int32)
-        scores = matching_score(f_l, f_r, d_hyp, int(rng.integers(1, 4)))
-        cost = CostVolume(scores[None], 4)
+        scores = matching_score(f_l, f_r, d_hyp)
+        cost = CostVolume(scores[None])
         assert cost.data.shape == (1, n, h, w)
         for k in range(n):
             for y in range(h):
