@@ -22,7 +22,6 @@ from .acv import (
 from .fast_acv import (
     HypothesisSet,
     PropagationField,
-    VapConfig,
     build_compact_concat,
     confidence,
     cross_propagate,
@@ -45,7 +44,6 @@ from .pipeline import (
     build_feature_pyramid,
     census_features,
     expected_volume_elements,
-    gradient_features,
     run_acv_pipeline,
     run_fast_acv_pipeline,
     run_pipeline,

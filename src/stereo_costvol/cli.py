@@ -15,7 +15,6 @@ import sys
 from statistics import median
 
 from . import io_formats, metrics, selftest
-from .fast_acv import VapConfig
 from .pipeline import (
     PipelineConfig,
     RunReport,
@@ -27,15 +26,10 @@ _CONFIG_KEYS = {
     "mode": str,
     "dmax": int,
     "k": int,
-    "alpha": float,
-    "beta": float,
-    "radius": int,
     "regularizer": str,
     "box-radius": int,
     "format": str,
     "threads": int,
-    "temperature": float,
-    "backend": str,
 }
 
 
@@ -97,20 +91,12 @@ def _build_pipeline_config(args, file_cfg) -> PipelineConfig:
     k = _resolve(args, file_cfg, "k", None)
     if k is None:
         k = min(24, max(1, d_max // 4))
-    vap = VapConfig(
-        radius=_resolve(args, file_cfg, "radius", 1),
-        alpha=_resolve(args, file_cfg, "alpha", 1.0),
-        beta=_resolve(args, file_cfg, "beta", -1.0),
-    )
     return PipelineConfig(
         mode=mode,
         d_max=d_max,
-        vap=vap,
         k=k,
-        feature_backend=_resolve(args, file_cfg, "backend", "census"),
         regularizer=_resolve(args, file_cfg, "regularizer", "identity"),
         box_radius=_resolve(args, file_cfg, "box-radius", 1),
-        temperature=_resolve(args, file_cfg, "temperature", 64.0),
         threads=_resolve_threads(args, file_cfg),
     )
 
@@ -227,12 +213,11 @@ def _parse_sizes(raw):
     return sizes
 
 
-def _bench_case(mode, height, width, d_max, k, threads, runs, seed, temperature):
+def _bench_case(mode, height, width, d_max, k, threads, runs, seed):
     disparity = min(8, max(1, width // 4 - 1))
     spec = io_formats.StereogramSpec(height, width, disparity, 0.5, seed)
     left, right, _, _ = io_formats.generate_stereogram(spec)
-    cfg = PipelineConfig(mode=mode, d_max=d_max, k=k, temperature=temperature,
-                         threads=threads)
+    cfg = PipelineConfig(mode=mode, d_max=d_max, k=k, threads=threads)
     reports = []
     for _ in range(runs + 1):  # first run is warmup
         rep = RunReport()
@@ -292,8 +277,7 @@ def cmd_bench(args) -> int:
                 k_values = ks if mode == "fast_acv" else [ks[0]]
                 for k in k_values:
                     rows.append(_bench_case(mode, height, width, args.dmax, k,
-                                            threads, args.runs, args.seed,
-                                            args.temperature))
+                                            threads, args.runs, args.seed))
                     if mode != "fast_acv":
                         break
     except (ValueError, AssertionError) as exc:
@@ -392,15 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=("acv", "fast_acv"))
         p.add_argument("--dmax", type=int)
         p.add_argument("--k", type=int)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--radius", type=int, help="cross sampling radius")
         p.add_argument("--regularizer", choices=("identity", "box3d"))
         p.add_argument("--box-radius", type=int, dest="box_radius")
-        p.add_argument("--temperature", type=float,
-                       help="cost-to-probability sharpness factor")
         p.add_argument("--threads", type=int)
-        p.add_argument("--backend", choices=("census", "gradient"))
         p.add_argument("--config", help="flat key=value config file")
 
     p_match = sub.add_parser("match", help="compute a disparity map for a stereo pair")
@@ -428,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--runs", type=int, default=5,
                          help="timed runs per case (after one warmup)")
     p_bench.add_argument("--threads", type=int, default=None)
-    p_bench.add_argument("--temperature", type=float, default=64.0)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--json", action="store_true")
     p_bench.set_defaults(func=cmd_bench)

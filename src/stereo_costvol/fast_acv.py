@@ -34,25 +34,6 @@ N_CROSS = len(CROSS_NAMES)
 
 
 @dataclass
-class VapConfig:
-    """Propagation geometry and the confidence mapping coefficients.
-
-    alpha and beta are learned in a trained network; here they default to
-    confidence that decreases linearly with distribution variance.
-    """
-
-    radius: int = 1
-    alpha: float = 1.0
-    beta: float = -1.0
-
-    def __post_init__(self):
-        if self.radius < 1:
-            raise ValueError("radius must be >= 1")
-        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
-            raise ValueError("alpha/beta must be finite")
-
-
-@dataclass
 class HypothesisSet:
     """Per-pixel K disparity hypotheses with their attention weights.
 

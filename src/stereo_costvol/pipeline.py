@@ -1,12 +1,12 @@
 """End-to-end non-learned stereo matchers built from the volume operations.
 
-Census (or gradient) features stand in for a trained backbone and a
-separable box filter stands in for 3D aggregation networks, so the full
-and fast attention-volume construction paths run as deterministic tensor
+Census features stand in for a trained backbone and a separable box
+filter stands in for 3D aggregation networks, so the full and fast
+attention-volume construction paths run as deterministic tensor
 pipelines.  Raw census correlations live on a much smaller numeric scale
 than trained network logits, so each pipeline multiplies its compressed
-cost volume by a configurable temperature before any softmax; without it
-the disparity expectation collapses toward the range midpoint.
+cost volume by the fixed TEMPERATURE before any softmax; without it the
+disparity expectation collapses toward the range midpoint.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .acv import (
 )
 from .fast_acv import (
     N_CROSS,
-    VapConfig,
     build_compact_concat,
     confidence,
     cross_propagate,
@@ -75,10 +74,20 @@ from .volume_core import (
 FAST_CORR_GROUPS = 12
 # Fast-path low-resolution correlation runs at 1 / (4 * this) scale.
 FAST_UPSAMPLE_FACTOR = 2
-CENSUS_WINDOW = 5
+# VAP's cross-sampling radius and the confidence map C = alpha + beta * U.
+# A trained network learns alpha and beta; here confidence falls linearly
+# with the distribution variance.
+VAP_RADIUS = 1
+VAP_ALPHA = 1.0
+VAP_BETA = -1.0
+# Cost-to-logit gain applied before every softmax.  Raw census correlations
+# are far smaller than trained logits.  On 384x192 random-dot pairs at D=64
+# and disparity 16, acv + box3d has its lowest EPE at 64: 0.89-0.99 px over
+# four seeds, against 1.1-1.3 px at 128 and 3.7-4.3 px at 32 (fast_acv +
+# box3d reads 1.0-2.0 px at 32 and 1.4-2.4 px at 64).
+TEMPERATURE = 64.0
 
 MODES = ("acv", "fast_acv")
-FEATURE_BACKENDS = ("census", "gradient")
 REGULARIZERS = ("identity", "box3d")
 
 STAGES = ("feature_extraction", "volume_construction", "aggregation", "prediction")
@@ -90,19 +99,14 @@ class PipelineConfig:
 
     mode: str
     d_max: int
-    vap: VapConfig = field(default_factory=VapConfig)
     k: int = 24
-    feature_backend: str = "census"
     regularizer: str = "identity"
     box_radius: int = 1
-    temperature: float = 64.0
     threads: int = 1
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.feature_backend not in FEATURE_BACKENDS:
-            raise ValueError(f"feature_backend must be one of {FEATURE_BACKENDS}")
         if self.regularizer not in REGULARIZERS:
             raise ValueError(f"regularizer must be one of {REGULARIZERS}")
         if self.d_max < 4 or self.d_max % 4 != 0:
@@ -115,8 +119,6 @@ class PipelineConfig:
                 raise ValueError("k must lie in [1, d_max / 4]")
         if self.box_radius < 0:
             raise ValueError("box_radius must be >= 0")
-        if not (np.isfinite(self.temperature) and self.temperature > 0):
-            raise ValueError("temperature must be positive")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
 
@@ -128,14 +130,14 @@ class PipelineConfig:
             "group_split": list(GROUP_SPLIT),
             "concat_channels": CONCAT_CHANNELS,
             "upsample_factor": FAST_UPSAMPLE_FACTOR,
-            "radius": self.vap.radius,
-            "alpha": self.vap.alpha,
-            "beta": self.vap.beta,
+            "radius": VAP_RADIUS,
+            "alpha": VAP_ALPHA,
+            "beta": VAP_BETA,
             "k": self.k,
-            "feature_backend": self.feature_backend,
+            "feature_backend": "census",
             "regularizer": self.regularizer,
             "box_radius": self.box_radius,
-            "temperature": self.temperature,
+            "temperature": TEMPERATURE,
             "threads": self.threads,
         }
 
@@ -206,18 +208,16 @@ class RunReport:
 # ---------------------------------------------------------------------------
 # Deterministic feature extraction
 
-def census_features(intensities: np.ndarray, window: int = CENSUS_WINDOW) -> FeatureMap:
-    """Census transform: one +/-1 sign channel per off-center window pixel.
+def census_features(intensities: np.ndarray) -> FeatureMap:
+    """5x5 census transform: one +/-1 sign channel per off-center pixel.
 
-    Channel b holds sign(I(neighbor_b) - I(center)); ties map to 0 and the
-    border replicates edge pixels.
+    Channel b holds sign(I(neighbor_b) - I(center)) for the 24 neighbors in
+    row-major order; ties map to 0 and the border replicates edge pixels.
     """
-    if window % 2 == 0 or window < 3:
-        raise ValueError("census window must be odd and >= 3")
     img = np.asarray(intensities, dtype=np.float32)
     if img.ndim != 2:
         raise ValueError("census_features expects a 2D intensity array")
-    r = window // 2
+    r = 2
     padded = np.pad(img, r, mode="edge")
     h, w = img.shape
     channels = []
@@ -230,29 +230,10 @@ def census_features(intensities: np.ndarray, window: int = CENSUS_WINDOW) -> Fea
     return FeatureMap(np.stack(channels, axis=0))
 
 
-def gradient_features(intensities: np.ndarray) -> FeatureMap:
-    """Central-difference gradients plus their signs as a 4-channel map."""
-    img = np.asarray(intensities, dtype=np.float32)
-    if img.ndim != 2:
-        raise ValueError("gradient_features expects a 2D intensity array")
-    padded = np.pad(img, 1, mode="edge")
-    dx = 0.5 * (padded[1:-1, 2:] - padded[1:-1, :-2])
-    dy = 0.5 * (padded[2:, 1:-1] - padded[:-2, 1:-1])
-    return FeatureMap(np.stack([dx, dy, np.sign(dx), np.sign(dy)], axis=0))
-
-
-def _base_features(img: np.ndarray, backend: str) -> FeatureMap:
-    if backend == "census":
-        return census_features(img, CENSUS_WINDOW)
-    return gradient_features(img)
-
-
 def box_downsample(img: np.ndarray, factor: int) -> np.ndarray:
     """Mean-pool by an integer factor, edge padding any ragged remainder."""
     if factor < 1:
         raise ValueError("downsample factor must be >= 1")
-    if factor == 1:
-        return np.asarray(img, dtype=np.float32).copy()
     img = np.asarray(img, dtype=np.float32)
     h, w = img.shape
     hp = -(-h // factor) * factor
@@ -284,7 +265,7 @@ class FeaturePyramid:
 
 
 def build_feature_pyramid(image: np.ndarray, cfg: PipelineConfig) -> FeaturePyramid:
-    """Census/gradient features at the scales the configured matcher reads.
+    """Census features at the scales the configured matcher reads.
 
     f_quarter (quarter resolution, channels tiled to the concatenation
     width) feeds the concatenation costs of both matchers.  f_corr is the
@@ -300,14 +281,13 @@ def build_feature_pyramid(image: np.ndarray, cfg: PipelineConfig) -> FeaturePyra
     h, w = img.shape
     if h % 8 != 0 or w % 8 != 0:
         raise ValueError("image dimensions must be divisible by 8")
-    backend = cfg.feature_backend
-    base4 = _base_features(box_downsample(img, 4), backend)
-    base8 = _base_features(box_downsample(img, 8), backend)
+    base4 = census_features(box_downsample(img, 4))
+    base8 = census_features(box_downsample(img, 8))
     f_quarter = FeatureMap(_tile_channels(base4.data, CONCAT_CHANNELS))
     if cfg.mode != "acv":
         return FeaturePyramid(None, f_quarter, base8)
 
-    base16 = _base_features(box_downsample(img, 16), backend)
+    base16 = census_features(box_downsample(img, 16))
     h4, w4 = h // 4, w // 4
     n1, n2, n3 = (g * CHANNELS_PER_GROUP for g in GROUP_SPLIT)
     l1 = FeatureMap(_tile_channels(base4.data, n1))
@@ -495,7 +475,7 @@ def run_acv_pipeline(left, right, cfg: PipelineConfig,
     stage_ms["aggregation"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
-    p = softmax_over_disparity(_scaled(cost, cfg.temperature))
+    p = softmax_over_disparity(_scaled(cost, TEMPERATURE))
     d_quarter = soft_argmin(p)
     full = _upsample_disparity_full(DisparityMap(d_quarter.data * 4.0), h, w)
     stage_ms["prediction"] = (time.perf_counter() - t0) * 1000.0
@@ -520,10 +500,9 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
 
     Only what the result reads is computed.  The FAST_CORR_GROUPS groups of
     the paper's correlation are tiled copies of f_corr's channels (four
-    copies each of three 8-channel blocks for census, twelve copies of one
-    for gradient features), and both regularizers are linear, so the group
-    mean of the regularized correlation is the regularized one-group
-    correlation of the untiled f_corr.  The propagation reads v_init's
+    copies each of its three 8-channel blocks), and both regularizers are
+    linear, so the group mean of the regularized correlation is the
+    regularized one-group correlation of the untiled f_corr.  The propagation reads v_init's
     cross shifts in place of the unfolded volume.  VAP's feature-similarity
     scores and the compact volume's compressed cost are both the one-channel
     readout (1 / C)<F_l(x), F_r(x - d)>, so both are read with
@@ -553,7 +532,7 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
     meter.alloc("low_res_attention", a_low.elements)
     meter.release("correlation")
     del corr
-    v_init = _scaled(_upsample_fast_volume(a_low), cfg.temperature)
+    v_init = _scaled(_upsample_fast_volume(a_low), TEMPERATURE)
     meter.alloc("v_init", v_init.elements)
     meter.release("low_res_attention")
     del a_low
@@ -564,13 +543,13 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
     # VAP's scores and the compact cost are both read from this one volume.
     corr_q = group_correlation(pyr_l.f_quarter, pyr_r.f_quarter, cfg.d_max // 4, 1,
                                cfg.threads)
-    planes = sample_cross_disparities(d_init, cfg.vap.radius)
+    planes = sample_cross_disparities(d_init, VAP_RADIUS)
     # The soft-argmin can pass the top bin by a rounding error.
     np.minimum(planes, corr_q.disparities - 1, out=planes)
     scores = read_disparity_planes(corr_q, planes)
-    conf = _cross_sample_2d(confidence(u, cfg.vap.alpha, cfg.vap.beta), cfg.vap.radius)
+    conf = _cross_sample_2d(confidence(u, VAP_ALPHA, VAP_BETA), VAP_RADIUS)
     pw = propagation_weights(scores, conf)
-    v_prop = cross_propagate_volume(v_init, cfg.vap.radius, pw)
+    v_prop = cross_propagate_volume(v_init, VAP_RADIUS, pw)
     meter.alloc("unfolded", N_CROSS * v_init.elements)
     meter.alloc("propagated", v_prop.elements)
     meter.release("unfolded")
@@ -603,7 +582,7 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
     stage_ms["aggregation"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
-    d_quarter = predict_from_hypotheses(_scaled(cost, cfg.temperature), hyp.d_hyp)
+    d_quarter = predict_from_hypotheses(_scaled(cost, TEMPERATURE), hyp.d_hyp)
     full = _upsample_disparity_full(DisparityMap(d_quarter.data * 4.0), h, w)
     stage_ms["prediction"] = (time.perf_counter() - t0) * 1000.0
 

@@ -518,7 +518,7 @@ def check_census_features(rng, cases):
     for _ in range(cases):
         h, w = int(rng.integers(3, 10)), int(rng.integers(3, 10))
         img = rng.random((h, w)).astype(np.float32)
-        feats = pipeline.census_features(img, 5)
+        feats = pipeline.census_features(img)
         assert feats.channels == 24
         m = 0
         for dy in range(-2, 3):
@@ -533,7 +533,7 @@ def check_census_features(rng, cases):
                         expect = 0.0 if diff == 0 else math.copysign(1.0, diff)
                         assert feats.data[m, y, x] == expect
                 m += 1
-    flat = pipeline.census_features(np.full((6, 6), 0.5, dtype=np.float32), 5)
+    flat = pipeline.census_features(np.full((6, 6), 0.5, dtype=np.float32))
     assert np.all(flat.data == 0.0)
 
 

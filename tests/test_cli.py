@@ -1,3 +1,4 @@
+import argparse
 import json
 import struct
 import zlib
@@ -102,15 +103,15 @@ def test_match_json_report(pair, tmp_path, capsys):
 
 def test_config_file_with_flag_override(pair, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("mode = acv\ndmax = 32\ntemperature = 48  # sharpness\n")
+    cfg.write_text("mode = acv\ndmax = 32\nk = 4  # hypotheses\n")
     out = tmp_path / "out.pfm"
     code = cli.main(["match", pair["left"], pair["right"], "--config", str(cfg),
-                     "--mode", "fast_acv", "--k", "8", "--json", "-o", str(out)])
+                     "--mode", "fast_acv", "--json", "-o", str(out)])
     assert code == 0
     report = json.loads(capsys.readouterr().out)["report"]
     assert report["mode"] == "fast_acv"       # flag wins
     assert report["config"]["d_max"] == 32    # file value honored
-    assert report["config"]["temperature"] == 48.0
+    assert report["config"]["k"] == 4
 
 
 def test_env_threads_fallback(pair, tmp_path, capsys, monkeypatch):
@@ -150,12 +151,39 @@ def test_bad_config_file_exits_two(pair, tmp_path, capsys):
 
 
 def test_config_seed_key_is_unknown(pair, tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed = 1\n")
-    code = cli.main(["match", pair["left"], pair["right"], "--config", str(cfg),
-                     "-o", str(tmp_path / "x.pfm")])
-    assert code == 2
-    assert "unknown key" in capsys.readouterr().err
+    # seed and the fixed matcher values are no options: a config file that
+    # still sets one fails loudly instead of being ignored
+    for line in ("seed = 1", "temperature = 48", "backend = gradient",
+                 "alpha = 1.0", "beta = -1.0", "radius = 1"):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "x.pfm"
+        code = cli.main(["match", pair["left"], pair["right"], "--config", str(cfg),
+                         "-o", str(out)])
+        assert code == 2, line
+        assert "unknown key" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_match_rejects_temperature_flag(pair, tmp_path):
+    out = tmp_path / "x.pfm"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["match", pair["left"], pair["right"], "--temperature", "48",
+                  "-o", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_config_keys_mirror_match_flags():
+    # the config keys and match's flags are kept by hand; each key must be a
+    # flag of the same type (argparse's None means str)
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {opt[2:]: action.type or str for action in sub.choices["match"]._actions
+             for opt in action.option_strings if opt.startswith("--")}
+    for skip in ("help", "config", "output", "json"):
+        del flags[skip]
+    assert flags == cli._CONFIG_KEYS
 
 
 def test_match_malformed_pgm_exits_two(pair, tmp_path, capsys):

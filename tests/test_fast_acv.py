@@ -7,7 +7,6 @@ from stereo_costvol import selftest
 from stereo_costvol.fast_acv import (
     HypothesisSet,
     PropagationField,
-    VapConfig,
     build_compact_concat,
     confidence,
     cross_propagate,
@@ -35,13 +34,6 @@ from stereo_costvol.volume_core import (
 
 def rand_feature(rng, c, h, w):
     return FeatureMap(rng.standard_normal((c, h, w)).astype(np.float32))
-
-
-def test_vap_config_validation():
-    with pytest.raises(ValueError):
-        VapConfig(radius=0)
-    cfg = VapConfig()
-    assert (cfg.radius, cfg.alpha, cfg.beta) == (1, 1.0, -1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -19,7 +17,6 @@ from stereo_costvol.pipeline import (
     census_features,
     compress_concat_volume,
     expected_volume_elements,
-    gradient_features,
     make_regularizer,
     run_acv_pipeline,
     run_fast_acv_pipeline,
@@ -55,18 +52,14 @@ def test_config_rejects_unknown_names():
     with pytest.raises(ValueError):
         PipelineConfig("both", 32)
     with pytest.raises(ValueError):
-        PipelineConfig("acv", 32, feature_backend="sift")
-    with pytest.raises(ValueError):
         PipelineConfig("acv", 32, regularizer="hourglass")
-    with pytest.raises(ValueError):
-        PipelineConfig("acv", 32, temperature=0.0)
 
 
 # ---------------------------------------------------------------------------
 # census features
 
 def test_census_constant_image_is_zero():
-    feats = census_features(np.full((6, 6), 0.5, dtype=np.float32), 5)
+    feats = census_features(np.full((6, 6), 0.5, dtype=np.float32))
     assert feats.channels == 24
     assert np.all(feats.data == 0.0)
 
@@ -74,26 +67,13 @@ def test_census_constant_image_is_zero():
 def test_census_vertical_step_edge():
     img = np.zeros((6, 8), dtype=np.float32)
     img[:, 4:] = 1.0
-    feats = census_features(img, 3)
-    # channel order for window 3: (-1,-1)..(1,1) skipping center; "right
-    # neighbor" channel is index 4, "left neighbor" channel is index 3
-    right_ch, left_ch = 4, 3
+    feats = census_features(img)
+    # channel order: (-2,-2)..(2,2) row-major skipping center; "right
+    # neighbor" channel is index 12, "left neighbor" channel is index 11
+    right_ch, left_ch = 12, 11
     assert np.all(feats.data[right_ch, :, 3] == 1.0)   # brighter pixel to the right
     assert np.all(feats.data[left_ch, :, 4] == -1.0)   # darker pixel to the left
     assert np.all(feats.data[:, :, 0] == 0.0)          # flat region
-
-
-def test_census_rejects_even_window():
-    with pytest.raises(ValueError):
-        census_features(np.zeros((4, 4), dtype=np.float32), 4)
-
-
-def test_gradient_features_shape_and_sign():
-    img = np.tile(np.linspace(0, 1, 8, dtype=np.float32), (4, 1))
-    feats = gradient_features(img)
-    assert feats.channels == 4
-    assert np.all(feats.data[0, :, 1:-1] > 0)       # dx positive on a ramp
-    assert np.all(feats.data[2, :, 1:-1] == 1.0)    # its sign channel
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +81,8 @@ def test_gradient_features_shape_and_sign():
 
 def test_pyramid_channel_layout():
     img = np.random.default_rng(0).random((32, 64)).astype(np.float32)
-    for mode, (backend, base_channels) in itertools.product(
-            ("acv", "fast_acv"), (("census", 24), ("gradient", 4))):
-        cfg = PipelineConfig(mode, 32, k=8, feature_backend=backend)
+    for mode in ("acv", "fast_acv"):
+        cfg = PipelineConfig(mode, 32, k=8)
         pyr = build_feature_pyramid(img, cfg)
         if mode == "acv":
             assert [lvl.channels for lvl in pyr.levels] == \
@@ -112,7 +91,7 @@ def test_pyramid_channel_layout():
             # fast_acv never reads the tiled patch-matching levels
             assert pyr.levels is None
         assert pyr.f_quarter.channels == CONCAT_CHANNELS
-        assert pyr.f_corr.channels == base_channels
+        assert pyr.f_corr.channels == 24
         assert pyr.f_quarter.data.shape[1:] == (8, 16)
         assert pyr.f_corr.data.shape[1:] == (4, 8)
 
@@ -227,14 +206,13 @@ def test_one_group_correlation_matches_compressed_concat(channels, d_max):
                     compress_concat_volume(build_concat_volume(s_l, s_r, d_max)))
 
 
-@pytest.mark.parametrize("backend", ["census", "gradient"])
 @pytest.mark.parametrize("regularizer", ["identity", "box3d"])
-def test_one_group_f_corr_attention_matches_tiled_groups(backend, regularizer):
+def test_one_group_f_corr_attention_matches_tiled_groups(regularizer):
     # fast_acv correlates the untiled f_corr as one group.  The paper's
     # FAST_CORR_GROUPS groups over tiled channels repeat the same blocks,
     # and both regularizers are linear, so the group mean agrees.
     left, right, _, _ = stereogram(disparity=16)
-    cfg = PipelineConfig("fast_acv", 64, k=8, feature_backend=backend, regularizer=regularizer)
+    cfg = PipelineConfig("fast_acv", 64, k=8, regularizer=regularizer)
     reg = make_regularizer(regularizer, cfg.box_radius)
     pyr_l, pyr_r = build_feature_pyramid(left, cfg), build_feature_pyramid(right, cfg)
     d_low = cfg.d_max // 8
@@ -329,7 +307,7 @@ def test_acv_pipeline_recovers_constant_disparity():
 @pytest.mark.parametrize("mode", ["acv", "fast_acv"])
 @pytest.mark.parametrize("seed", [7, 3])
 def test_full_range_recovers_constant_disparity(mode, seed):
-    # the CLI and bench defaults: D=192, K=24, temperature 64
+    # the CLI and bench defaults: D=192, K=24
     left, right, gt, mask = generate_stereogram(StereogramSpec(128, 256, 8, 0.5, seed))
     cfg = PipelineConfig(mode, 192, k=24)
     pred = run_pipeline(left, right, cfg)
@@ -472,7 +450,7 @@ def test_compact_volume_element_arithmetic():
 
 
 def test_box3d_regularizer_through_pipeline():
-    # both matchers run at the default temperature: the attention enters the
+    # both matchers run at the fixed temperature: the attention enters the
     # filtered cost linearly, so box averaging leaves the peak sharp enough;
     # the true disparity sits mid-range so the d-axis smear stays symmetric
     left, right, gt, mask = stereogram(disparity=16, seed=6, h=192, w=384)
@@ -483,14 +461,6 @@ def test_box3d_regularizer_through_pipeline():
     pred = run_acv_pipeline(left, right, acv_cfg)
     assert epe(pred, gt, interior) < 1.0
     assert pred.data.min() >= 0.0 and pred.data.max() <= 63.0
-
-
-def test_gradient_backend_runs():
-    left, right, gt, mask = stereogram(seed=8)
-    cfg = PipelineConfig("fast_acv", 32, k=8, feature_backend="gradient")
-    pred = run_fast_acv_pipeline(left, right, cfg)
-    interior = exclude_border(mask, 32)
-    assert epe(pred, gt, interior) < 2.0
 
 
 @pytest.mark.parametrize("check", [
