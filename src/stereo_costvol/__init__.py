@@ -16,7 +16,6 @@ from .acv import (
     attention_filter,
     build_mapm_volume,
     generate_attention_weights,
-    identity_regularizer,
     mapm_level,
 )
 from .fast_acv import (

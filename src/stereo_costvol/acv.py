@@ -3,14 +3,14 @@
 Builds a multi-level adaptive patch-matching correlation volume and
 compresses it into single-channel attention weights that filter a matching
 cost volume.  Patch weights are plain configuration here (uniform by
-default) and the learned aggregation network is replaced by a pluggable
-regularizer callable, so every step stays a deterministic tensor operation.
+default) and the learned channel reduction is a plain group mean, so every
+step stays a deterministic tensor operation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -20,15 +20,6 @@ from .volume_core import (
     _group_inner,
     _run_over_disparities,
 )
-
-# A regularizer smooths or passes through a cost volume without changing
-# its shape; it stands in for learned 3D aggregation.
-VolumeRegularizer = Callable[[CostVolume], CostVolume]
-
-
-def identity_regularizer(v: CostVolume) -> CostVolume:
-    return v
-
 
 _PATCH_LEVELS = (1, 2, 3)
 # The paper's ACV layout: 40 correlation groups of 8 channels, split 8/16/16
@@ -164,17 +155,13 @@ def build_mapm_volume(levels: Sequence[Tuple[FeatureMap, FeatureMap, PatchWeight
     return CostVolume(volume)
 
 
-def generate_attention_weights(c_patch: CostVolume,
-                               regularizer: VolumeRegularizer = identity_regularizer) -> CostVolume:
-    """Regularize a grouped correlation volume and compress it to one channel.
+def generate_attention_weights(c_patch: CostVolume) -> CostVolume:
+    """Compress a grouped correlation volume to one channel.
 
     The compression is the arithmetic mean over groups, the unweighted
     stand-in for a learned 1x1x1 channel-reduction convolution.
     """
-    reg = regularizer(c_patch)
-    if reg.data.shape[1:] != c_patch.data.shape[1:]:
-        raise ValueError("regularizer changed the volume geometry")
-    return CostVolume(reg.data.mean(axis=0, keepdims=True))
+    return CostVolume(c_patch.data.mean(axis=0, keepdims=True))
 
 
 def attention_filter(a: CostVolume, c_concat: CostVolume) -> CostVolume:

@@ -22,15 +22,8 @@ from .pipeline import (
     run_pipeline,
 )
 
-_CONFIG_KEYS = {
-    "mode": str,
-    "dmax": int,
-    "k": int,
-    "regularizer": str,
-    "box-radius": int,
-    "format": str,
-    "threads": int,
-}
+# match's long options that are not config-file keys; every other one is.
+_NON_CONFIG_FLAGS = ("--help", "--config", "--output", "--json")
 
 
 def _fail(message: str) -> int:
@@ -38,8 +31,11 @@ def _fail(message: str) -> int:
     return 2
 
 
-def read_config_file(path: str) -> dict:
-    """Parse a flat key=value config file; '#' starts a comment."""
+def read_config_file(path: str, keys: dict) -> dict:
+    """Parse a flat key=value config file; '#' starts a comment.
+
+    keys maps each accepted key to the type its value is parsed with.
+    """
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -50,10 +46,10 @@ def read_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, val = (part.strip() for part in line.split("=", 1))
             key = key.replace("_", "-")
-            if key not in _CONFIG_KEYS:
+            if key not in keys:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                values[key] = _CONFIG_KEYS[key](val)
+                values[key] = keys[key](val)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
     return values
@@ -95,8 +91,6 @@ def _build_pipeline_config(args, file_cfg) -> PipelineConfig:
         mode=mode,
         d_max=d_max,
         k=k,
-        regularizer=_resolve(args, file_cfg, "regularizer", "identity"),
-        box_radius=_resolve(args, file_cfg, "box-radius", 1),
         threads=_resolve_threads(args, file_cfg),
     )
 
@@ -116,7 +110,7 @@ def _load_disparity(path: str):
 
 def cmd_match(args) -> int:
     try:
-        file_cfg = read_config_file(args.config) if args.config else {}
+        file_cfg = read_config_file(args.config, args.config_keys) if args.config else {}
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
     try:
@@ -372,23 +366,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Attention-filtered cost volume stereo matcher and benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_pipeline_flags(p):
-        p.add_argument("--mode", choices=("acv", "fast_acv"))
-        p.add_argument("--dmax", type=int)
-        p.add_argument("--k", type=int)
-        p.add_argument("--regularizer", choices=("identity", "box3d"))
-        p.add_argument("--box-radius", type=int, dest="box_radius")
-        p.add_argument("--threads", type=int)
-        p.add_argument("--config", help="flat key=value config file")
-
     p_match = sub.add_parser("match", help="compute a disparity map for a stereo pair")
     p_match.add_argument("left")
     p_match.add_argument("right")
-    add_pipeline_flags(p_match)
+    p_match.add_argument("--mode", choices=("acv", "fast_acv"))
+    p_match.add_argument("--dmax", type=int)
+    p_match.add_argument("--k", type=int)
+    p_match.add_argument("--threads", type=int)
+    p_match.add_argument("--config", help="flat key=value config file")
     p_match.add_argument("--format", choices=("pfm", "kitti"))
     p_match.add_argument("-o", "--output")
     p_match.add_argument("--json", action="store_true")
-    p_match.set_defaults(func=cmd_match)
+    config_keys = {opt[2:]: action.type or str for action in p_match._actions
+                   for opt in action.option_strings
+                   if opt.startswith("--") and opt not in _NON_CONFIG_FLAGS}
+    p_match.set_defaults(func=cmd_match, config_keys=config_keys)
 
     p_eval = sub.add_parser("eval", help="score a disparity map against ground truth")
     p_eval.add_argument("pred")

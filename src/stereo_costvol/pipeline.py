@@ -1,12 +1,12 @@
 """End-to-end non-learned stereo matchers built from the volume operations.
 
-Census features stand in for a trained backbone and a separable box
-filter stands in for 3D aggregation networks, so the full and fast
+Census features stand in for a trained backbone, so the full and fast
 attention-volume construction paths run as deterministic tensor
-pipelines.  Raw census correlations live on a much smaller numeric scale
-than trained network logits, so each pipeline multiplies its compressed
-cost volume by the fixed TEMPERATURE before any softmax; without it the
-disparity expectation collapses toward the range midpoint.
+pipelines; nothing stands in for the paper's learned 3D aggregation.  Raw
+census correlations live on a much smaller numeric scale than trained
+network logits, so each pipeline multiplies its compressed cost volume by
+the fixed TEMPERATURE before any softmax; without it the disparity
+expectation collapses toward the range midpoint.
 """
 
 from __future__ import annotations
@@ -22,11 +22,9 @@ from .acv import (
     CONCAT_CHANNELS,
     GROUP_SPLIT,
     PatchWeights,
-    VolumeRegularizer,
     attention_filter,
     build_mapm_volume,
     generate_attention_weights,
-    identity_regularizer,
 )
 from .fast_acv import (
     N_CROSS,
@@ -82,13 +80,16 @@ VAP_ALPHA = 1.0
 VAP_BETA = -1.0
 # Cost-to-logit gain applied before every softmax.  Raw census correlations
 # are far smaller than trained logits.  On 384x192 random-dot pairs at D=64
-# and disparity 16, acv + box3d has its lowest EPE at 64: 0.89-0.99 px over
-# four seeds, against 1.1-1.3 px at 128 and 3.7-4.3 px at 32 (fast_acv +
-# box3d reads 1.0-2.0 px at 32 and 1.4-2.4 px at 64).
+# and disparity 16 (seeds 0-3), both matchers read 0.00 px interior EPE at
+# 32, 64 and 128, so that scene cannot choose the gain.  On the seed-701
+# bench scenes (320x192, D=192, 6 scenes, mean EPE / D1), acv reads
+# 41.2 px / 92.4% at 32, 26.4 / 74.3 at 64, 19.8 / 59.9 at 128 and
+# 18.3 / 53.7 at 256; fast_acv reads 31.3-32.0 px / ~73% at all four.
+# acv still gains from a larger value, but 64 stays until the matchers get
+# an aggregation step, which changes the cost scale the gain is chosen for.
 TEMPERATURE = 64.0
 
 MODES = ("acv", "fast_acv")
-REGULARIZERS = ("identity", "box3d")
 
 STAGES = ("feature_extraction", "volume_construction", "aggregation", "prediction")
 
@@ -100,15 +101,11 @@ class PipelineConfig:
     mode: str
     d_max: int
     k: int = 24
-    regularizer: str = "identity"
-    box_radius: int = 1
     threads: int = 1
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.regularizer not in REGULARIZERS:
-            raise ValueError(f"regularizer must be one of {REGULARIZERS}")
         if self.d_max < 4 or self.d_max % 4 != 0:
             raise ValueError("d_max must be a positive multiple of 4")
         if self.mode == "fast_acv":
@@ -117,8 +114,6 @@ class PipelineConfig:
                 raise ValueError(f"d_max must be divisible by {low_scale} in fast_acv mode")
             if not 1 <= self.k <= self.d_max // 4:
                 raise ValueError("k must lie in [1, d_max / 4]")
-        if self.box_radius < 0:
-            raise ValueError("box_radius must be >= 0")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
 
@@ -135,8 +130,6 @@ class PipelineConfig:
             "beta": VAP_BETA,
             "k": self.k,
             "feature_backend": "census",
-            "regularizer": self.regularizer,
-            "box_radius": self.box_radius,
             "temperature": TEMPERATURE,
             "threads": self.threads,
         }
@@ -297,13 +290,13 @@ def build_feature_pyramid(image: np.ndarray, cfg: PipelineConfig) -> FeaturePyra
 
 
 # ---------------------------------------------------------------------------
-# Regularizers
+# Box filter
 
 def box3d_regularize(v: CostVolume, radius: int) -> CostVolume:
     """Separable mean filter over (d, y, x) windows of side 2*radius + 1.
 
-    Edges replicate; radius 0 is the identity.  Stands in for learned 3D
-    aggregation.
+    Edges replicate; radius 0 is the identity.  Neither matcher calls it;
+    it stays as an oracle-checked reference op.
     """
     if radius < 0:
         raise ValueError("box3d radius must be >= 0")
@@ -324,14 +317,6 @@ def box3d_regularize(v: CostVolume, radius: int) -> CostVolume:
         lower = np.take(cs, np.arange(0, n), axis=axis)
         out = (upper - lower) / win
     return CostVolume(out.astype(np.float32))
-
-
-def make_regularizer(name: str, box_radius: int = 1) -> VolumeRegularizer:
-    if name == "identity":
-        return identity_regularizer
-    if name == "box3d":
-        return lambda v: box3d_regularize(v, box_radius)
-    raise ValueError(f"unknown regularizer {name!r}")
 
 
 def compress_concat_volume(v: CostVolume) -> CostVolume:
@@ -429,8 +414,8 @@ def run_acv_pipeline(left, right, cfg: PipelineConfig,
     """Full attention-concatenation-volume matcher at full output resolution.
 
     Features -> patch-matching volume -> attention weights -> compressed
-    concatenation cost -> attention filtering -> regularization -> tempered
-    softmax and soft-argmin -> x4 scale and bilinear upsampling.
+    concatenation cost -> attention filtering -> tempered softmax and
+    soft-argmin -> x4 scale and bilinear upsampling.
 
     The compressed concatenation volume is its fixed channel-pair readout,
     i.e. a one-group correlation, so it is computed as one.  Filtering after
@@ -440,7 +425,6 @@ def run_acv_pipeline(left, right, cfg: PipelineConfig,
     """
     l_img, r_img = _check_pair(left, right)
     h, w = l_img.shape
-    reg = make_regularizer(cfg.regularizer, cfg.box_radius)
     meter = AllocationMeter()
     stage_ms = {}
 
@@ -454,7 +438,7 @@ def run_acv_pipeline(left, right, cfg: PipelineConfig,
     levels = [(pyr_l.levels[i], pyr_r.levels[i], weights[i]) for i in range(3)]
     c_patch = build_mapm_volume(levels, cfg.d_max, cfg.threads)
     meter.alloc("correlation", c_patch.elements)
-    a = generate_attention_weights(c_patch, reg)
+    a = generate_attention_weights(c_patch)
     meter.alloc("attention", a.elements)
     meter.release("correlation")
     del c_patch
@@ -464,14 +448,13 @@ def run_acv_pipeline(left, right, cfg: PipelineConfig,
     meter.alloc("concat", 2 * pyr_l.f_quarter.channels * compressed.elements)
     meter.alloc("compressed", compressed.elements)
     meter.release("concat")
+    stage_ms["volume_construction"] = (time.perf_counter() - t0) * 1000.0
+
+    t0 = time.perf_counter()
     cost = attention_filter(a, compressed)
     meter.alloc("filtered", cost.elements)
     meter.release("compressed")
     del compressed
-    stage_ms["volume_construction"] = (time.perf_counter() - t0) * 1000.0
-
-    t0 = time.perf_counter()
-    cost = reg(cost)
     stage_ms["aggregation"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
@@ -493,17 +476,16 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
                           report: Optional[RunReport] = None) -> DisparityMap:
     """Fast attention-volume matcher: low-res correlation, VAP, top-K filter.
 
-    Low-resolution group correlation -> regularized attention compression ->
+    Low-resolution group correlation -> attention compression ->
     upsampling -> volume attention propagation -> top-K hypothesis
     selection -> compact filtered concatenation volume -> top-2 softmax
     prediction -> x4 scale and bilinear upsampling.
 
     Only what the result reads is computed.  The FAST_CORR_GROUPS groups of
     the paper's correlation are tiled copies of f_corr's channels (four
-    copies each of its three 8-channel blocks), and both regularizers are
-    linear, so the group mean of the regularized correlation is the
-    regularized one-group correlation of the untiled f_corr.  The propagation reads v_init's
-    cross shifts in place of the unfolded volume.  VAP's feature-similarity
+    copies each of its three 8-channel blocks), so their group mean is the
+    one-group correlation of the untiled f_corr.  The propagation reads
+    v_init's cross shifts in place of the unfolded volume.  VAP's feature-similarity
     scores and the compact volume's compressed cost are both the one-channel
     readout (1 / C)<F_l(x), F_r(x - d)>, so both are read with
     read_disparity_planes from one dense one-group quarter-resolution
@@ -515,7 +497,6 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
     """
     l_img, r_img = _check_pair(left, right)
     h, w = l_img.shape
-    reg = make_regularizer(cfg.regularizer, cfg.box_radius)
     meter = AllocationMeter()
     stage_ms = {}
 
@@ -528,7 +509,7 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
     d_low = cfg.d_max // (4 * FAST_UPSAMPLE_FACTOR)
     corr = group_correlation(pyr_l.f_corr, pyr_r.f_corr, d_low, 1, cfg.threads)
     meter.alloc("correlation", FAST_CORR_GROUPS * corr.elements)
-    a_low = generate_attention_weights(corr, reg)
+    a_low = generate_attention_weights(corr)
     meter.alloc("low_res_attention", a_low.elements)
     meter.release("correlation")
     del corr
@@ -570,10 +551,8 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
     meter.release("compact_concat")
     stage_ms["volume_construction"] = (time.perf_counter() - t0) * 1000.0
 
-    # The hypothesis axis is probability-ranked, not a disparity continuum:
-    # the configured regularizer only touches the dense low-resolution volume
-    # above, and filtering happens after compression so the attention enters
-    # the per-hypothesis costs linearly rather than squared.
+    # Filtering happens after compression so the attention enters the
+    # per-hypothesis costs linearly rather than squared.
     t0 = time.perf_counter()
     cost = fast_attention_filter(hyp.a_f, cost_k)
     meter.alloc("filtered", cost.elements)

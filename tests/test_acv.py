@@ -9,7 +9,6 @@ from stereo_costvol.acv import (
     attention_filter,
     build_mapm_volume,
     generate_attention_weights,
-    identity_regularizer,
     mapm_level,
 )
 from stereo_costvol.pipeline import PipelineConfig
@@ -150,7 +149,7 @@ def test_mapm_volume_shape_mismatch_error():
 def test_attention_weights_identity_single_group():
     rng = np.random.default_rng(6)
     vol = CostVolume(rng.standard_normal((1, 3, 4, 5)).astype(np.float32))
-    a = generate_attention_weights(vol, identity_regularizer)
+    a = generate_attention_weights(vol)
     assert np.array_equal(a.data, vol.data)
 
 
