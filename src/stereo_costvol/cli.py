@@ -113,6 +113,9 @@ def cmd_match(args) -> int:
         file_cfg = read_config_file(args.config, args.config_keys) if args.config else {}
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
+    out_format = _resolve(args, file_cfg, "format", "pfm")
+    if out_format not in ("pfm", "kitti"):
+        return _fail(f"unknown output format {out_format!r}")
     try:
         with open(args.left, "rb") as fh:
             left = io_formats.read_gray_image(fh.read())
@@ -129,9 +132,6 @@ def cmd_match(args) -> int:
     except ValueError as exc:
         return _fail(str(exc))
 
-    out_format = _resolve(args, file_cfg, "format", "pfm")
-    if out_format not in ("pfm", "kitti"):
-        return _fail(f"unknown output format {out_format!r}")
     out_path = args.output or ("disparity.pfm" if out_format == "pfm" else "disparity.png")
     try:
         if out_format == "pfm":

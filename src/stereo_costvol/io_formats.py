@@ -137,41 +137,66 @@ def _encode_gray_png(arr: np.ndarray, bit_depth: int) -> bytes:
             + _png_chunk(b"IEND", b""))
 
 
-def _paeth(a, b, c):
-    p = int(a) + int(b) - int(c)
-    pa, pb, pc = abs(p - int(a)), abs(p - int(b)), abs(p - int(c))
-    if pa <= pb and pa <= pc:
-        return a
-    return b if pb <= pc else c
+def _average_lane(xs, bs):
+    """Undo Average along one byte lane: x + floor((left + up) / 2)."""
+    out, a = [], 0
+    for x, b in zip(xs, bs):
+        a = (x + ((a + b) >> 1)) & 0xFF
+        out.append(a)
+    return out
 
 
-def _unfilter_scanlines(raw: bytes, h: int, stride: int, bpp: int) -> bytearray:
-    out = bytearray(h * stride)
-    pos = 0
-    for y in range(h):
-        ftype = raw[pos]
-        pos += 1
-        line = bytearray(raw[pos:pos + stride])
-        pos += stride
-        prev = out[(y - 1) * stride:y * stride] if y else bytes(stride)
-        if ftype == 1:  # Sub
-            for i in range(bpp, stride):
-                line[i] = (line[i] + line[i - bpp]) & 0xFF
+def _paeth_lane(xs, bs, cs, pas, bcs):
+    """Undo Paeth along one byte lane, given up ``b``, up-left ``c``, |b - c| and b - c.
+
+    With p = a + b - c the predictor's distances are |p - a| = |b - c|,
+    |p - b| = |a - c| and |p - c| = |(a - c) + (b - c)|.
+    """
+    out, a = [], 0
+    for x, b, c, pa, bc in zip(xs, bs, cs, pas, bcs):
+        ac = a - c
+        pb, pc = abs(ac), abs(ac + bc)
+        a = (x + (a if pa <= pb and pa <= pc else b if pb <= pc else c)) & 0xFF
+        out.append(a)
+    return out
+
+
+def _unfilter_scanlines(raw: bytes, h: int, stride: int, bpp: int) -> np.ndarray:
+    """Undo the per-row PNG filters (W3C PNG 2nd ed., section 9): (h, stride) uint8.
+
+    None, Sub and Up are whole-row numpy operations; uint8 arithmetic wraps
+    mod 256 as the specification requires.  Average and Paeth depend on the
+    byte just decoded, so each of the ``bpp`` byte lanes runs as one loop.
+    """
+    lines = np.frombuffer(raw, dtype=np.uint8).reshape(h, stride + 1)
+    types = lines[:, 0]
+    bad = np.flatnonzero(types > 4)
+    if bad.size:
+        raise PngError(f"unsupported PNG filter type {types[bad[0]]}")
+    out = np.empty((h, stride), dtype=np.uint8)
+    prev = np.zeros(stride, dtype=np.uint8)
+    for y, ftype in enumerate(types.tolist()):
+        line, row = lines[y, 1:], out[y]
+        if ftype == 0:  # None
+            row[:] = line
+        elif ftype == 1:  # Sub
+            np.cumsum(line.reshape(-1, bpp), axis=0, dtype=np.uint8,
+                      out=row.reshape(-1, bpp))
         elif ftype == 2:  # Up
-            for i in range(stride):
-                line[i] = (line[i] + prev[i]) & 0xFF
+            np.add(line, prev, out=row)
         elif ftype == 3:  # Average
-            for i in range(stride):
-                left = line[i - bpp] if i >= bpp else 0
-                line[i] = (line[i] + ((left + prev[i]) >> 1)) & 0xFF
-        elif ftype == 4:  # Paeth
-            for i in range(stride):
-                left = line[i - bpp] if i >= bpp else 0
-                upleft = prev[i - bpp] if i >= bpp else 0
-                line[i] = (line[i] + _paeth(left, prev[i], upleft)) & 0xFF
-        elif ftype != 0:
-            raise PngError(f"unsupported PNG filter type {ftype}")
-        out[y * stride:(y + 1) * stride] = line
+            for k in range(bpp):
+                row[k::bpp] = _average_lane(line[k::bpp].tolist(), prev[k::bpp].tolist())
+        else:  # Paeth
+            up = prev.astype(np.int16)
+            upleft = np.zeros_like(up)
+            upleft[bpp:] = up[:-bpp]
+            diff = up - upleft
+            for k in range(bpp):
+                row[k::bpp] = _paeth_lane(line[k::bpp].tolist(), up[k::bpp].tolist(),
+                                          upleft[k::bpp].tolist(),
+                                          np.abs(diff[k::bpp]).tolist(), diff[k::bpp].tolist())
+        prev = row
     return out
 
 
@@ -181,7 +206,7 @@ def _decode_gray_png(data: bytes) -> Tuple[np.ndarray, int]:
         raise PngError("not a PNG file")
     pos = 8
     ihdr = None
-    idat = b""
+    idat_parts = []
     while pos + 8 <= len(data):
         length, tag = struct.unpack(">I4s", data[pos:pos + 8])
         body = data[pos + 8:pos + 8 + length]
@@ -194,9 +219,10 @@ def _decode_gray_png(data: bytes) -> Tuple[np.ndarray, int]:
         if tag == b"IHDR":
             ihdr = body
         elif tag == b"IDAT":
-            idat += body
+            idat_parts.append(body)
         elif tag == b"IEND":
             break
+    idat = b"".join(idat_parts)
     if ihdr is None or not idat:
         raise PngError("missing PNG chunks")
     if len(ihdr) != 13:
@@ -226,9 +252,10 @@ def _decode_gray_png(data: bytes) -> Tuple[np.ndarray, int]:
         raise PngError("PNG payload size mismatch")
     if not inflater.eof:
         raise PngError("corrupt PNG data: incomplete or truncated stream")
-    flat = bytes(_unfilter_scanlines(raw, h, stride, bpp))
-    dtype = ">u2" if bit_depth == 16 else np.uint8
-    return np.frombuffer(flat, dtype=dtype).reshape(h, w).astype(np.uint16), bit_depth
+    rows = _unfilter_scanlines(raw, h, stride, bpp)
+    if bit_depth == 16:
+        rows = rows.view(">u2")
+    return rows.astype(np.uint16), bit_depth
 
 
 def write_kitti_disp_png(disp: DisparityMap, mask: Union[EvalMask, None] = None) -> bytes:

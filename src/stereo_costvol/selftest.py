@@ -10,6 +10,7 @@ case counts.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -742,6 +743,51 @@ def check_kitti_png_round_trip(rng, cases):
         pass
 
 
+def _unfilter_oracle(raw, h, stride, bpp):
+    """Byte-at-a-time PNG unfiltering, straight from the specification's formulas."""
+    out = bytearray(h * stride)
+    pos = 0
+    for y in range(h):
+        ftype = raw[pos]
+        pos += 1
+        line = bytearray(raw[pos:pos + stride])
+        pos += stride
+        prev = out[(y - 1) * stride:y * stride] if y else bytes(stride)
+        for i in range(stride):
+            a = line[i - bpp] if i >= bpp else 0
+            b = prev[i]
+            c = prev[i - bpp] if i >= bpp else 0
+            if ftype == 1:  # Sub
+                pred = a
+            elif ftype == 2:  # Up
+                pred = b
+            elif ftype == 3:  # Average
+                pred = (a + b) >> 1
+            elif ftype == 4:  # Paeth
+                p = a + b - c
+                pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+                pred = a if pa <= pb and pa <= pc else b if pb <= pc else c
+            else:
+                pred = 0
+            line[i] = (line[i] + pred) & 0xFF
+        out[y * stride:(y + 1) * stride] = line
+    return out
+
+
+def check_png_unfilter(rng, cases):
+    # Residuals in [-2, 2] keep neighbouring bytes close, so Paeth's ties occur.
+    alphabets = (np.arange(256), np.array([0, 1, 2, 254, 255]))
+    for _ in range(cases):
+        for bpp, w, values in itertools.product((1, 2), (1, int(rng.integers(2, 17))), alphabets):
+            h = int(rng.integers(1, 9))
+            stride = w * bpp
+            lines = rng.choice(values, size=(h, stride + 1)).astype(np.uint8)
+            lines[:, 0] = rng.integers(0, 5, size=h)
+            raw = lines.tobytes()
+            got = io_formats._unfilter_scanlines(raw, h, stride, bpp)
+            assert got.tobytes() == bytes(_unfilter_oracle(raw, h, stride, bpp))
+
+
 def check_generate_stereogram(rng, cases):
     for seed in range(cases):
         spec = io_formats.StereogramSpec(12, 40, int(seed % 5), 0.5, seed)
@@ -804,6 +850,7 @@ CHECKS = [
     ("smooth_l1", check_smooth_l1),
     ("pfm_round_trip", check_pfm_round_trip),
     ("kitti_png_round_trip", check_kitti_png_round_trip),
+    ("png_unfilter", check_png_unfilter),
     ("generate_stereogram", check_generate_stereogram),
 ]
 

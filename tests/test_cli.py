@@ -176,6 +176,20 @@ def test_match_rejects_temperature_flag(pair, tmp_path, flag, value):
     assert not out.exists()
 
 
+def test_match_rejects_unknown_config_format_before_matching(pair, tmp_path, monkeypatch, capsys):
+    def no_matching(*args, **kwargs):
+        raise AssertionError("run_pipeline called before the output format was checked")
+
+    monkeypatch.setattr(cli, "run_pipeline", no_matching)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = jpg\n")
+    out = tmp_path / "x.out"
+    code = cli.main(["match", pair["left"], pair["right"], "--config", str(cfg), "-o", str(out)])
+    assert code == 2
+    assert "unknown output format 'jpg'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_keys_mirror_match_flags():
     # the config keys are derived from match's long options; pinning them
     # makes a new flag that silently becomes a key show up here

@@ -6,6 +6,9 @@ any other exception escapes as a crash.  The CLI must turn every rejected
 file into exit code 2.
 """
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,10 @@ from stereo_costvol.io_formats import (
 )
 from stereo_costvol.metrics import EvalMask
 from stereo_costvol.volume_core import DisparityMap
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+
+import bench_png  # noqa: E402
 
 BLOBS_PER_READER = 2000
 CLI_BLOBS = 6
@@ -51,6 +58,11 @@ def _valid_files(rng):
         "gray_png": (write_gray_png(img), read_gray_image),
         "kitti_png": (write_kitti_disp_png(disp, mask), read_kitti_disp_png),
         "pfm": (write_pfm(disp), read_pfm),
+        # The repository's writer emits only filter None; these files carry
+        # a filter chosen per row, as dataset files do.
+        "gray_png_filtered": (bench_png.image_to_png(img.intensities)[0], read_gray_image),
+        "kitti_png_filtered": (bench_png.encode_gray(
+            bench_png.kitti_raw(disp.data, mask.valid), 16)[0], read_kitti_disp_png),
     }
 
 
@@ -68,14 +80,16 @@ def _rejected(kind, seed, count):
     return out
 
 
-@pytest.mark.parametrize("kind", ["gray_png", "kitti_png", "pfm"])
+@pytest.mark.parametrize("kind", ["gray_png", "kitti_png", "pfm",
+                                  "gray_png_filtered", "kitti_png_filtered"])
 def test_mutated_files_raise_only_format_error(kind):
     # Any exception other than FormatError fails the test with its traceback.
     rejected = _rejected(kind, 11, BLOBS_PER_READER)
     assert len(rejected) > BLOBS_PER_READER // 4
 
 
-@pytest.mark.parametrize("kind", ["gray_png", "kitti_png", "pfm"])
+@pytest.mark.parametrize("kind", ["gray_png", "kitti_png", "pfm",
+                                  "gray_png_filtered", "kitti_png_filtered"])
 def test_cli_exits_two_on_rejected_files(kind, tmp_path, capsys):
     rng = np.random.default_rng(5)
     files = _valid_files(rng)
@@ -89,7 +103,7 @@ def test_cli_exits_two_on_rejected_files(kind, tmp_path, capsys):
     assert len(blobs) == CLI_BLOBS
     for blob in blobs:
         bad.write_bytes(blob)
-        if kind == "gray_png":
+        if files[kind][1] is read_gray_image:
             argv = ["match", str(bad), str(right), "-o", str(tmp_path / "out.pfm")]
         else:
             argv = ["eval", str(bad), str(good[kind])]

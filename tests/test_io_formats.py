@@ -1,4 +1,6 @@
+import os
 import struct
+import sys
 import tracemalloc
 import zlib
 
@@ -23,6 +25,10 @@ from stereo_costvol.io_formats import (
 )
 from stereo_costvol.metrics import EvalMask
 from stereo_costvol.volume_core import DisparityMap
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+
+import bench_png  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +117,16 @@ def test_kitti_png_rejects_corrupt_stream():
         read_kitti_disp_png(bytes(blob))
 
 
-def _png(ihdr, rows=b"\x00\x07", crc_flip=None, iend_crc=True):
-    """Hand-built PNG; crc_flip names a chunk whose CRC gets one bit flipped."""
+def _png(ihdr, rows=b"\x00\x07", crc_flip=None, iend_crc=True, idat_size=None):
+    """Hand-built PNG; crc_flip names a chunk whose CRC gets one bit flipped.
+
+    idat_size splits the compressed data into IDAT chunks of that many bytes.
+    """
+    data = zlib.compress(rows)
+    step = idat_size or len(data)
+    idats = [(b"IDAT", data[i:i + step]) for i in range(0, len(data), step)]
     blob = b"\x89PNG\r\n\x1a\n"
-    for tag, body in ((b"IHDR", ihdr), (b"IDAT", zlib.compress(rows)), (b"IEND", b"")):
+    for tag, body in ((b"IHDR", ihdr), *idats, (b"IEND", b"")):
         crc = zlib.crc32(tag + body) ^ (1 if tag == crc_flip else 0)
         blob += struct.pack(">I", len(body)) + tag + body
         if tag != b"IEND" or iend_crc:
@@ -180,6 +192,47 @@ def test_png_inflating_past_its_size_raises_in_bounded_memory():
 def test_png_size_beyond_inflate_limit_raises_png_error():
     with pytest.raises(PngError, match="too large"):
         read_gray_image(_png(_ihdr(2 ** 32 - 1, 2 ** 32 - 1)))
+
+
+def test_png_split_into_one_byte_idat_chunks_decodes_equal():
+    rng = np.random.default_rng(8)
+    lines = rng.integers(0, 256, size=(6, 10), dtype=np.uint8)
+    lines[:, 0] = np.arange(6) % 5  # every filter type, as rows of a 9x6 image
+    whole = _png(_ihdr(9, 6), rows=lines.tobytes())
+    split = _png(_ihdr(9, 6), rows=lines.tobytes(), idat_size=1)
+    assert split.count(b"IDAT") == len(zlib.compress(lines.tobytes()))
+    assert np.array_equal(read_gray_image(split).intensities,
+                          read_gray_image(whole).intensities)
+
+
+def test_png_filter_type_above_four_in_a_later_row_raises_png_error():
+    rows = b"\x00\x07" + b"\x02\x01" + b"\x05\x03"  # rows filtered None, Up, 5
+    with pytest.raises(PngError, match="unsupported PNG filter type 5"):
+        read_gray_image(_png(_ihdr(1, 3), rows=rows))
+
+
+def _filtered_sources(bit_depth):
+    """Seeded noise images, width 1 included; the encoder picks a filter per row."""
+    rng = np.random.default_rng(bit_depth)
+    dtype = np.uint8 if bit_depth == 8 else np.uint16
+    for h, w in ((12, 10), (5, 1), (1, 7), (9, 33)):
+        yield rng.integers(0, 1 << bit_depth, size=(h, w)).astype(dtype)
+
+
+@pytest.mark.parametrize("bit_depth", [8, 16])
+def test_adaptively_filtered_png_decodes_bitwise_to_its_source(bit_depth):
+    seen = set()
+    for src in _filtered_sources(bit_depth):
+        blob, types = bench_png.encode_gray(src, bit_depth)
+        seen.update(types.tolist())
+        if bit_depth == 8:
+            back = read_gray_image(blob)
+            assert np.array_equal(back.intensities, src.astype(np.float32) / 255.0)
+        else:
+            disp, mask = read_kitti_disp_png(blob)
+            assert np.array_equal(disp.data * 256.0, src)
+            assert np.array_equal(mask.valid, src > 0)
+    assert {1, 2, 3, 4} <= seen
 
 
 def test_kitti_png_round_trip_randomized():
