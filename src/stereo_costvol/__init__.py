@@ -16,6 +16,7 @@ from .acv import (
     attention_filter,
     build_mapm_volume,
     generate_attention_weights,
+    mapm_attention,
     mapm_level,
 )
 from .fast_acv import (

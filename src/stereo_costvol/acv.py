@@ -123,6 +123,24 @@ def mapm_level(f_l: FeatureMap, f_r: FeatureMap, level: int, w: PatchWeights,
     return CostVolume(out)
 
 
+def _check_levels(levels, d_max, name):
+    """Validate (left, right, weights) level triples; return each level's group count."""
+    if len(levels) != len(GROUP_SPLIT):
+        raise ValueError(f"expected {len(GROUP_SPLIT)} levels, got {len(levels)}")
+    if d_max < 4:
+        raise ValueError(f"{name}: d_max must be >= 4")
+    shape_hw = levels[0][0].data.shape[1:]
+    for f_l, f_r, _ in levels:
+        if f_l.data.shape != f_r.data.shape:
+            raise ValueError(f"{name}: left/right shapes differ")
+        if f_l.data.shape[1:] != shape_hw:
+            raise ValueError(f"{name}: levels disagree on spatial size")
+        if f_l.channels % CHANNELS_PER_GROUP != 0:
+            raise ValueError(f"{name}: {f_l.channels} channels are not groups "
+                             f"of {CHANNELS_PER_GROUP}")
+    return [f_l.channels // CHANNELS_PER_GROUP for f_l, _, _ in levels]
+
+
 def build_mapm_volume(levels: Sequence[Tuple[FeatureMap, FeatureMap, PatchWeights]],
                       d_max: int, threads: int = 1) -> CostVolume:
     """Concatenate per-level patch matching volumes into one grouped volume.
@@ -130,22 +148,11 @@ def build_mapm_volume(levels: Sequence[Tuple[FeatureMap, FeatureMap, PatchWeight
     levels supplies one (left features, right features, patch weights)
     triple per pyramid level.  Level k contributes its channels /
     CHANNELS_PER_GROUP correlation groups; the groups are stacked in level
-    order over d_max // 4 disparity bins.
+    order over d_max // 4 disparity bins.  run_acv_pipeline calls
+    mapm_attention instead; this stays as its oracle.
     """
-    if len(levels) != len(GROUP_SPLIT):
-        raise ValueError(f"expected {len(GROUP_SPLIT)} levels, got {len(levels)}")
-    if d_max < 4:
-        raise ValueError("build_mapm_volume: d_max must be >= 4")
+    splits = _check_levels(levels, d_max, "build_mapm_volume")
     shape_hw = levels[0][0].data.shape[1:]
-    for f_l, f_r, _ in levels:
-        if f_l.data.shape != f_r.data.shape:
-            raise ValueError("build_mapm_volume: left/right shapes differ")
-        if f_l.data.shape[1:] != shape_hw:
-            raise ValueError("build_mapm_volume: levels disagree on spatial size")
-        if f_l.channels % CHANNELS_PER_GROUP != 0:
-            raise ValueError(f"build_mapm_volume: {f_l.channels} channels are not groups "
-                             f"of {CHANNELS_PER_GROUP}")
-    splits = [f_l.channels // CHANNELS_PER_GROUP for f_l, _, _ in levels]
     d_bins = d_max // 4
     volume = np.zeros((sum(splits), d_bins) + shape_hw, dtype=np.float32)
     g0 = 0
@@ -155,13 +162,54 @@ def build_mapm_volume(levels: Sequence[Tuple[FeatureMap, FeatureMap, PatchWeight
     return CostVolume(volume)
 
 
+def _group_mean(groups, out):
+    """Mean of equal-shaped float32 arrays, written into out.
+
+    The sum starts at +0.0 and runs in order, one float32 add at a time,
+    and is then divided by the count: what np.mean(axis=0) computes on
+    their stack, except that numpy sums pairwise when each group holds a
+    single element.
+    """
+    out.fill(0.0)
+    for g in groups:
+        out += g
+    np.true_divide(out, len(groups), out=out)
+
+
+def mapm_attention(levels: Sequence[Tuple[FeatureMap, FeatureMap, PatchWeights]],
+                   d_max: int, threads: int = 1) -> CostVolume:
+    """Attention weights of the tiled 40-group MAPM volume, from untiled levels.
+
+    Equals generate_attention_weights(build_mapm_volume(tiled)) bit for bit,
+    where tiled repeats each level's channels out to GROUP_SPLIT[k] groups:
+    tiled group g of level k is then level k's group g % n, n its own group
+    count, and the scale n / channels is the same.  So only the n distinct
+    groups per level are built, and the mean folds the GROUP_SPLIT groups
+    in the tiled volume's order.
+    """
+    splits = _check_levels(levels, d_max, "mapm_attention")
+    d_bins = d_max // 4
+    vols = [mapm_level(f_l, f_r, w.level, w, d_bins, n, threads).data
+            for (f_l, f_r, w), n in zip(levels, splits)]
+    out = np.empty((1, d_bins) + vols[0].shape[2:], dtype=np.float32)
+
+    def run(d):
+        _group_mean([v[g % n, d] for v, n, tiled in zip(vols, splits, GROUP_SPLIT)
+                     for g in range(tiled)], out[0, d])
+
+    _run_over_disparities(d_bins, run, threads)
+    return CostVolume(out)
+
+
 def generate_attention_weights(c_patch: CostVolume) -> CostVolume:
     """Compress a grouped correlation volume to one channel.
 
     The compression is the arithmetic mean over groups, the unweighted
     stand-in for a learned 1x1x1 channel-reduction convolution.
     """
-    return CostVolume(c_patch.data.mean(axis=0, keepdims=True))
+    out = np.empty((1,) + c_patch.data.shape[1:], dtype=np.float32)
+    _group_mean(c_patch.data, out[0])
+    return CostVolume(out)
 
 
 def attention_filter(a: CostVolume, c_concat: CostVolume) -> CostVolume:

@@ -258,6 +258,13 @@ def cmd_bench(args) -> int:
     for m in modes:
         if m not in ("acv", "fast_acv"):
             return _fail(f"unknown mode {m!r}")
+    # A repeated token would run the same case twice and print its rows,
+    # ratios and trends twice.
+    for what, values in (("mode", modes), ("size", [f"{w}x{h}" for h, w in sizes]),
+                         ("K", ks)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            return _fail(f"duplicate {what} {repeated[0]} in the sweep")
     # Only fast_acv reads K.
     if "fast_acv" in modes:
         for k in ks:

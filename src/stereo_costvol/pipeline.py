@@ -18,13 +18,13 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .acv import (
-    CHANNELS_PER_GROUP,
     CONCAT_CHANNELS,
     GROUP_SPLIT,
     PatchWeights,
     attention_filter,
     build_mapm_volume,
     generate_attention_weights,
+    mapm_attention,
 )
 from .fast_acv import (
     N_CROSS,
@@ -57,15 +57,16 @@ from .volume_core import (
 )
 
 # build_concat_volume, build_compact_concat, compress_concat_volume (below),
-# matching_score, unfold_cross and cross_propagate are reference ops:
-# group_correlation with one group equals the compressed dense
-# concatenation volume, read_disparity_planes on it equals matching_score at
-# VAP's candidates and the compressed compact volume at the hypotheses, and
-# cross_propagate_volume streams the unfolded propagation.  The runners no
-# longer call them, but they stay attributes of this module, next to
-# attention_filter, so oracle tests and call-site tracing still find them
-# here.  matching_score is a plain single-threaded gather: only tests and
-# selftest call it.
+# matching_score, unfold_cross, cross_propagate and build_mapm_volume are
+# reference ops: group_correlation with one group equals the compressed
+# dense concatenation volume, read_disparity_planes on it equals
+# matching_score at VAP's candidates and the compressed compact volume at
+# the hypotheses, cross_propagate_volume streams the unfolded propagation,
+# and mapm_attention equals the group mean of the tiled 40-group MAPM
+# volume.  The runners no longer call them, but they stay attributes of
+# this module, next to attention_filter, so oracle tests and call-site
+# tracing still find them here.  matching_score is a plain single-threaded
+# gather: only tests and selftest call it.
 
 # Logical group count of fast_acv's low-resolution correlation; the meter
 # books it, while the runner computes the one group it equals.
@@ -139,7 +140,9 @@ class AllocationMeter:
     """Tracks named volume allocations and the peak number of live elements.
 
     Counts are logical volume elements of the paper's architecture, not
-    bytes held.  The concatenation volumes are never built: acv reads its
+    bytes held.  acv's 40-group "correlation" is booked in full although
+    only its distinct groups are built (see mapm_attention).  The
+    concatenation volumes are never built: acv reads its
     "concat" cost as a one-group quarter-resolution correlation, and
     fast_acv reads its "compact_concat" cost from the same correlation at
     the hypotheses.  That dense correlation is not booked in fast_acv mode,
@@ -248,8 +251,8 @@ def _resize_features(data: np.ndarray, height: int, width: int) -> np.ndarray:
 class FeaturePyramid:
     """Feature maps the pipelines consume, all derived from one image.
 
-    levels holds acv's three tiled patch-matching levels and is None in
-    fast_acv mode, which never reads them.
+    levels holds acv's three untiled 24-channel patch-matching levels and
+    is None in fast_acv mode, which never reads them.
     """
 
     levels: Optional[Tuple[FeatureMap, FeatureMap, FeatureMap]]
@@ -264,9 +267,9 @@ def build_feature_pyramid(image: np.ndarray, cfg: PipelineConfig) -> FeaturePyra
     width) feeds the concatenation costs of both matchers.  f_corr is the
     untiled eighth-resolution base map; fast_acv correlates it as one
     group.  In acv mode only, pseudo-levels l1..l3 at quarter resolution
-    come from the quarter image and its 2x / 4x box-downsampled versions
-    (upsampled back), with channel counts tiled to the grouped
-    patch-matching layout.
+    are the census maps of the quarter image and of its 2x / 4x
+    box-downsampled versions (resized back), untiled: mapm_attention reads
+    their distinct groups in place of the paper's 8/16/16 tiled ones.
     """
     img = np.asarray(getattr(image, "intensities", image), dtype=np.float32)
     if img.ndim != 2:
@@ -282,11 +285,9 @@ def build_feature_pyramid(image: np.ndarray, cfg: PipelineConfig) -> FeaturePyra
 
     base16 = census_features(box_downsample(img, 16))
     h4, w4 = h // 4, w // 4
-    n1, n2, n3 = (g * CHANNELS_PER_GROUP for g in GROUP_SPLIT)
-    l1 = FeatureMap(_tile_channels(base4.data, n1))
-    l2 = FeatureMap(_tile_channels(_resize_features(base8.data, h4, w4), n2))
-    l3 = FeatureMap(_tile_channels(_resize_features(base16.data, h4, w4), n3))
-    return FeaturePyramid((l1, l2, l3), f_quarter, base8)
+    l2 = FeatureMap(_resize_features(base8.data, h4, w4))
+    l3 = FeatureMap(_resize_features(base16.data, h4, w4))
+    return FeaturePyramid((base4, l2, l3), f_quarter, base8)
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +418,11 @@ def run_acv_pipeline(left, right, cfg: PipelineConfig,
     concatenation cost -> attention filtering -> tempered softmax and
     soft-argmin -> x4 scale and bilinear upsampling.
 
+    The attention is the group mean of the paper's 40-group patch-matching
+    volume.  Its groups tile the 24 census channels, so mapm_attention
+    builds the 3 distinct groups per level and folds the 40 in their tiled
+    order, bit for bit the mean of the full volume it never holds.
+
     The compressed concatenation volume is its fixed channel-pair readout,
     i.e. a one-group correlation, so it is computed as one.  Filtering after
     that readout lets the attention enter the cost linearly, as in fast_acv;
@@ -436,12 +442,10 @@ def run_acv_pipeline(left, right, cfg: PipelineConfig,
     t0 = time.perf_counter()
     weights = [PatchWeights.uniform(k) for k in (1, 2, 3)]
     levels = [(pyr_l.levels[i], pyr_r.levels[i], weights[i]) for i in range(3)]
-    c_patch = build_mapm_volume(levels, cfg.d_max, cfg.threads)
-    meter.alloc("correlation", c_patch.elements)
-    a = generate_attention_weights(c_patch)
+    a = mapm_attention(levels, cfg.d_max, cfg.threads)
+    meter.alloc("correlation", sum(GROUP_SPLIT) * a.elements)
     meter.alloc("attention", a.elements)
     meter.release("correlation")
-    del c_patch
     # The meter still books the logical concat volume the correlation reads.
     compressed = group_correlation(pyr_l.f_quarter, pyr_r.f_quarter, cfg.d_max // 4, 1,
                                    cfg.threads)

@@ -190,6 +190,38 @@ def check_build_mapm_volume(rng, cases):
             g0 += s
 
 
+def _check_mapm_attention_case(rng, h, w, threads, signs):
+    untiled, tiled = [], []
+    for level, n_tiled in zip((1, 2, 3), acv.GROUP_SPLIT):
+        c = int(rng.integers(1, 4)) * acv.CHANNELS_PER_GROUP
+        if signs:  # census-like {-1, 0, +1} channels
+            pair = [rng.integers(-1, 2, size=(c, h, w)).astype(np.float32) for _ in range(2)]
+            weights = acv.PatchWeights.uniform(level)
+        else:
+            pair = [rng.standard_normal((c, h, w)).astype(np.float32) for _ in range(2)]
+            weights = acv.PatchWeights(level, rng.random((3, 3)).astype(np.float32))
+        n = n_tiled * acv.CHANNELS_PER_GROUP
+        untiled.append((volume_core.FeatureMap(pair[0]), volume_core.FeatureMap(pair[1]),
+                        weights))
+        tiled.append((volume_core.FeatureMap(pipeline._tile_channels(pair[0], n)),
+                      volume_core.FeatureMap(pipeline._tile_channels(pair[1], n)), weights))
+    d_max = 4 * int(rng.integers(1, 5))
+    a = acv.mapm_attention(untiled, d_max, threads)
+    expect = acv.generate_attention_weights(acv.build_mapm_volume(tiled, d_max))
+    assert np.array_equal(a.data, expect.data)
+
+
+def check_mapm_attention(rng, cases):
+    # Bit for bit the group mean of the tiled 40-group volume it never builds.
+    for i in range(cases):
+        _check_mapm_attention_case(rng, int(rng.integers(4, 10)), int(rng.integers(4, 14)),
+                                   threads=(1, 3)[i % 2], signs=i % 4 < 2)
+    # Frames no larger than the level-3 offset: some taps fall wholly outside.
+    for threads in (1, 3):
+        _check_mapm_attention_case(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)),
+                                   threads, signs=threads == 1)
+
+
 def check_generate_attention_weights(rng, cases):
     for _ in range(cases):
         g = int(rng.integers(1, 6))
@@ -541,14 +573,16 @@ def check_census_features(rng, cases):
 def check_build_feature_pyramid(rng, cases):
     img = rng.random((16, 32)).astype(np.float32)
     f_corr = pipeline.census_features(pipeline.box_downsample(img, 8))
+    base4 = pipeline.census_features(pipeline.box_downsample(img, 4))
     for mode in pipeline.MODES:
         cfg = pipeline.PipelineConfig(mode, 16, k=4)
         pyr_a = pipeline.build_feature_pyramid(img, cfg)
         pyr_b = pipeline.build_feature_pyramid(img, cfg)
         maps_a, maps_b = (pyr_a.f_quarter, pyr_a.f_corr), (pyr_b.f_quarter, pyr_b.f_corr)
         if mode == "acv":
-            assert [lvl.channels for lvl in pyr_a.levels] == \
-                [s * acv.CHANNELS_PER_GROUP for s in acv.GROUP_SPLIT]
+            # three untiled census levels; the first is the quarter-res map
+            assert [lvl.data.shape for lvl in pyr_a.levels] == [(24, 4, 8)] * 3
+            assert np.array_equal(pyr_a.levels[0].data, base4.data)
             maps_a, maps_b = pyr_a.levels + maps_a, pyr_b.levels + maps_b
         else:
             assert pyr_a.levels is None
@@ -824,6 +858,7 @@ CHECKS = [
     ("unfold_cross", check_unfold_cross),
     ("mapm_level", check_mapm_level),
     ("build_mapm_volume", check_build_mapm_volume),
+    ("mapm_attention", check_mapm_attention),
     ("generate_attention_weights", check_generate_attention_weights),
     ("attention_filter", check_attention_filter),
     ("regress_initial_disparity", check_regress_initial_disparity),

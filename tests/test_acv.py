@@ -9,9 +9,12 @@ from stereo_costvol.acv import (
     attention_filter,
     build_mapm_volume,
     generate_attention_weights,
+    mapm_attention,
     mapm_level,
 )
-from stereo_costvol.pipeline import PipelineConfig
+from stereo_costvol import pipeline
+from stereo_costvol.io_formats import StereogramSpec, generate_stereogram
+from stereo_costvol.pipeline import PipelineConfig, _tile_channels, run_acv_pipeline
 from stereo_costvol.volume_core import (
     CostVolume,
     FeatureMap,
@@ -161,6 +164,49 @@ def test_attention_weights_constant_and_mean():
     assert np.all(a.data == 2.0)
 
 
+def test_attention_weights_equal_numpy_mean():
+    # The group mean folds in order like np.mean(axis=0), which the runner
+    # used; at one element per group numpy sums pairwise instead.
+    rng = np.random.default_rng(10)
+    for g, shape in ((40, (48, 6, 10)), (40, (1, 1, 2)), (9, (3, 4, 5)), (2, (1, 1, 3))):
+        vol = CostVolume(rng.standard_normal((g,) + shape).astype(np.float32))
+        assert np.array_equal(generate_attention_weights(vol).data,
+                              vol.data.mean(axis=0, keepdims=True))
+    zeros = CostVolume(np.full((3, 1, 2, 2), -0.0, dtype=np.float32))
+    a = generate_attention_weights(zeros).data
+    assert np.array_equal(np.signbit(a), np.signbit(zeros.data.mean(axis=0, keepdims=True)))
+
+
+def test_mapm_attention_rejects_what_build_mapm_volume_rejects():
+    rng = np.random.default_rng(12)
+    levels = _pyramid_levels(rng, 4, 5, split=(1, 1, 1))
+    odd = (rand_feature(rng, 12, 4, 5), rand_feature(rng, 12, 4, 5), levels[2][2])
+    with pytest.raises(ValueError, match="groups of 8"):
+        mapm_attention(levels[:2] + [odd], 16)
+    with pytest.raises(ValueError, match="d_max"):
+        mapm_attention(levels, 3)
+    with pytest.raises(ValueError, match="expected 3 levels"):
+        mapm_attention(levels[:2], 16)
+
+
+def _tiled_attention(levels, d_max, threads=1):
+    # The paper's 8/16/16 groups over channels tiled from the untiled levels.
+    tiled = [(FeatureMap(_tile_channels(f_l.data, n * CHANNELS_PER_GROUP)),
+              FeatureMap(_tile_channels(f_r.data, n * CHANNELS_PER_GROUP)), w)
+             for (f_l, f_r, w), n in zip(levels, GROUP_SPLIT)]
+    return generate_attention_weights(build_mapm_volume(tiled, d_max, threads))
+
+
+def test_acv_runner_equals_tiled_composition(monkeypatch):
+    left, right, _, _ = generate_stereogram(StereogramSpec(128, 256, 12, 0.5, 4))
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "mapm_attention", _tiled_attention)
+        expect = run_acv_pipeline(left, right, PipelineConfig("acv", 64))
+    for threads in (1, 3):
+        out = run_acv_pipeline(left, right, PipelineConfig("acv", 64, threads=threads))
+        assert np.array_equal(out.data, expect.data)
+
+
 def test_attention_filter_identity_and_annihilator():
     rng = np.random.default_rng(7)
     concat = CostVolume(rng.standard_normal((6, 3, 4, 5)).astype(np.float32))
@@ -214,6 +260,7 @@ def test_identical_images_attention_peaks_at_zero():
 @pytest.mark.parametrize("check", [
     selftest.check_mapm_level,
     selftest.check_build_mapm_volume,
+    selftest.check_mapm_attention,
     selftest.check_generate_attention_weights,
     selftest.check_attention_filter,
 ])

@@ -365,6 +365,23 @@ def test_bench_rejects_bad_k(capsys):
     assert cli.main(["bench", "--dmax", "32", "--k-sweep", "64"]) == 2
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--modes", "fast_acv,fast_acv", "duplicate mode fast_acv"),
+    ("--sizes", "64x64,128x64, 64x64", "duplicate size 64x64"),
+    ("--k-sweep", "4,2,04", "duplicate K 4"),
+])
+def test_bench_rejects_duplicate_tokens(capsys, flag, value, message):
+    args = {"--modes": "fast_acv", "--sizes": "64x64", "--k-sweep": "4"}
+    args[flag] = value
+    argv = ["bench", "--dmax", "16", "--runs", "1"]
+    for key, val in args.items():
+        argv += [key, val]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_bench_ignores_k_sweep_without_fast_acv(capsys):
     # acv reads no K, so the default sweep (up to 48) does not limit its dmax.
     code = cli.main(["bench", "--modes", "acv", "--sizes", "64x64", "--dmax", "32",

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from stereo_costvol import selftest
 from stereo_costvol.acv import CHANNELS_PER_GROUP, CONCAT_CHANNELS, GROUP_SPLIT, \
-    PatchWeights, build_mapm_volume, generate_attention_weights
+    PatchWeights, generate_attention_weights, mapm_attention
 from stereo_costvol.io_formats import StereogramSpec, generate_stereogram
 from stereo_costvol.metrics import epe, exclude_border
 from stereo_costvol.pipeline import (
@@ -84,10 +86,10 @@ def test_pyramid_channel_layout():
         cfg = PipelineConfig(mode, 32, k=8)
         pyr = build_feature_pyramid(img, cfg)
         if mode == "acv":
-            assert [lvl.channels for lvl in pyr.levels] == \
-                [s * CHANNELS_PER_GROUP for s in GROUP_SPLIT]
+            # untiled census levels; mapm_attention reads their distinct groups
+            assert [lvl.data.shape for lvl in pyr.levels] == [(24, 8, 16)] * 3
         else:
-            # fast_acv never reads the tiled patch-matching levels
+            # fast_acv never reads the patch-matching levels
             assert pyr.levels is None
         assert pyr.f_quarter.channels == CONCAT_CHANNELS
         assert pyr.f_corr.channels == 24
@@ -357,7 +359,7 @@ def test_swapped_pair_search_range_semantics():
         pyr_r = build_feature_pyramid(r_img.intensities, cfg)
         weights = [PatchWeights.uniform(i) for i in (1, 2, 3)]
         levels = [(pyr_l.levels[i], pyr_r.levels[i], weights[i]) for i in range(3)]
-        a = generate_attention_weights(build_mapm_volume(levels, cfg.d_max))
+        a = mapm_attention(levels, cfg.d_max)
         inner = a.data[0][:, 8:-8, 8:-8]
         return inner.max(axis=0).mean(), np.median(inner.argmax(axis=0))
 
@@ -439,6 +441,22 @@ def test_fast_peak_memory_below_acv_peak():
         run_pipeline(left, right, cfg, report)
         peaks[mode] = report.peak_volume_elements
     assert peaks["fast_acv"] < peaks["acv"]
+
+
+def test_acv_never_holds_its_forty_group_volume():
+    # The meter books the paper's 40-group correlation; the runner builds
+    # only its distinct groups, so its real peak stays below that volume's
+    # bytes alone.
+    left, right, _, _ = stereogram(disparity=16, seed=5, h=256, w=512)
+    cfg = PipelineConfig("acv", 128)
+    tracemalloc.start()
+    try:
+        run_acv_pipeline(left, right, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    forty_groups = sum(GROUP_SPLIT) * (128 // 4) * (256 // 4) * (512 // 4) * 4
+    assert peak < forty_groups
 
 
 def test_compact_volume_element_arithmetic():
