@@ -27,6 +27,7 @@ from .fast_acv import (
     cross_propagate,
     cross_propagate_volume,
     estimate_uncertainty,
+    f2i_select,
     f2i_topk,
     fast_attention_filter,
     matching_score,

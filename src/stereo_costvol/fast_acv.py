@@ -59,8 +59,9 @@ class HypothesisSet:
         if d_hyp.shape[0] > 1:
             if np.any(np.diff(a_f, axis=0) > 0):
                 raise ValueError("HypothesisSet: attention weights must be sorted descending")
-            # Sort each pixel's hypotheses as one contiguous row.
-            per_pixel = np.ascontiguousarray(np.moveaxis(d_hyp, 0, -1))
+            # Sort a copy of each pixel's hypotheses as one contiguous row;
+            # ascontiguousarray would return the caller's array at H * W = 1.
+            per_pixel = np.array(np.moveaxis(d_hyp, 0, -1), order="C")
             per_pixel.sort(axis=-1)
             if np.any(per_pixel[..., 1:] == per_pixel[..., :-1]):
                 raise ValueError("HypothesisSet: duplicate disparity hypothesis")
@@ -270,23 +271,59 @@ def cross_propagate_volume(v: CostVolume, radius: int, w: PropagationField) -> C
     return CostVolume(out)
 
 
+def f2i_select(p: ProbabilityVolume, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The K most probable disparity bins per pixel, in ascending bin order.
+
+    Returns (d_hyp, a_f), both (K, height, width): d_hyp holds each pixel's
+    bins ascending (int32) and a_f the probabilities at them.  The set is
+    f2i_topk's: ties at the K-th largest probability go to the smaller
+    bins.  No pixel's row is sorted: a partition finds the K-th largest
+    value, every bin above it is kept, and only pixels whose ties at that
+    value overflow K drop their larger tied bins.  The bins are distinct and
+    a_f is a subset of a probability distribution, so a HypothesisSet's
+    checks hold by construction.
+    """
+    n_d = p.disparities
+    if not 1 <= k <= n_d:
+        raise ValueError(f"f2i_select: k must be in [1, {n_d}]")
+    shape = p.data.shape[1:]
+    hw = p.data[0].size
+    bins = p.data.reshape(n_d, hw)
+    part = np.array(bins.T, order="C")  # a pixel-major copy partitions fast
+    part.partition(n_d - k, axis=1)
+    kth = part[:, n_d - k].copy()
+    del part
+    keep = bins > kth
+    tied = bins == kth
+    free = k - np.count_nonzero(keep, axis=0)  # >= 1: the K-th value itself
+    over = np.flatnonzero(np.count_nonzero(tied, axis=0) > free)
+    if over.size:
+        ties = tied[:, over]
+        ties &= np.cumsum(ties, axis=0) <= free[over]
+        tied[:, over] = ties
+    keep |= tied
+    # Pixel-major, the row-major order lists each pixel's K bins ascending.
+    idx = np.flatnonzero(keep.T.copy()).reshape(hw, k)
+    idx -= np.arange(0, hw * n_d, n_d)[:, None]
+    d_hyp = np.ascontiguousarray(idx.T, dtype=np.int32)
+    a_f = np.take(bins, d_hyp * np.intp(hw) + np.arange(hw))
+    return d_hyp.reshape((k,) + shape), a_f.reshape((k,) + shape)
+
+
 def f2i_topk(p: ProbabilityVolume, k: int) -> HypothesisSet:
     """Keep the K most probable disparities per pixel, descending.
 
     Ties between equal probabilities resolve toward the smaller disparity
-    index, so results are independent of any internal sort details.
+    index, so results are independent of any internal sort details.  This
+    is f2i_select's set put in order; the fast_acv runner needs only the
+    set and calls f2i_select.
     """
-    if not 1 <= k <= p.disparities:
-        raise ValueError(f"f2i_topk: k must be in [1, {p.disparities}]")
-    # A stable sort of each pixel's contiguous row gives the same order as
-    # one over axis 0, at a fraction of the strided cost.
-    neg = np.empty(p.data.shape[1:] + p.data.shape[:1])
-    np.negative(np.moveaxis(p.data, 0, -1), out=neg)
-    order = np.argsort(neg, axis=-1, kind="stable")[..., :k]
-    d_hyp = np.ascontiguousarray(np.moveaxis(order, -1, 0), dtype=np.int32)
-    hw = d_hyp[0].size
-    a_f = np.take(p.data.reshape(-1), d_hyp * np.intp(hw) + np.arange(hw).reshape(d_hyp.shape[1:]))
-    return HypothesisSet(d_hyp, a_f)
+    d_hyp, a_f = f2i_select(p, k)
+    # The bins are ascending, so a stable sort by descending probability
+    # puts equal probabilities in bin order.
+    order = np.argsort(-a_f, axis=0, kind="stable")
+    return HypothesisSet(np.take_along_axis(d_hyp, order, axis=0),
+                         np.take_along_axis(a_f, order, axis=0))
 
 
 def build_compact_concat(f_l: FeatureMap, f_r: FeatureMap, d_hyp: np.ndarray) -> CostVolume:
@@ -324,26 +361,36 @@ def fast_attention_filter(a_f: np.ndarray, c_compact: CostVolume) -> CostVolume:
     return CostVolume(a_f[None] * c_compact.data)
 
 
-def predict_from_hypotheses(v: CostVolume, d_hyp: np.ndarray) -> DisparityMap:
+def predict_from_hypotheses(v: CostVolume, d_hyp: np.ndarray,
+                            a_f: np.ndarray) -> DisparityMap:
     """Softmax-expected disparity over the two strongest aggregated hypotheses.
 
     Picks the two largest values per pixel from the single-channel
-    aggregated volume (ties toward the smaller hypothesis index; one value
-    when K = 1), softmaxes them, and returns the expectation of the matching
-    hypothesis disparities (at the volume's resolution scale; the caller
-    rescales to full resolution).
+    aggregated volume (one value when K = 1), softmaxes them, and returns
+    the expectation of the matching hypothesis disparities (at the volume's
+    resolution scale; the caller rescales to full resolution).  Equal
+    values go to the larger attention weight a_f, then to the smaller
+    hypothesis index, so the result does not depend on the order in which
+    the hypotheses are listed when no two share both value and weight.
     """
     if v.channels != 1:
         raise ValueError("predict_from_hypotheses: volume must have a single channel")
     d_hyp = np.asarray(d_hyp)
-    if d_hyp.shape != v.data.shape[1:]:
+    a_f = np.asarray(a_f)
+    if d_hyp.shape != v.data.shape[1:] or a_f.shape != d_hyp.shape:
         raise ValueError("predict_from_hypotheses: hypothesis/volume shape mismatch")
     vals = v.data[0].astype(np.float64)
     sel, picked = [], []
     for _ in range(min(2, v.disparities)):
         # argmax takes the first maximum; the finite volume never picks -inf.
         i = vals.argmax(axis=0)[None]
-        sel.append(np.take_along_axis(vals, i, axis=0))
+        top = np.take_along_axis(vals, i, axis=0)
+        tied = vals == top
+        many = np.flatnonzero(np.count_nonzero(tied, axis=0) > 1)
+        if many.size:  # the largest weight among the tied values, then the first
+            cols = (slice(None), *np.unravel_index(many, top.shape[1:]))
+            i[cols] = np.where(tied[cols], a_f[cols], -np.inf).argmax(axis=0)
+        sel.append(top)
         picked.append(np.take_along_axis(d_hyp, i, axis=0))
         np.put_along_axis(vals, i, -np.inf, axis=0)
     weights = _softmax0(np.concatenate(sel))

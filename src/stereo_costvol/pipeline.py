@@ -33,6 +33,7 @@ from .fast_acv import (
     cross_propagate,
     cross_propagate_volume,
     estimate_uncertainty,
+    f2i_select,
     f2i_topk,
     fast_attention_filter,
     matching_score,
@@ -57,16 +58,17 @@ from .volume_core import (
 )
 
 # build_concat_volume, build_compact_concat, compress_concat_volume (below),
-# matching_score, unfold_cross, cross_propagate and build_mapm_volume are
-# reference ops: group_correlation with one group equals the compressed
-# dense concatenation volume, read_disparity_planes on it equals
+# matching_score, unfold_cross, cross_propagate, build_mapm_volume and
+# f2i_topk are reference ops: group_correlation with one group equals the
+# compressed dense concatenation volume, read_disparity_planes on it equals
 # matching_score at VAP's candidates and the compressed compact volume at
 # the hypotheses, cross_propagate_volume streams the unfolded propagation,
-# and mapm_attention equals the group mean of the tiled 40-group MAPM
-# volume.  The runners no longer call them, but they stay attributes of
-# this module, next to attention_filter, so oracle tests and call-site
-# tracing still find them here.  matching_score is a plain single-threaded
-# gather: only tests and selftest call it.
+# mapm_attention equals the group mean of the tiled 40-group MAPM volume,
+# and f2i_select keeps f2i_topk's hypotheses unsorted.  The runners no
+# longer call them, but they stay attributes of this module, next to
+# attention_filter, so oracle tests and call-site tracing still find them
+# here.  matching_score is a plain single-threaded gather: only tests and
+# selftest call it.
 
 # Logical group count of fast_acv's low-resolution correlation; the meter
 # books it, while the runner computes the one group it equals.
@@ -495,9 +497,13 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
     read_disparity_planes from one dense one-group quarter-resolution
     correlation, the one acv builds: linearly between bins at VAP's
     fractional candidates, directly at the integer hypotheses.  That volume
-    lives from VAP to the compact cost.  The meter still books the logical
-    grouped "correlation", "unfolded" and "compact_concat" volumes, and not
-    this stand-in for their feature gathers.
+    lives from VAP to the compact cost.  The K hypotheses are selected with
+    f2i_select, as a set in ascending bin order, not sorted as f2i_topk
+    sorts them: every later step reads them per hypothesis, and the top-2
+    prediction breaks ties by the weight a_f as that order did.  The meter
+    still books the logical grouped "correlation", "unfolded" and
+    "compact_concat" volumes, and not this stand-in for their feature
+    gathers.
     """
     l_img, r_img = _check_pair(left, right)
     h, w = l_img.shape
@@ -543,12 +549,12 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
 
     p_prop = softmax_over_disparity(v_prop)
     del v_prop
-    hyp = f2i_topk(p_prop, cfg.k)
+    d_hyp, a_f = f2i_select(p_prop, cfg.k)
     meter.release("propagated")
     del p_prop
     # The compressed compact concatenation volume is the correlation at the
     # hypotheses; the meter still books the logical compact volume.
-    cost_k = CostVolume(read_disparity_planes(corr_q, hyp.d_hyp)[None])
+    cost_k = CostVolume(read_disparity_planes(corr_q, d_hyp)[None])
     del corr_q
     meter.alloc("compact_concat", 2 * pyr_l.f_quarter.channels * cost_k.elements)
     meter.alloc("compressed", cost_k.elements)
@@ -558,14 +564,14 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
     # Filtering happens after compression so the attention enters the
     # per-hypothesis costs linearly rather than squared.
     t0 = time.perf_counter()
-    cost = fast_attention_filter(hyp.a_f, cost_k)
+    cost = fast_attention_filter(a_f, cost_k)
     meter.alloc("filtered", cost.elements)
     meter.release("compressed")
     del cost_k
     stage_ms["aggregation"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
-    d_quarter = predict_from_hypotheses(_scaled(cost, TEMPERATURE), hyp.d_hyp)
+    d_quarter = predict_from_hypotheses(_scaled(cost, TEMPERATURE), d_hyp, a_f)
     full = _upsample_disparity_full(DisparityMap(d_quarter.data * 4.0), h, w)
     stage_ms["prediction"] = (time.perf_counter() - t0) * 1000.0
 

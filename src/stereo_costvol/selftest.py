@@ -482,6 +482,28 @@ def check_f2i_topk(rng, cases):
             assert np.all(np.abs(hyp.a_f.sum(axis=0) - 1.0) < 1e-5)
 
 
+def check_f2i_select(rng, cases):
+    for case in range(cases):
+        # 1x1 maps and K = D come up in turn; quantized logits duplicate
+        # probabilities exactly
+        d = int(rng.integers(1, 9))
+        h, w = (1, 1) if case % 3 == 0 else (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+        logits = rng.integers(0, 3, size=(1, d, h, w)).astype(np.float32)
+        p = volume_core.softmax_over_disparity(volume_core.CostVolume(logits))
+        k = d if case % 3 == 1 else int(rng.integers(1, d + 1))
+        before = p.data.copy()
+        d_hyp, a_f = fast_acv.f2i_select(p, k)
+        assert np.array_equal(p.data, before)
+        assert d_hyp.shape == a_f.shape == (k, h, w)
+        assert np.issubdtype(d_hyp.dtype, np.integer)
+        for y in range(h):
+            for x in range(w):
+                chosen = sorted(range(d), key=lambda i: (-p.data[i, y, x], i))[:k]
+                assert list(d_hyp[:, y, x]) == sorted(chosen)
+                for j, i in enumerate(d_hyp[:, y, x]):
+                    assert a_f[j, y, x] == p.data[i, y, x]
+
+
 def check_build_compact_concat(rng, cases):
     for _ in range(cases):
         c, h, w = int(rng.integers(1, 5)), int(rng.integers(2, 7)), int(rng.integers(3, 10))
@@ -528,13 +550,16 @@ def check_predict_from_hypotheses(rng, cases):
             raw = np.round(raw / 4)  # few distinct values: many ties
         v = volume_core.CostVolume(raw.astype(np.float32))
         d_hyp = rng.integers(0, 48, size=(k, h, w)).astype(np.int32)
-        disp = fast_acv.predict_from_hypotheses(v, d_hyp)
+        # few distinct weights: ties in value and weight both come up
+        a_f = rng.integers(0, 3, size=(k, h, w)) / 8.0
+        disp = fast_acv.predict_from_hypotheses(v, d_hyp, a_f)
         if k == 1:
             assert np.array_equal(disp.data, d_hyp[0].astype(np.float64))
         for y in range(h):
             for x in range(w):
-                # The top two by value; ties go to the smaller index.
-                order = sorted(range(k), key=lambda i: (-v.data[0, i, y, x], i))[:2]
+                # The top two by value, then by weight, then by index.
+                order = sorted(range(k), key=lambda i: (-v.data[0, i, y, x],
+                                                        -a_f[i, y, x], i))[:2]
                 vals = [float(v.data[0, i, y, x]) for i in order]
                 m = max(vals)
                 e = [math.exp(val - m) for val in vals]
@@ -542,6 +567,11 @@ def check_predict_from_hypotheses(rng, cases):
                 expect = sum(e[j] / s * float(d_hyp[order[j], y, x])
                              for j in range(len(order)))
                 assert abs(disp.data[y, x] - expect) < 1e-9
+    # Equal values go to the larger weight, whatever its position.
+    v = volume_core.CostVolume(np.array([1.0, 1.0, 1.0], np.float32).reshape(1, 3, 1, 1))
+    d_hyp = np.array([10, 20, 30], np.int32).reshape(3, 1, 1)
+    a_f = np.array([0.1, 0.3, 0.2]).reshape(3, 1, 1)
+    assert fast_acv.predict_from_hypotheses(v, d_hyp, a_f).data[0, 0] == 25.0
 
 
 # ---------------------------------------------------------------------------
@@ -871,6 +901,7 @@ CHECKS = [
     ("cross_propagate", check_cross_propagate),
     ("cross_propagate_volume", check_cross_propagate_volume),
     ("f2i_topk", check_f2i_topk),
+    ("f2i_select", check_f2i_select),
     ("build_compact_concat", check_build_compact_concat),
     ("fast_attention_filter", check_fast_attention_filter),
     ("predict_from_hypotheses", check_predict_from_hypotheses),

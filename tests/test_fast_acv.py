@@ -12,6 +12,7 @@ from stereo_costvol.fast_acv import (
     cross_propagate,
     cross_propagate_volume,
     estimate_uncertainty,
+    f2i_select,
     f2i_topk,
     fast_attention_filter,
     matching_score,
@@ -347,6 +348,19 @@ def test_f2i_topk_full_k_is_descending_sort():
     assert np.allclose(hyp.a_f.sum(axis=0), 1.0, atol=1e-5)
 
 
+def test_f2i_topk_on_one_pixel_keeps_each_bin_with_its_weight():
+    p = np.array([0.1, 0.3, 0.4, 0.2]).reshape(4, 1, 1)
+    hyp = f2i_topk(ProbabilityVolume(p), 2)
+    assert list(hyp.d_hyp[:, 0, 0]) == [2, 1]
+    assert list(hyp.a_f[:, 0, 0]) == [0.4, 0.3]
+
+
+def test_hypothesis_set_leaves_the_callers_array_unchanged():
+    d_hyp = np.array([2, 1], dtype=np.int32).reshape(2, 1, 1)
+    HypothesisSet(d_hyp, np.array([0.4, 0.3]).reshape(2, 1, 1))
+    assert list(d_hyp[:, 0, 0]) == [2, 1]
+
+
 def test_f2i_topk_tie_breaks_toward_smaller_index():
     p = np.array([0.25, 0.25, 0.25, 0.25]).reshape(4, 1, 1)
     hyp = f2i_topk(ProbabilityVolume(p), 2)
@@ -375,6 +389,23 @@ def test_f2i_topk_remainder_bounded_by_selected_minimum():
         dropped = np.copy(p.data)
         np.put_along_axis(dropped, hyp.d_hyp.astype(np.intp), -1.0, axis=0)
         assert np.all(dropped.max(axis=0) <= hyp.a_f.min(axis=0))
+
+
+def test_f2i_select_keeps_the_smaller_tied_bins():
+    p = np.array([0.1, 0.3, 0.2, 0.2, 0.2]).reshape(5, 1, 1)
+    d_hyp, _ = f2i_select(ProbabilityVolume(p), 3)
+    assert list(d_hyp[:, 0, 0]) == [1, 2, 3]
+
+
+def test_f2i_select_k_out_of_range():
+    p = ProbabilityVolume(np.full((4, 2, 2), 0.25))
+    for k in (0, 5):
+        with pytest.raises(ValueError):
+            f2i_select(p, k)
+
+
+def test_f2i_select_matches_sort_oracle():
+    selftest.check_f2i_select(np.random.default_rng(19), 30)
 
 
 def test_hypothesis_set_invariants():
@@ -434,7 +465,8 @@ def test_fast_attention_filter_identity_zero_homogeneous():
 def test_predict_two_term_softmax():
     v = np.array([5.0, 1.0], dtype=np.float32).reshape(1, 2, 1, 1)
     d_hyp = np.array([10, 20], dtype=np.int32).reshape(2, 1, 1)
-    disp = predict_from_hypotheses(CostVolume(v), d_hyp)
+    a_f = np.array([0.3, 0.6]).reshape(2, 1, 1)
+    disp = predict_from_hypotheses(CostVolume(v), d_hyp, a_f)
     sigma = math.exp(5.0) / (math.exp(5.0) + math.exp(1.0))
     assert abs(disp.data[0, 0] - (10 * sigma + 20 * (1 - sigma))) < 1e-9
 
@@ -442,8 +474,15 @@ def test_predict_two_term_softmax():
 def test_predict_saturated_value_wins():
     v = np.array([42.0, 2.0, 1.0], dtype=np.float32).reshape(1, 3, 1, 1)
     d_hyp = np.array([7, 3, 1], dtype=np.int32).reshape(3, 1, 1)
-    disp = predict_from_hypotheses(CostVolume(v), d_hyp)
+    a_f = np.array([0.1, 0.5, 0.2]).reshape(3, 1, 1)
+    disp = predict_from_hypotheses(CostVolume(v), d_hyp, a_f)
     assert abs(disp.data[0, 0] - 7.0) < 1e-6
+
+
+def test_predict_requires_weights_shaped_like_hypotheses():
+    v = CostVolume(np.zeros((1, 2, 1, 1), dtype=np.float32))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        predict_from_hypotheses(v, np.zeros((2, 1, 1), np.int32), np.zeros((1, 1, 1)))
 
 
 def test_predict_top_equals_k_oracle():

@@ -26,6 +26,7 @@ from stereo_costvol.pipeline import (
 from stereo_costvol.fast_acv import build_compact_concat, matching_score
 from stereo_costvol.volume_core import (
     CostVolume,
+    DisparityMap,
     FeatureMap,
     build_concat_volume,
     group_correlation,
@@ -264,7 +265,7 @@ def test_fast_runner_reads_compact_cost_from_one_group_correlation(monkeypatch):
 
     monkeypatch.setattr(pipeline_mod, "build_feature_pyramid",
                         record("pyramids", build_feature_pyramid))
-    monkeypatch.setattr(pipeline_mod, "f2i_topk", record("hyp", pipeline_mod.f2i_topk))
+    monkeypatch.setattr(pipeline_mod, "f2i_select", record("hyp", pipeline_mod.f2i_select))
     monkeypatch.setattr(pipeline_mod, "fast_attention_filter",
                         record("cost", pipeline_mod.fast_attention_filter))
     monkeypatch.setattr(pipeline_mod, "matching_score", no_gather)
@@ -272,14 +273,47 @@ def test_fast_runner_reads_compact_cost_from_one_group_correlation(monkeypatch):
     run_fast_acv_pipeline(left, right, PipelineConfig("fast_acv", 32, k=8))
 
     (_, pyr_l), (_, pyr_r) = seen["pyramids"]
-    [(_, hyp)] = seen["hyp"]
+    [(_, (d_hyp, _))] = seen["hyp"]
     [((_, cost_k), _)] = seen["cost"]  # the compact cost is filter's second argument
-    ref = matching_score(pyr_l.f_quarter, pyr_r.f_quarter, hyp.d_hyp)
-    assert np.any(hyp.d_hyp > np.arange(128 // 4))  # out-of-frame hypotheses too
+    ref = matching_score(pyr_l.f_quarter, pyr_r.f_quarter, d_hyp)
+    assert np.any(d_hyp > np.arange(128 // 4))  # out-of-frame hypotheses too
     got = cost_k.data[0]
     assert got.shape == ref.shape
     zero = np.float32(0.0)
     assert np.array_equal((got + zero).view(np.uint32), (ref + zero).view(np.uint32))
+
+
+def test_fast_runner_equals_the_sorted_top_k_reference_chain(monkeypatch):
+    # The runner keeps its hypotheses unsorted; the reference chain
+    # f2i_topk -> read_disparity_planes -> fast_attention_filter -> predict
+    # on the same probabilities and correlation gives the same map bit for bit.
+    import stereo_costvol.pipeline as pipeline_mod
+
+    seen = {"p": [], "corr_q": []}
+
+    def record(fn, name):
+        def wrapped(*args):
+            seen[name].append(args[0])
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(pipeline_mod, "f2i_select", record(pipeline_mod.f2i_select, "p"))
+    monkeypatch.setattr(pipeline_mod, "read_disparity_planes",
+                        record(pipeline_mod.read_disparity_planes, "corr_q"))
+    left, right, _, _ = stereogram(seed=5, h=64, w=128)
+    cfg = PipelineConfig("fast_acv", 32, k=6)
+    got = run_fast_acv_pipeline(left, right, cfg).data
+    monkeypatch.undo()
+
+    [p_prop] = seen["p"]
+    corr_q = seen["corr_q"][-1]
+    hyp = pipeline_mod.f2i_topk(p_prop, cfg.k)
+    cost_k = CostVolume(pipeline_mod.read_disparity_planes(corr_q, hyp.d_hyp)[None])
+    cost = pipeline_mod.fast_attention_filter(hyp.a_f, cost_k)
+    d_quarter = pipeline_mod.predict_from_hypotheses(
+        pipeline_mod._scaled(cost, pipeline_mod.TEMPERATURE), hyp.d_hyp, hyp.a_f)
+    ref = pipeline_mod._upsample_disparity_full(DisparityMap(d_quarter.data * 4.0), 64, 128)
+    assert np.array_equal(got.view(np.uint64), ref.data.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
