@@ -73,24 +73,8 @@ def _shift_slices(h, w, dy, dx):
     return ys_dst, xs_dst, ys_src, xs_src
 
 
-def mapm_level(f_l: FeatureMap, f_r: FeatureMap, level: int, w: PatchWeights,
-               d_max: int, n_groups: int, threads: int = 1,
-               out: np.ndarray | None = None) -> CostVolume:
-    """Multi-level adaptive patch matching correlation for one pyramid level.
-
-    For every group g, disparity d and pixel (x, y):
-
-        out = (n_groups / channels) * sum_{(i,j)} w_ij *
-              <f_l^g(x - i, y - j), f_r^g(x - i - d, y - j)>
-
-    with tap offsets i, j in level * {-1, 0, +1}.  Taps whose left or right
-    sample falls outside the frame contribute zero.  `out`, when given, is
-    a preallocated float32 (n_groups, d_max, height, width) target.
-    """
-    if level not in _PATCH_LEVELS:
-        raise ValueError(f"patch level must be one of {_PATCH_LEVELS}")
-    if w.level != level:
-        raise ValueError("patch weights were built for a different level")
+def _mapm_slicer(f_l: FeatureMap, f_r: FeatureMap, w: PatchWeights, n_groups: int):
+    """Check one level's inputs; return slice_at(d), its (n_groups, H, W) slice at d."""
     if f_l.data.shape != f_r.data.shape:
         raise ValueError("mapm_level: feature map shapes differ")
     c, h, width = f_l.data.shape
@@ -98,7 +82,7 @@ def mapm_level(f_l: FeatureMap, f_r: FeatureMap, level: int, w: PatchWeights,
         raise ValueError(f"mapm_level: {c} channels not divisible into {n_groups} groups")
     cpg = c // n_groups
     scale = np.float32(n_groups / c)
-    offsets = (-level, 0, level)
+    offsets = (-w.level, 0, w.level)
     # Weight and normalization fold into one factor per tap; a weight of
     # exactly 1.0 therefore reproduces group_correlation bit for bit.
     taps = [(np.float32(w.weights[jj, ii] * scale), offsets[jj], offsets[ii])
@@ -106,18 +90,35 @@ def mapm_level(f_l: FeatureMap, f_r: FeatureMap, level: int, w: PatchWeights,
             if w.weights[jj, ii] != 0.0]
     fl_g = f_l.data.reshape(n_groups, cpg, h, width)
     fr_g = f_r.data.reshape(n_groups, cpg, h, width)
-    if out is None:
-        out = np.zeros((n_groups, d_max, h, width), dtype=np.float32)
-    elif out.shape != (n_groups, d_max, h, width) or out.dtype != np.float32:
-        raise ValueError("mapm_level: bad preallocated output")
 
-    def run(d):
+    def slice_at(d):
         base = _group_inner(fl_g, fr_g, d)
         acc = np.zeros_like(base)
         for factor, dy, dx in taps:
             ys_dst, xs_dst, ys_src, xs_src = _shift_slices(h, width, dy, dx)
             acc[:, ys_dst, xs_dst] += factor * base[:, ys_src, xs_src]
-        out[:, d] = acc
+        return acc
+
+    return slice_at
+
+
+def mapm_level(f_l: FeatureMap, f_r: FeatureMap, w: PatchWeights,
+               d_max: int, n_groups: int, threads: int = 1) -> CostVolume:
+    """Multi-level adaptive patch matching correlation for one pyramid level.
+
+    For every group g, disparity d and pixel (x, y):
+
+        out = (n_groups / channels) * sum_{(i,j)} w_ij *
+              <f_l^g(x - i, y - j), f_r^g(x - i - d, y - j)>
+
+    with tap offsets i, j in w.level * {-1, 0, +1}, the weights' own level.
+    Taps whose left or right sample falls outside the frame contribute zero.
+    """
+    slice_at = _mapm_slicer(f_l, f_r, w, n_groups)
+    out = np.zeros((n_groups, d_max) + f_l.data.shape[1:], dtype=np.float32)
+
+    def run(d):
+        out[:, d] = slice_at(d)
 
     _run_over_disparities(d_max, run, threads)
     return CostVolume(out)
@@ -149,17 +150,12 @@ def build_mapm_volume(levels: Sequence[Tuple[FeatureMap, FeatureMap, PatchWeight
     triple per pyramid level.  Level k contributes its channels /
     CHANNELS_PER_GROUP correlation groups; the groups are stacked in level
     order over d_max // 4 disparity bins.  run_acv_pipeline calls
-    mapm_attention instead; this stays as its oracle.
+    mapm_attention instead, which holds no level volume; this is its oracle.
     """
     splits = _check_levels(levels, d_max, "build_mapm_volume")
-    shape_hw = levels[0][0].data.shape[1:]
-    d_bins = d_max // 4
-    volume = np.zeros((sum(splits), d_bins) + shape_hw, dtype=np.float32)
-    g0 = 0
-    for (f_l, f_r, w), split in zip(levels, splits):
-        mapm_level(f_l, f_r, w.level, w, d_bins, split, threads, out=volume[g0:g0 + split])
-        g0 += split
-    return CostVolume(volume)
+    return CostVolume(np.concatenate(
+        [mapm_level(f_l, f_r, w, d_max // 4, n, threads).data
+         for (f_l, f_r, w), n in zip(levels, splits)]))
 
 
 def _group_mean(groups, out):
@@ -183,18 +179,19 @@ def mapm_attention(levels: Sequence[Tuple[FeatureMap, FeatureMap, PatchWeights]]
     Equals generate_attention_weights(build_mapm_volume(tiled)) bit for bit,
     where tiled repeats each level's channels out to GROUP_SPLIT[k] groups:
     tiled group g of level k is then level k's group g % n, n its own group
-    count, and the scale n / channels is the same.  So only the n distinct
-    groups per level are built, and the mean folds the GROUP_SPLIT groups
-    in the tiled volume's order.
+    count, and the scale n / channels is the same.  So one pass over the
+    disparities computes each level's n distinct groups at d and folds the
+    GROUP_SPLIT groups in the tiled volume's order; no level volume is held,
+    only one disparity's slices per task.
     """
     splits = _check_levels(levels, d_max, "mapm_attention")
     d_bins = d_max // 4
-    vols = [mapm_level(f_l, f_r, w.level, w, d_bins, n, threads).data
-            for (f_l, f_r, w), n in zip(levels, splits)]
-    out = np.empty((1, d_bins) + vols[0].shape[2:], dtype=np.float32)
+    slicers = [_mapm_slicer(f_l, f_r, w, n) for (f_l, f_r, w), n in zip(levels, splits)]
+    out = np.empty((1, d_bins) + levels[0][0].data.shape[1:], dtype=np.float32)
 
     def run(d):
-        _group_mean([v[g % n, d] for v, n, tiled in zip(vols, splits, GROUP_SPLIT)
+        slices = [slice_at(d) for slice_at in slicers]
+        _group_mean([v[g % n] for v, n, tiled in zip(slices, splits, GROUP_SPLIT)
                      for g in range(tiled)], out[0, d])
 
     _run_over_disparities(d_bins, run, threads)

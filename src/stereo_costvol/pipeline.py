@@ -143,7 +143,8 @@ class AllocationMeter:
 
     Counts are logical volume elements of the paper's architecture, not
     bytes held.  acv's 40-group "correlation" is booked in full although
-    only its distinct groups are built (see mapm_attention).  The
+    neither it nor any level's volume is built: mapm_attention folds the
+    distinct groups into the attention one disparity slice at a time.  The
     concatenation volumes are never built: acv reads its
     "concat" cost as a one-group quarter-resolution correlation, and
     fast_acv reads its "compact_concat" cost from the same correlation at
@@ -422,8 +423,9 @@ def run_acv_pipeline(left, right, cfg: PipelineConfig,
 
     The attention is the group mean of the paper's 40-group patch-matching
     volume.  Its groups tile the 24 census channels, so mapm_attention
-    builds the 3 distinct groups per level and folds the 40 in their tiled
-    order, bit for bit the mean of the full volume it never holds.
+    computes the 3 distinct groups per level one disparity at a time and
+    folds the 40 in their tiled order, bit for bit the mean of the full
+    volume; it holds no level volume, only each task's disparity slices.
 
     The compressed concatenation volume is its fixed channel-pair readout,
     i.e. a one-group correlation, so it is computed as one.  Filtering after

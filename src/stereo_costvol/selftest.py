@@ -152,11 +152,11 @@ def _check_mapm_case(rng, level, h, w):
     f_l = _rand_feature(rng, g * cpg, h, w)
     f_r = _rand_feature(rng, g * cpg, h, w)
     weights = acv.PatchWeights(level, rng.random((3, 3)).astype(np.float32))
-    vol = acv.mapm_level(f_l, f_r, level, weights, d_max, g)
+    vol = acv.mapm_level(f_l, f_r, weights, d_max, g)
     expect = _mapm_oracle(f_l, f_r, level, weights.weights, d_max, g)
     assert np.max(np.abs(vol.data - expect)) < 1e-6
     center = acv.PatchWeights.center_only(level)
-    direct = acv.mapm_level(f_l, f_r, level, center, d_max, g)
+    direct = acv.mapm_level(f_l, f_r, center, d_max, g)
     plain = volume_core.group_correlation(f_l, f_r, d_max, g)
     assert np.array_equal(direct.data, plain.data)
 
@@ -185,7 +185,7 @@ def check_build_mapm_volume(rng, cases):
         assert vol.disparities == 2
         g0 = 0
         for (f_l, f_r, w_), s in zip(levels, split):
-            part = acv.mapm_level(f_l, f_r, w_.level, w_, 2, s)
+            part = acv.mapm_level(f_l, f_r, w_, 2, s)
             assert np.array_equal(vol.data[g0:g0 + s], part.data)
             g0 += s
 

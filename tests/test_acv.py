@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -54,7 +56,7 @@ def test_mapm_center_one_hot_equals_group_correlation():
     f_l = rand_feature(rng, 12, 8, 10)
     f_r = rand_feature(rng, 12, 8, 10)
     for level in (1, 2, 3):
-        patch = mapm_level(f_l, f_r, level, PatchWeights.center_only(level), 4, 3)
+        patch = mapm_level(f_l, f_r, PatchWeights.center_only(level), 4, 3)
         plain = group_correlation(f_l, f_r, 4, 3)
         assert np.array_equal(patch.data, plain.data)
 
@@ -65,8 +67,8 @@ def test_mapm_uniform_on_constant_features_equals_center():
                              (1, 12, 14)))
     f_r = FeatureMap(np.full((6, 12, 14), 0.75, dtype=np.float32))
     level, d_max = 2, 3
-    uniform = mapm_level(f_l, f_r, level, PatchWeights.uniform(level), d_max, 2)
-    center = mapm_level(f_l, f_r, level, PatchWeights.center_only(level), d_max, 2)
+    uniform = mapm_level(f_l, f_r, PatchWeights.uniform(level), d_max, 2)
+    center = mapm_level(f_l, f_r, PatchWeights.center_only(level), d_max, 2)
     for d in range(d_max):
         inner = (slice(level, -level), slice(level + d, 14 - level))
         assert np.allclose(uniform.data[:, d][(slice(None),) + inner],
@@ -78,16 +80,9 @@ def test_mapm_matches_nine_tap_oracle():
     f_l = rand_feature(rng, 4, 10, 8)
     f_r = rand_feature(rng, 4, 10, 8)
     w = PatchWeights(2, rng.random((3, 3)).astype(np.float32))
-    vol = mapm_level(f_l, f_r, 2, w, 4, 2)
+    vol = mapm_level(f_l, f_r, w, 4, 2)
     expect = selftest._mapm_oracle(f_l, f_r, 2, w.weights, 4, 2)
     assert np.max(np.abs(vol.data - expect)) < 1e-6
-
-
-def test_mapm_rejects_bad_level():
-    rng = np.random.default_rng(2)
-    f = rand_feature(rng, 4, 5, 5)
-    with pytest.raises(ValueError):
-        mapm_level(f, f, 4, PatchWeights.uniform(1), 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +113,7 @@ def test_mapm_volume_group_slices_match_levels():
     assert vol.channels == 8
     g0 = 0
     for (f_l, f_r, w), split in zip(levels, (2, 3, 3)):
-        part = mapm_level(f_l, f_r, w.level, w, 4, split)
+        part = mapm_level(f_l, f_r, w, 4, split)
         assert np.array_equal(vol.data[g0:g0 + split], part.data)
         g0 += split
 
@@ -187,6 +182,26 @@ def test_mapm_attention_rejects_what_build_mapm_volume_rejects():
         mapm_attention(levels, 3)
     with pytest.raises(ValueError, match="expected 3 levels"):
         mapm_attention(levels[:2], 16)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_mapm_attention_holds_no_level_volume(threads):
+    # 24 sign-valued channels per level are 3 groups, as in the runner.  A
+    # level's 3-group volume alone is 3x the attention's bytes; the fold
+    # holds only one disparity's slices per task beside its output.
+    rng = np.random.default_rng(13)
+
+    def signs():
+        return FeatureMap(rng.integers(-1, 2, size=(24, 32, 64)).astype(np.float32))
+
+    levels = [(signs(), signs(), PatchWeights.uniform(k)) for k in (1, 2, 3)]
+    tracemalloc.start()
+    try:
+        a = mapm_attention(levels, 256, threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * a.data.nbytes
 
 
 def _tiled_attention(levels, d_max, threads=1):
