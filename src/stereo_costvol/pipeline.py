@@ -75,6 +75,9 @@ from .volume_core import (
 FAST_CORR_GROUPS = 12
 # Fast-path low-resolution correlation runs at 1 / (4 * this) scale.
 FAST_UPSAMPLE_FACTOR = 2
+# Elements of one band's (D/4, rows, W/4) volume in the fast_acv runner:
+# 2 MiB as float64, about one core's L2.  960x512 at D=192 runs in 6 bands.
+_BAND_ELEMENTS = 1 << 18
 # VAP's cross-sampling radius and the confidence map C = alpha + beta * U.
 # A trained network learns alpha and beta; here confidence falls linearly
 # with the distribution variance.
@@ -152,8 +155,10 @@ class AllocationMeter:
     where it stands in for the compact volume's feature gathers.  Nor is
     fast_acv's five-plane "unfolded" volume built; the propagation reads it
     straight from v_init.  fast_acv's "correlation" is booked with
-    FAST_CORR_GROUPS groups although one is computed.  All are booked at
-    full size in the order the architecture allocates and frees them.
+    FAST_CORR_GROUPS groups although one is computed.  Nor does fast_acv
+    hold any whole quarter-resolution volume: it runs from v_init to the
+    prediction over bands of rows.  All are booked at full size in the
+    order the architecture allocates and frees them.
     """
 
     def __init__(self):
@@ -388,19 +393,34 @@ def _check_pair(left, right):
     return l, r
 
 
+def _upsample_fast_rows(a_disp: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """Rows [r0, r1) of the fast path's quarter-resolution upsampled volume.
+
+    a_disp is the low-resolution (1, D, h, w) volume already resized along
+    disparity (see _upsample_fast_volume); its rows and columns interpolate
+    corner-aligned by FAST_UPSAMPLE_FACTOR.  Each output row reads only its
+    own two input rows, so the rows equal that slice of the whole volume bit
+    for bit.
+    """
+    factor = FAST_UPSAMPLE_FACTOR
+    _, _, h, w = a_disp.shape
+    out = _resize_linear(a_disp, 2, h * factor, align_corners=True, start=r0, stop=r1)
+    return _resize_linear(out, 3, w * factor, align_corners=True)
+
+
 def _upsample_fast_volume(v: CostVolume) -> CostVolume:
     """Fast-path volume upsampling by FAST_UPSAMPLE_FACTOR to quarter resolution.
 
     Spatial axes interpolate corner-aligned; the disparity axis keeps its
     index scale (output bin j reads input coordinate j / factor, clamped at
     the top) so that bin indices remain integer pixel disparities for
-    hypothesis selection and compact gathers.
+    hypothesis selection and compact gathers.  This is the all-rows call of
+    _upsample_fast_rows; the runner resizes along disparity once and asks
+    for one band of rows at a time, so it never holds this whole volume.
     """
     factor = FAST_UPSAMPLE_FACTOR
-    out = _resize_linear(v.data, 1, v.disparities * factor, align_corners=False)
-    out = _resize_linear(out, 2, v.height * factor, align_corners=True)
-    out = _resize_linear(out, 3, v.width * factor, align_corners=True)
-    return CostVolume(np.ascontiguousarray(out, dtype=np.float32))
+    a_disp = _resize_linear(v.data, 1, v.disparities * factor, align_corners=False)
+    return CostVolume(_upsample_fast_rows(a_disp, 0, v.height * factor))
 
 
 def _upsample_disparity_full(d: DisparityMap, height: int, width: int) -> DisparityMap:
@@ -456,18 +476,22 @@ def run_acv_pipeline(left, right, cfg: PipelineConfig,
     meter.alloc("concat", 2 * pyr_l.f_quarter.channels * compressed.elements)
     meter.alloc("compressed", compressed.elements)
     meter.release("concat")
+    del pyr_l, pyr_r, levels
     stage_ms["volume_construction"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
     cost = attention_filter(a, compressed)
     meter.alloc("filtered", cost.elements)
     meter.release("compressed")
-    del compressed
+    del a, compressed
     stage_ms["aggregation"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
-    p = softmax_over_disparity(_scaled(cost, TEMPERATURE))
+    cost.data *= np.float32(TEMPERATURE)
+    p = softmax_over_disparity(cost)
+    del cost
     d_quarter = soft_argmin(p)
+    del p
     full = _upsample_disparity_full(DisparityMap(d_quarter.data * 4.0), h, w)
     stage_ms["prediction"] = (time.perf_counter() - t0) * 1000.0
 
@@ -478,6 +502,59 @@ def run_acv_pipeline(left, right, cfg: PipelineConfig,
         report.peak_volume_elements = meter.peak
         report.config = cfg.as_dict()
     return full
+
+
+def _fast_acv_rows(pyr_l: FeaturePyramid, pyr_r: FeaturePyramid, a_disp: np.ndarray,
+                   y0: int, y1: int, cfg: PipelineConfig,
+                   stage_ms: Dict[str, float]) -> np.ndarray:
+    """Quarter-resolution disparity rows [y0, y1) of the fast_acv matcher.
+
+    VAP's cross reaches VAP_RADIUS rows up and down and clamps at the
+    frame, so everything up to the propagation runs on the rows widened by
+    that halo (clipped at the frame); from the softmax on, every op works
+    per pixel on the band's own rows.  Stage times add to stage_ms.
+    """
+    t0 = time.perf_counter()
+    r0, r1 = max(y0 - VAP_RADIUS, 0), min(y1 + VAP_RADIUS, pyr_l.f_quarter.height)
+    own = slice(y0 - r0, y1 - r0)
+    v_init = CostVolume(_upsample_fast_rows(a_disp, r0, r1))
+    v_init.data *= np.float32(TEMPERATURE)
+    p_init, d_init = regress_initial_disparity(v_init)
+    u = estimate_uncertainty(p_init, d_init)
+    del p_init
+    # VAP's scores and the compact cost are both read from this one volume.
+    corr_q = group_correlation(FeatureMap(pyr_l.f_quarter.data[:, r0:r1]),
+                               FeatureMap(pyr_r.f_quarter.data[:, r0:r1]),
+                               cfg.d_max // 4, 1, cfg.threads)
+    planes = sample_cross_disparities(d_init, VAP_RADIUS)
+    # The soft-argmin can pass the top bin by a rounding error.
+    np.minimum(planes, corr_q.disparities - 1, out=planes)
+    scores = read_disparity_planes(corr_q, planes)
+    conf = _cross_sample_2d(confidence(u, VAP_ALPHA, VAP_BETA), VAP_RADIUS)
+    pw = propagation_weights(scores, conf)
+    v_prop = cross_propagate_volume(v_init, VAP_RADIUS, pw)
+    del v_init
+    p_prop = softmax_over_disparity(CostVolume(v_prop.data[:, :, own]))
+    del v_prop
+    d_hyp, a_f = f2i_select(p_prop, cfg.k)
+    del p_prop
+    # The compressed compact concatenation volume is the correlation at the
+    # hypotheses.
+    cost_k = CostVolume(read_disparity_planes(CostVolume(corr_q.data[:, :, own]), d_hyp)[None])
+    del corr_q
+    stage_ms["volume_construction"] += (time.perf_counter() - t0) * 1000.0
+
+    # Filtering happens after compression so the attention enters the
+    # per-hypothesis costs linearly rather than squared.
+    t0 = time.perf_counter()
+    cost = fast_attention_filter(a_f, cost_k)
+    del cost_k
+    stage_ms["aggregation"] += (time.perf_counter() - t0) * 1000.0
+
+    t0 = time.perf_counter()
+    d_rows = predict_from_hypotheses(_scaled(cost, TEMPERATURE), d_hyp, a_f)
+    stage_ms["prediction"] += (time.perf_counter() - t0) * 1000.0
+    return d_rows.data
 
 
 def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
@@ -498,19 +575,27 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
     readout (1 / C)<F_l(x), F_r(x - d)>, so both are read with
     read_disparity_planes from one dense one-group quarter-resolution
     correlation, the one acv builds: linearly between bins at VAP's
-    fractional candidates, directly at the integer hypotheses.  That volume
-    lives from VAP to the compact cost.  The K hypotheses are selected with
-    f2i_select, as a set in ascending bin order, not sorted as f2i_topk
-    sorts them: every later step reads them per hypothesis, and the top-2
-    prediction breaks ties by the weight a_f as that order did.  The meter
-    still books the logical grouped "correlation", "unfolded" and
-    "compact_concat" volumes, and not this stand-in for their feature
-    gathers.
+    fractional candidates, directly at the integer hypotheses.  The K
+    hypotheses are selected with f2i_select, as a set in ascending bin
+    order, not sorted as f2i_topk sorts them: every later step reads them
+    per hypothesis, and the top-2 prediction breaks ties by the weight a_f
+    as that order did.
+
+    Everything from the upsampling to the top-2 prediction runs over bands
+    of quarter-resolution rows (_fast_acv_rows), each sized so that its
+    (D/4, rows, W/4) volume has at most _BAND_ELEMENTS elements; the
+    low-resolution attention is resized along disparity once per pair.  No
+    whole quarter-resolution volume is held, and the map is bit for bit the
+    whole-volume chain's.  The meter still books the paper's whole logical
+    "v_init", "unfolded", "propagated" and "compact_concat" volumes and
+    the grouped "correlation", in the order the architecture allocates and
+    frees them, and not the dense correlation that stands in for the
+    compact volume's feature gathers.
     """
     l_img, r_img = _check_pair(left, right)
     h, w = l_img.shape
     meter = AllocationMeter()
-    stage_ms = {}
+    stage_ms = dict.fromkeys(STAGES, 0.0)
 
     t0 = time.perf_counter()
     pyr_l = build_feature_pyramid(l_img, cfg)
@@ -525,57 +610,38 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
     meter.alloc("low_res_attention", a_low.elements)
     meter.release("correlation")
     del corr
-    v_init = _scaled(_upsample_fast_volume(a_low), TEMPERATURE)
-    meter.alloc("v_init", v_init.elements)
-    meter.release("low_res_attention")
+    a_disp = _resize_linear(a_low.data, 1, d_low * FAST_UPSAMPLE_FACTOR, align_corners=False)
     del a_low
-
-    p_init, d_init = regress_initial_disparity(v_init)
-    u = estimate_uncertainty(p_init, d_init)
-    del p_init
-    # VAP's scores and the compact cost are both read from this one volume.
-    corr_q = group_correlation(pyr_l.f_quarter, pyr_r.f_quarter, cfg.d_max // 4, 1,
-                               cfg.threads)
-    planes = sample_cross_disparities(d_init, VAP_RADIUS)
-    # The soft-argmin can pass the top bin by a rounding error.
-    np.minimum(planes, corr_q.disparities - 1, out=planes)
-    scores = read_disparity_planes(corr_q, planes)
-    conf = _cross_sample_2d(confidence(u, VAP_ALPHA, VAP_BETA), VAP_RADIUS)
-    pw = propagation_weights(scores, conf)
-    v_prop = cross_propagate_volume(v_init, VAP_RADIUS, pw)
-    meter.alloc("unfolded", N_CROSS * v_init.elements)
-    meter.alloc("propagated", v_prop.elements)
-    meter.release("unfolded")
-    meter.release("v_init")
-    del v_init
-
-    p_prop = softmax_over_disparity(v_prop)
-    del v_prop
-    d_hyp, a_f = f2i_select(p_prop, cfg.k)
-    meter.release("propagated")
-    del p_prop
-    # The compressed compact concatenation volume is the correlation at the
-    # hypotheses; the meter still books the logical compact volume.
-    cost_k = CostVolume(read_disparity_planes(corr_q, d_hyp)[None])
-    del corr_q
-    meter.alloc("compact_concat", 2 * pyr_l.f_quarter.channels * cost_k.elements)
-    meter.alloc("compressed", cost_k.elements)
-    meter.release("compact_concat")
     stage_ms["volume_construction"] = (time.perf_counter() - t0) * 1000.0
 
-    # Filtering happens after compression so the attention enters the
-    # per-hypothesis costs linearly rather than squared.
-    t0 = time.perf_counter()
-    cost = fast_attention_filter(a_f, cost_k)
-    meter.alloc("filtered", cost.elements)
+    # The meter books the whole logical volumes; each band holds a slice.
+    d4, h4, w4 = cfg.d_max // 4, h // 4, w // 4
+    quarter, compact = d4 * h4 * w4, cfg.k * h4 * w4
+    meter.alloc("v_init", quarter)
+    meter.release("low_res_attention")
+    meter.alloc("unfolded", N_CROSS * quarter)
+    meter.alloc("propagated", quarter)
+    meter.release("unfolded")
+    meter.release("v_init")
+    meter.release("propagated")
+    meter.alloc("compact_concat", 2 * pyr_l.f_quarter.channels * compact)
+    meter.alloc("compressed", compact)
+    meter.release("compact_concat")
+    meter.alloc("filtered", compact)
     meter.release("compressed")
-    del cost_k
-    stage_ms["aggregation"] = (time.perf_counter() - t0) * 1000.0
+
+    band = max(1, _BAND_ELEMENTS // (d4 * w4))
+    d_quarter = np.empty((h4, w4))
+    for y0 in range(0, h4, band):
+        y1 = min(y0 + band, h4)
+        d_quarter[y0:y1] = _fast_acv_rows(pyr_l, pyr_r, a_disp, y0, y1, cfg, stage_ms)
+    # The pyramids live until the return: freeing them here lowers no peak,
+    # and at 320x192 it left glibc's heap ~3 MiB larger.
+    del a_disp
 
     t0 = time.perf_counter()
-    d_quarter = predict_from_hypotheses(_scaled(cost, TEMPERATURE), d_hyp, a_f)
-    full = _upsample_disparity_full(DisparityMap(d_quarter.data * 4.0), h, w)
-    stage_ms["prediction"] = (time.perf_counter() - t0) * 1000.0
+    full = _upsample_disparity_full(DisparityMap(d_quarter * 4.0), h, w)
+    stage_ms["prediction"] += (time.perf_counter() - t0) * 1000.0
 
     if report is not None:
         report.mode = "fast_acv"

@@ -627,6 +627,59 @@ def check_build_feature_pyramid(rng, cases):
             assert np.all(fm.data == 0.0)
 
 
+def _linear_tap(n, out_len, j, align_corners):
+    """Lower input index and weight of output position j of a linear resize."""
+    if n == 1:
+        return 0, 0.0
+    pos = j * (n - 1) / (out_len - 1) if align_corners else j * n / out_len
+    i0 = min(int(math.floor(pos)), n - 2)
+    return i0, min(pos - i0, 1.0)
+
+
+def check_upsample_fast_rows(rng, cases):
+    factor = pipeline.FAST_UPSAMPLE_FACTOR
+    for case in range(cases):
+        # one-row and one-column low-res volumes (8-pixel frames) tile
+        d, h, w = int(rng.integers(1, 5)), 1 + case % 2 * int(rng.integers(1, 5)), \
+            int(rng.integers(1, 6))
+        data = rng.standard_normal((1, d, h, w)).astype(np.float32)
+        data[rng.random(data.shape) < 0.3] = -0.0
+        v = volume_core.CostVolume(data)
+        # the whole-volume composition the runner's bands replace
+        ref = volume_core._resize_linear(data, 1, d * factor, align_corners=False)
+        ref = volume_core._resize_linear(ref, 2, h * factor, align_corners=True)
+        ref = volume_core._resize_linear(ref, 3, w * factor, align_corners=True)
+        whole = pipeline._upsample_fast_volume(v).data
+        assert np.array_equal(whole.view(np.uint32), ref.view(np.uint32))
+        a_disp = volume_core._resize_linear(data, 1, d * factor, align_corners=False)
+        hq = h * factor
+        mid = int(rng.integers(0, hq))
+        for r0, r1 in ((0, 1), (hq - 1, hq), (mid, mid + 1), (1, hq - 1), (0, hq)):
+            rows = pipeline._upsample_fast_rows(a_disp, r0, r1)
+            assert np.array_equal(rows.view(np.uint32), ref[:, :, r0:r1].view(np.uint32))
+        for di in range(d * factor):
+            i_d, t_d = _linear_tap(d, d * factor, di, False)
+            for y in range(hq):
+                i_y, t_y = _linear_tap(h, hq, y, True)
+                for x in range(w * factor):
+                    i_x, t_x = _linear_tap(w, w * factor, x, True)
+                    expect = 0.0
+                    for a, wa in ((i_d, 1 - t_d), (min(i_d + 1, d - 1), t_d)):
+                        for b, wb in ((i_y, 1 - t_y), (min(i_y + 1, h - 1), t_y)):
+                            for c, wc in ((i_x, 1 - t_x), (min(i_x + 1, w - 1), t_x)):
+                                expect += wa * wb * wc * float(data[0, a, b, c])
+                    assert abs(whole[0, di, y, x] - expect) < 1e-5
+    # A one-sample axis is copied, not interpolated, so a 1x1x1 volume (an
+    # 8x8 frame at D=8) tiles its value bitwise, signed zero included.
+    for value in (-0.0, 0.0, 1.5):
+        one = np.full((1, 1, 1, 1), value, dtype=np.float32)
+        a_disp = volume_core._resize_linear(one, 1, factor, align_corners=False)
+        for r0, r1 in ((0, 1), (1, factor), (0, factor)):
+            rows = pipeline._upsample_fast_rows(a_disp, r0, r1)
+            tiled = np.full((1, factor, r1 - r0, factor), value, dtype=np.float32)
+            assert np.array_equal(rows.view(np.uint32), tiled.view(np.uint32))
+
+
 def check_box3d_regularize(rng, cases):
     for _ in range(cases):
         c = int(rng.integers(1, 3))
@@ -907,6 +960,7 @@ CHECKS = [
     ("predict_from_hypotheses", check_predict_from_hypotheses),
     ("census_features", check_census_features),
     ("build_feature_pyramid", check_build_feature_pyramid),
+    ("upsample_fast_rows", check_upsample_fast_rows),
     ("box3d_regularize", check_box3d_regularize),
     ("run_acv_pipeline", check_run_acv_pipeline),
     ("run_fast_acv_pipeline", check_run_fast_acv_pipeline),

@@ -268,33 +268,38 @@ def _pair_readout(left, right):
     return (total / np.float32(c)).astype(np.float32, copy=False)
 
 
-def _resize_linear(arr, axis, out_len, align_corners=True):
-    """Linear resample of one axis.
+def _resize_linear(arr, axis, out_len, align_corners=True, start=0, stop=None):
+    """Linear resample of one axis, or of its output positions [start, stop).
 
     align_corners=True maps the first/last samples onto each other.  With
     align_corners=False the axis keeps its index scale (output index j reads
     input coordinate j * n / out_len) and the trailing positions clamp to
-    the edge.
+    the edge.  Each output position reads only its own two inputs, so a
+    range of positions equals that slice of the whole result bit for bit.
     """
     n = arr.shape[axis]
+    stop = out_len if stop is None else stop
     if out_len == n:
-        return arr.copy()
-    if n == 1:
-        reps = [1] * arr.ndim
-        reps[axis] = out_len
-        return np.tile(arr, reps)
+        return np.take(arr, np.arange(start, stop), axis=axis)
+    if n == 1:  # a copy, so the sign of zero survives
+        return np.take(arr, np.zeros(stop - start, dtype=np.intp), axis=axis)
+    pos = np.arange(start, stop, dtype=np.float64)
     if align_corners:
-        pos = np.arange(out_len, dtype=np.float64) * (n - 1) / (out_len - 1)
+        pos = pos * (n - 1) / (out_len - 1)
     else:
-        pos = np.arange(out_len, dtype=np.float64) * n / out_len
+        pos = pos * n / out_len
     i0 = np.clip(np.floor(pos).astype(np.intp), 0, n - 2)
     t = np.clip(pos - i0, 0.0, 1.0).astype(arr.dtype)
     shape = [1] * arr.ndim
-    shape[axis] = out_len
-    t = t.reshape(shape)
+    shape[axis] = stop - start
     lo = np.take(arr, i0, axis=axis)
     hi = np.take(arr, i0 + 1, axis=axis)
-    return lo + t * (hi - lo)
+    # lo + t * (hi - lo), written into hi: IEEE addition and multiplication
+    # commute, so the bits are the same.
+    hi -= lo
+    hi *= t.reshape(shape)
+    hi += lo
+    return hi
 
 
 CROSS_OFFSETS = ((0, 0), (0, -1), (0, 1), (-1, 0), (1, 0))

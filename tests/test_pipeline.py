@@ -493,6 +493,88 @@ def test_acv_never_holds_its_forty_group_volume():
     assert peak < forty_groups
 
 
+def test_acv_holds_no_pyramid_or_attention_in_its_prediction_tail():
+    # The pyramids, the attention and the compressed cost are dropped once
+    # read, and the logits are scaled in place: at 960x512, D=192 the peak
+    # falls from 64.8 MiB to ~37.6, under four float64 quarter volumes.
+    left, right, _, _ = stereogram(disparity=16, seed=5, h=512, w=960)
+    cfg = PipelineConfig("acv", 192, threads=2)
+    tracemalloc.start()
+    try:
+        run_acv_pipeline(left, right, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * (192 // 4) * (512 // 4) * (960 // 4) * 8
+
+
+def test_fast_acv_holds_no_whole_quarter_volume():
+    # The banded runner holds one band's volumes at a time: at 960x512,
+    # D=192, K=24 the peak falls from 52.7 MiB to ~18, under 2.5 float64
+    # (D/4, H/4, W/4) volumes.
+    left, right, _, _ = stereogram(disparity=16, seed=5, h=512, w=960)
+    cfg = PipelineConfig("fast_acv", 192, k=24)
+    tracemalloc.start()
+    try:
+        run_fast_acv_pipeline(left, right, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * (192 // 4) * (512 // 4) * (960 // 4) * 8
+
+
+def _whole_volume_fast_chain(left, right, cfg):
+    """The fast_acv runner's ops on whole quarter-resolution volumes."""
+    import stereo_costvol.pipeline as pm
+
+    l_img, r_img = pm._check_pair(left, right)
+    pyr_l, pyr_r = build_feature_pyramid(l_img, cfg), build_feature_pyramid(r_img, cfg)
+    corr = group_correlation(pyr_l.f_corr, pyr_r.f_corr, cfg.d_max // 8, 1, cfg.threads)
+    v_init = pm._scaled(pm._upsample_fast_volume(generate_attention_weights(corr)),
+                        pm.TEMPERATURE)
+    p_init, d_init = pm.regress_initial_disparity(v_init)
+    u = pm.estimate_uncertainty(p_init, d_init)
+    corr_q = group_correlation(pyr_l.f_quarter, pyr_r.f_quarter, cfg.d_max // 4, 1,
+                               cfg.threads)
+    planes = np.minimum(pm.sample_cross_disparities(d_init, pm.VAP_RADIUS),
+                        corr_q.disparities - 1)
+    conf = pm._cross_sample_2d(pm.confidence(u, pm.VAP_ALPHA, pm.VAP_BETA), pm.VAP_RADIUS)
+    pw = pm.propagation_weights(pm.read_disparity_planes(corr_q, planes), conf)
+    p_prop = pm.softmax_over_disparity(pm.cross_propagate_volume(v_init, pm.VAP_RADIUS, pw))
+    d_hyp, a_f = pm.f2i_select(p_prop, cfg.k)
+    cost_k = CostVolume(pm.read_disparity_planes(corr_q, d_hyp)[None])
+    cost = pm.fast_attention_filter(a_f, cost_k)
+    d_quarter = pm.predict_from_hypotheses(pm._scaled(cost, pm.TEMPERATURE), d_hyp, a_f)
+    h, w = l_img.shape
+    return pm._upsample_disparity_full(DisparityMap(d_quarter.data * 4.0), h, w).data
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("shape", [(64, 128), (8, 8), (8, 16)])
+def test_fast_runner_bands_equal_the_whole_volume_chain(monkeypatch, shape, threads):
+    # Bands of 1, 2 and 3 quarter-resolution rows (16 rows end in a ragged
+    # band of 1) give the whole-volume chain's map bit for bit; so does the
+    # default budget, one band at these sizes.  8-pixel-high frames have a
+    # one-row low-resolution attention.
+    import stereo_costvol.pipeline as pipeline_mod
+
+    if shape[0] == 8:
+        rng = np.random.default_rng(shape[1])
+        left, right = rng.random(shape), rng.random(shape)
+        cfg = PipelineConfig("fast_acv", 16, k=4, threads=threads)
+    else:
+        left, right, _, _ = stereogram(seed=5, h=shape[0], w=shape[1])
+        cfg = PipelineConfig("fast_acv", 32, k=6, threads=threads)
+    ref = _whole_volume_fast_chain(left, right, cfg)
+    got = run_fast_acv_pipeline(left, right, cfg).data
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    for rows in (1, 2, 3):
+        monkeypatch.setattr(pipeline_mod, "_BAND_ELEMENTS",
+                            rows * (cfg.d_max // 4) * (shape[1] // 4))
+        got = run_fast_acv_pipeline(left, right, cfg).data
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), rows
+
+
 def test_compact_volume_element_arithmetic():
     cfg = PipelineConfig("fast_acv", 192, k=24)
     counts = expected_volume_elements(cfg, 512, 960)
@@ -506,6 +588,7 @@ def test_compact_volume_element_arithmetic():
     selftest.check_census_features,
     selftest.check_build_feature_pyramid,
     selftest.check_box3d_regularize,
+    selftest.check_upsample_fast_rows,
     selftest.check_run_acv_pipeline,
     selftest.check_run_fast_acv_pipeline,
 ])
