@@ -17,6 +17,7 @@ import numpy as np
 from .volume_core import (
     CostVolume,
     FeatureMap,
+    _all_finite,
     _group_inner,
     _run_over_disparities,
 )
@@ -44,7 +45,7 @@ class PatchWeights:
         if self.level not in _PATCH_LEVELS:
             raise ValueError(f"patch level must be one of {_PATCH_LEVELS}")
         w = np.asarray(self.weights, dtype=np.float32).reshape(3, 3)
-        if not np.all(np.isfinite(w)):
+        if not _all_finite(w):
             raise ValueError("PatchWeights: non-finite weight")
         self.weights = w
 

@@ -26,6 +26,7 @@ from .volume_core import (
     _cross_sample_2d,
     _pair_readout,
     _softmax0,
+    _unchecked,
     soft_argmin,
     softmax_over_disparity,
 )
@@ -54,7 +55,7 @@ class HypothesisSet:
             raise ValueError("HypothesisSet: d_hyp must be integer disparity indices")
         if np.any(d_hyp < 0):
             raise ValueError("HypothesisSet: negative disparity index")
-        if not np.all(np.isfinite(a_f)) or np.any(a_f < 0):
+        if not _all_finite(a_f) or np.any(a_f < 0):
             raise ValueError("HypothesisSet: attention weights must be finite and non-negative")
         if d_hyp.shape[0] > 1:
             if np.any(np.diff(a_f, axis=0) > 0):
@@ -90,7 +91,7 @@ class PropagationField:
         if not (s.shape == c.shape == w.shape) or s.ndim != 3 or s.shape[0] != N_CROSS:
             raise ValueError(f"PropagationField arrays must share shape ({N_CROSS}, height, width)")
         for name, arr in (("s", s), ("c", c), ("w", w)):
-            if not np.all(np.isfinite(arr)):
+            if not _all_finite(arr):
                 raise ValueError(f"PropagationField: non-finite {name}")
         self.s, self.c, self.w = s, c, w
 
@@ -235,7 +236,7 @@ def cross_propagate(v_u: CostVolume, w: PropagationField) -> CostVolume:
         raise ValueError("cross_propagate: weight/volume shape mismatch")
     probs = _softmax0(w.w.astype(np.float64))
     out = np.einsum("mdhw,mhw->dhw", v_u.data.astype(np.float64), probs)
-    return CostVolume(out[None].astype(np.float32))
+    return _unchecked(CostVolume, out[None].astype(np.float32))
 
 
 # Disparity slices per block of cross_propagate_volume.
@@ -268,7 +269,7 @@ def cross_propagate_volume(v: CostVolume, radius: int, w: PropagationField) -> C
             plane = np.take(src, ys, axis=1) if dy else src
             block[m, :n] = np.take(plane, xs, axis=2) if dx else plane
         out[0, d0:d0 + n] = np.einsum("mdhw,mhw->dhw", block[:, :n], probs)
-    return CostVolume(out)
+    return _unchecked(CostVolume, out)
 
 
 def f2i_select(p: ProbabilityVolume, k: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -394,5 +395,5 @@ def predict_from_hypotheses(v: CostVolume, d_hyp: np.ndarray,
         picked.append(np.take_along_axis(d_hyp, i, axis=0))
         np.put_along_axis(vals, i, -np.inf, axis=0)
     weights = _softmax0(np.concatenate(sel))
-    hyps = np.concatenate(picked).astype(np.float64)
-    return DisparityMap((weights * hyps).sum(axis=0))
+    disp = (weights * np.concatenate(picked)).sum(axis=0)
+    return _unchecked(DisparityMap, disp) if d_hyp.dtype.kind in "iu" else DisparityMap(disp)

@@ -47,9 +47,11 @@ from .volume_core import (
     CostVolume,
     DisparityMap,
     FeatureMap,
+    _all_finite,
     _cross_sample_2d,
     _pair_readout,
     _resize_linear,
+    _unchecked,
     build_concat_volume,
     group_correlation,
     soft_argmin,
@@ -221,6 +223,8 @@ def census_features(intensities: np.ndarray) -> FeatureMap:
     img = np.asarray(intensities, dtype=np.float32)
     if img.ndim != 2:
         raise ValueError("census_features expects a 2D intensity array")
+    if not _all_finite(img):
+        raise ValueError("census_features: non-finite intensity")
     r = 2
     padded = np.pad(img, r, mode="edge")
     h, w = img.shape
@@ -231,7 +235,7 @@ def census_features(intensities: np.ndarray) -> FeatureMap:
                 continue
             neigh = padded[r + dy:r + dy + h, r + dx:r + dx + w]
             channels.append(np.sign(neigh - img))
-    return FeatureMap(np.stack(channels, axis=0))
+    return _unchecked(FeatureMap, np.stack(channels, axis=0))
 
 
 def box_downsample(img: np.ndarray, factor: int) -> np.ndarray:
@@ -283,18 +287,18 @@ def build_feature_pyramid(image: np.ndarray, cfg: PipelineConfig) -> FeaturePyra
     if img.ndim != 2:
         raise ValueError("expected a 2D grayscale image")
     h, w = img.shape
-    if h % 8 != 0 or w % 8 != 0:
-        raise ValueError("image dimensions must be divisible by 8")
+    if 0 in img.shape or h % 8 != 0 or w % 8 != 0:
+        raise ValueError("image dimensions must be positive and divisible by 8")
     base4 = census_features(box_downsample(img, 4))
     base8 = census_features(box_downsample(img, 8))
-    f_quarter = FeatureMap(_tile_channels(base4.data, CONCAT_CHANNELS))
+    f_quarter = _unchecked(FeatureMap, _tile_channels(base4.data, CONCAT_CHANNELS))
     if cfg.mode != "acv":
         return FeaturePyramid(None, f_quarter, base8)
 
     base16 = census_features(box_downsample(img, 16))
     h4, w4 = h // 4, w // 4
-    l2 = FeatureMap(_resize_features(base8.data, h4, w4))
-    l3 = FeatureMap(_resize_features(base16.data, h4, w4))
+    l2 = _unchecked(FeatureMap, _resize_features(base8.data, h4, w4))
+    l3 = _unchecked(FeatureMap, _resize_features(base16.data, h4, w4))
     return FeaturePyramid((base4, l2, l3), f_quarter, base8)
 
 
@@ -388,8 +392,8 @@ def _check_pair(left, right):
         raise ValueError("expected 2D grayscale images")
     if l.shape != r.shape:
         raise ValueError("image size mismatch")
-    if l.shape[0] % 8 != 0 or l.shape[1] % 8 != 0:
-        raise ValueError("image dimensions must be divisible by 8")
+    if 0 in l.shape or l.shape[0] % 8 != 0 or l.shape[1] % 8 != 0:
+        raise ValueError("image dimensions must be positive and divisible by 8")
     return l, r
 
 
@@ -420,17 +424,12 @@ def _upsample_fast_volume(v: CostVolume) -> CostVolume:
     """
     factor = FAST_UPSAMPLE_FACTOR
     a_disp = _resize_linear(v.data, 1, v.disparities * factor, align_corners=False)
-    return CostVolume(_upsample_fast_rows(a_disp, 0, v.height * factor))
+    return _unchecked(CostVolume, _upsample_fast_rows(a_disp, 0, v.height * factor))
 
 
 def _upsample_disparity_full(d: DisparityMap, height: int, width: int) -> DisparityMap:
     data = _resize_linear(d.data, 0, height, align_corners=True)
-    data = _resize_linear(data, 1, width, align_corners=True)
-    return DisparityMap(data)
-
-
-def _scaled(v: CostVolume, gain: float) -> CostVolume:
-    return CostVolume(v.data * np.float32(gain))
+    return _unchecked(DisparityMap, _resize_linear(data, 1, width, align_corners=True))
 
 
 def run_acv_pipeline(left, right, cfg: PipelineConfig,
@@ -492,7 +491,7 @@ def run_acv_pipeline(left, right, cfg: PipelineConfig,
     del cost
     d_quarter = soft_argmin(p)
     del p
-    full = _upsample_disparity_full(DisparityMap(d_quarter.data * 4.0), h, w)
+    full = _upsample_disparity_full(_unchecked(DisparityMap, d_quarter.data * 4.0), h, w)
     stage_ms["prediction"] = (time.perf_counter() - t0) * 1000.0
 
     if report is not None:
@@ -517,14 +516,14 @@ def _fast_acv_rows(pyr_l: FeaturePyramid, pyr_r: FeaturePyramid, a_disp: np.ndar
     t0 = time.perf_counter()
     r0, r1 = max(y0 - VAP_RADIUS, 0), min(y1 + VAP_RADIUS, pyr_l.f_quarter.height)
     own = slice(y0 - r0, y1 - r0)
-    v_init = CostVolume(_upsample_fast_rows(a_disp, r0, r1))
+    v_init = _unchecked(CostVolume, _upsample_fast_rows(a_disp, r0, r1))
     v_init.data *= np.float32(TEMPERATURE)
     p_init, d_init = regress_initial_disparity(v_init)
     u = estimate_uncertainty(p_init, d_init)
     del p_init
     # VAP's scores and the compact cost are both read from this one volume.
-    corr_q = group_correlation(FeatureMap(pyr_l.f_quarter.data[:, r0:r1]),
-                               FeatureMap(pyr_r.f_quarter.data[:, r0:r1]),
+    corr_q = group_correlation(_unchecked(FeatureMap, pyr_l.f_quarter.data[:, r0:r1]),
+                               _unchecked(FeatureMap, pyr_r.f_quarter.data[:, r0:r1]),
                                cfg.d_max // 4, 1, cfg.threads)
     planes = sample_cross_disparities(d_init, VAP_RADIUS)
     # The soft-argmin can pass the top bin by a rounding error.
@@ -534,13 +533,13 @@ def _fast_acv_rows(pyr_l: FeaturePyramid, pyr_r: FeaturePyramid, a_disp: np.ndar
     pw = propagation_weights(scores, conf)
     v_prop = cross_propagate_volume(v_init, VAP_RADIUS, pw)
     del v_init
-    p_prop = softmax_over_disparity(CostVolume(v_prop.data[:, :, own]))
+    p_prop = softmax_over_disparity(_unchecked(CostVolume, v_prop.data[:, :, own]))
     del v_prop
     d_hyp, a_f = f2i_select(p_prop, cfg.k)
     del p_prop
-    # The compressed compact concatenation volume is the correlation at the
-    # hypotheses.
-    cost_k = CostVolume(read_disparity_planes(CostVolume(corr_q.data[:, :, own]), d_hyp)[None])
+    # The compressed compact volume is the correlation at the hypotheses.
+    corr_q = _unchecked(CostVolume, corr_q.data[:, :, own])
+    cost_k = _unchecked(CostVolume, read_disparity_planes(corr_q, d_hyp)[None])
     del corr_q
     stage_ms["volume_construction"] += (time.perf_counter() - t0) * 1000.0
 
@@ -552,7 +551,8 @@ def _fast_acv_rows(pyr_l: FeaturePyramid, pyr_r: FeaturePyramid, a_disp: np.ndar
     stage_ms["aggregation"] += (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
-    d_rows = predict_from_hypotheses(_scaled(cost, TEMPERATURE), d_hyp, a_f)
+    cost.data *= np.float32(TEMPERATURE)
+    d_rows = predict_from_hypotheses(cost, d_hyp, a_f)
     stage_ms["prediction"] += (time.perf_counter() - t0) * 1000.0
     return d_rows.data
 
@@ -640,7 +640,7 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
     del a_disp
 
     t0 = time.perf_counter()
-    full = _upsample_disparity_full(DisparityMap(d_quarter * 4.0), h, w)
+    full = _upsample_disparity_full(_unchecked(DisparityMap, d_quarter * 4.0), h, w)
     stage_ms["prediction"] += (time.perf_counter() - t0) * 1000.0
 
     if report is not None:

@@ -29,16 +29,18 @@ def check_softmax_over_disparity(rng, cases):
     for _ in range(cases):
         d, h, w = int(rng.integers(2, 9)), int(rng.integers(1, 7)), int(rng.integers(1, 7))
         logits = rng.standard_normal((1, d, h, w)).astype(np.float32) * 3
-        p = volume_core.softmax_over_disparity(volume_core.CostVolume(logits))
-        for y in range(h):
-            for x in range(w):
-                col = logits[0, :, y, x].astype(np.float64)
-                m = col.max()
-                e = [math.exp(v - m) for v in col]
-                s = sum(e)
-                for i in range(d):
-                    assert abs(p.data[i, y, x] - e[i] / s) < 1e-12
-        assert np.all(np.abs(p.data.sum(axis=0) - 1.0) < 1e-5)
+        for logits in (logits, logits * np.float32(1e3)):
+            p = volume_core.softmax_over_disparity(volume_core.CostVolume(logits))
+            assert p.data.dtype == np.float64 and p.data.shape == (d, h, w)
+            for y in range(h):
+                for x in range(w):
+                    col = logits[0, :, y, x].astype(np.float64)
+                    m = col.max()
+                    e = [math.exp(v - m) for v in col]
+                    s = sum(e)
+                    for i in range(d):
+                        assert abs(p.data[i, y, x] - e[i] / s) < 1e-12
+            assert p.data.min() >= 0.0 and np.all(np.abs(p.data.sum(axis=0) - 1.0) < 1e-5)
 
 
 def check_soft_argmin(rng, cases):

@@ -2,11 +2,12 @@
 
 Cost and feature volumes are stored as float32 arrays; probability volumes
 and disparity maps are float64 so that regression results survive oracle
-comparison at tight tolerances.  Every operation is a pure function over
-immutable inputs.  Per-pixel reductions always run over a fixed axis of a
-fixed-shape array, so results are bitwise reproducible regardless of the
-thread count used by callers: parallelism only ever splits work across
-disjoint disparity slices.
+comparison at tight tolerances.  Constructors scan the values they are
+given; ops whose results stay finite on checked inputs skip that scan with
+_unchecked.  Every operation is a pure function over immutable inputs.
+Per-pixel reductions always run over a fixed axis of a fixed-shape array,
+so results are bitwise reproducible regardless of the thread count used by
+callers: parallelism only ever splits work across disjoint disparity slices.
 """
 
 from __future__ import annotations
@@ -27,6 +28,12 @@ def _all_finite(arr) -> bool:
     if np.isfinite(s):
         return True
     return bool(np.all(np.isfinite(arr)))
+
+
+def _unchecked(cls, data):
+    out = object.__new__(cls)
+    out.data = data
+    return out
 
 
 def _as_float32(data, name):
@@ -198,14 +205,13 @@ def softmax_over_disparity(v: CostVolume) -> ProbabilityVolume:
     logits = v.data[0].astype(np.float64)
     if not _all_finite(logits):
         raise ValueError("non-finite cost")
-    return ProbabilityVolume(_softmax0(logits))
+    return _unchecked(ProbabilityVolume, _softmax0(logits))
 
 
 def soft_argmin(p: ProbabilityVolume) -> DisparityMap:
     """Expected disparity under a probability volume (soft argmin regression)."""
     bins = np.arange(p.disparities, dtype=np.float64)
-    disp = np.einsum("d,dhw->hw", bins, p.data)
-    return DisparityMap(disp)
+    return _unchecked(DisparityMap, np.einsum("d,dhw->hw", bins, p.data))
 
 
 def group_correlation(f_l: FeatureMap, f_r: FeatureMap, d_max: int, n_groups: int,

@@ -485,6 +485,15 @@ def test_predict_requires_weights_shaped_like_hypotheses():
         predict_from_hypotheses(v, np.zeros((2, 1, 1), np.int32), np.zeros((1, 1, 1)))
 
 
+def test_predict_checks_non_integer_hypotheses():
+    v = CostVolume(np.array([1.0, 0.0], dtype=np.float32).reshape(1, 2, 1, 1))
+    a_f = np.array([0.6, 0.4]).reshape(2, 1, 1)
+    for bad in (np.nan, np.inf):
+        d_hyp = np.array([bad, 3.0]).reshape(2, 1, 1)
+        with pytest.raises(ValueError, match="non-finite"):
+            predict_from_hypotheses(v, d_hyp, a_f)
+
+
 def test_predict_top_equals_k_oracle():
     selftest.check_predict_from_hypotheses(np.random.default_rng(17), 15)
 

@@ -10,6 +10,7 @@ from stereo_costvol.io_formats import StereogramSpec, generate_stereogram
 from stereo_costvol.metrics import epe, exclude_border
 from stereo_costvol.pipeline import (
     FAST_CORR_GROUPS,
+    MODES,
     PipelineConfig,
     RunReport,
     _tile_channels,
@@ -28,8 +29,12 @@ from stereo_costvol.volume_core import (
     CostVolume,
     DisparityMap,
     FeatureMap,
+    ProbabilityVolume,
     build_concat_volume,
     group_correlation,
+    soft_argmin,
+    softmax_over_disparity,
+    unfold_cross,
 )
 
 
@@ -311,7 +316,7 @@ def test_fast_runner_equals_the_sorted_top_k_reference_chain(monkeypatch):
     cost_k = CostVolume(pipeline_mod.read_disparity_planes(corr_q, hyp.d_hyp)[None])
     cost = pipeline_mod.fast_attention_filter(hyp.a_f, cost_k)
     d_quarter = pipeline_mod.predict_from_hypotheses(
-        pipeline_mod._scaled(cost, pipeline_mod.TEMPERATURE), hyp.d_hyp, hyp.a_f)
+        CostVolume(cost.data * np.float32(pipeline_mod.TEMPERATURE)), hyp.d_hyp, hyp.a_f)
     ref = pipeline_mod._upsample_disparity_full(DisparityMap(d_quarter.data * 4.0), 64, 128)
     assert np.array_equal(got.view(np.uint64), ref.data.view(np.uint64))
 
@@ -446,6 +451,101 @@ def test_output_range_invariant():
         assert pred.data.max() <= cfg.d_max - 1
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_pixel_is_rejected_by_census(mode, bad):
+    left, right, _, _ = stereogram(seed=3, h=32, w=64)
+    img = left.intensities.copy()
+    img[5, 9] = bad
+    cfg = PipelineConfig(mode, 16, k=2)
+    for pair in ((img, right), (left, img)):
+        with pytest.raises(ValueError, match="census_features: non-finite intensity"):
+            run_pipeline(*pair, cfg)
+    with pytest.raises(ValueError, match="census_features: non-finite intensity"):
+        census_features(img)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("shape", [(0, 8), (8, 0)])
+def test_empty_image_is_rejected_by_name(mode, shape):
+    empty = np.zeros(shape, dtype=np.float32)
+    cfg = PipelineConfig(mode, 16, k=2)
+    with pytest.raises(ValueError, match="must be positive"):
+        run_pipeline(empty, empty, cfg)
+    with pytest.raises(ValueError, match="must be positive"):
+        build_feature_pyramid(empty, cfg)
+
+
+@pytest.mark.parametrize("mode, bound", [("fast_acv", 8.5), ("acv", 4.5)])
+def test_runner_scans_few_values(monkeypatch, mode, bound):
+    """Elements _all_finite scans in one run_pipeline, in quarter volumes.
+
+    Only the data entering a runner and the results of ops that can
+    overflow are scanned: 8.06 (fast_acv) and 4.33 (acv) quarter volumes of
+    (D/4, H/4, W/4) = 16384 elements, against 39.75 and 35.12 while every
+    computed container was re-checked.  Every module that imported
+    _all_finite is patched, so no scan escapes the count.
+    """
+    import stereo_costvol
+    import stereo_costvol.volume_core as vc
+
+    left, right, _, _ = stereogram()
+    scanned = []
+    real = vc._all_finite
+
+    def counting(arr):
+        scanned.append(np.asarray(arr).size)
+        return real(arr)
+
+    for name in ("acv", "fast_acv", "pipeline", "volume_core"):
+        module = getattr(stereo_costvol, name)
+        if getattr(module, "_all_finite", None) is real:
+            monkeypatch.setattr(module, "_all_finite", counting)
+    run_pipeline(left, right, PipelineConfig(mode, 32, k=8))
+    assert sum(scanned) / (8 * 32 * 64) <= bound
+
+
+def test_unchecked_results_keep_their_container_dtype_and_rank():
+    import stereo_costvol.pipeline as pm
+
+    rng = np.random.default_rng(5)
+    left, right, _, _ = stereogram(seed=4, h=64, w=128)
+    for mode in MODES:
+        cfg = PipelineConfig(mode, 32, k=4)
+        pyr = build_feature_pyramid(left.intensities, cfg)
+        maps = [pyr.f_quarter, pyr.f_corr] + list(pyr.levels or ())
+        maps.append(census_features(left.intensities))
+        for fm in maps:
+            assert type(fm) is FeatureMap
+            assert fm.data.dtype == np.float32 and fm.data.ndim == 3
+        out = run_pipeline(left, right, cfg)
+        assert type(out) is DisparityMap
+        assert out.data.dtype == np.float64 and out.data.shape == (64, 128)
+
+    v = CostVolume(rng.standard_normal((1, 6, 5, 7)).astype(np.float32))
+    p = softmax_over_disparity(v)
+    assert type(p) is ProbabilityVolume
+    assert p.data.dtype == np.float64 and p.data.shape == (6, 5, 7)
+    d = soft_argmin(p)
+    assert type(d) is DisparityMap
+    assert d.data.dtype == np.float64 and d.data.shape == (5, 7)
+    up = pm._upsample_disparity_full(d, 20, 28)
+    assert type(up) is DisparityMap
+    assert up.data.dtype == np.float64 and up.data.shape == (20, 28)
+
+    s = rng.standard_normal((5, 5, 7)).astype(np.float32)
+    field = pm.propagation_weights(s, s)
+    for vol in (pm.cross_propagate(unfold_cross(v, 1), field),
+                pm.cross_propagate_volume(v, 1, field),
+                pm._upsample_fast_volume(v)):
+        assert type(vol) is CostVolume
+        assert vol.data.dtype == np.float32 and vol.data.ndim == 4
+    d_hyp = np.stack([np.zeros((5, 7), np.int32), np.ones((5, 7), np.int32)])
+    pred = pm.predict_from_hypotheses(CostVolume(v.data[:, :2]), d_hyp, np.ones((2, 5, 7)) / 2)
+    assert type(pred) is DisparityMap
+    assert pred.data.dtype == np.float64 and pred.data.shape == (5, 7)
+
+
 def test_image_size_mismatch_rejected():
     left, right, _, _ = stereogram(seed=1, h=64, w=128)
     small = left.intensities[:32, :64]
@@ -530,8 +630,8 @@ def _whole_volume_fast_chain(left, right, cfg):
     l_img, r_img = pm._check_pair(left, right)
     pyr_l, pyr_r = build_feature_pyramid(l_img, cfg), build_feature_pyramid(r_img, cfg)
     corr = group_correlation(pyr_l.f_corr, pyr_r.f_corr, cfg.d_max // 8, 1, cfg.threads)
-    v_init = pm._scaled(pm._upsample_fast_volume(generate_attention_weights(corr)),
-                        pm.TEMPERATURE)
+    v_init = CostVolume(pm._upsample_fast_volume(generate_attention_weights(corr)).data
+                        * np.float32(pm.TEMPERATURE))
     p_init, d_init = pm.regress_initial_disparity(v_init)
     u = pm.estimate_uncertainty(p_init, d_init)
     corr_q = group_correlation(pyr_l.f_quarter, pyr_r.f_quarter, cfg.d_max // 4, 1,
@@ -544,7 +644,8 @@ def _whole_volume_fast_chain(left, right, cfg):
     d_hyp, a_f = pm.f2i_select(p_prop, cfg.k)
     cost_k = CostVolume(pm.read_disparity_planes(corr_q, d_hyp)[None])
     cost = pm.fast_attention_filter(a_f, cost_k)
-    d_quarter = pm.predict_from_hypotheses(pm._scaled(cost, pm.TEMPERATURE), d_hyp, a_f)
+    d_quarter = pm.predict_from_hypotheses(CostVolume(cost.data * np.float32(pm.TEMPERATURE)),
+                                           d_hyp, a_f)
     h, w = l_img.shape
     return pm._upsample_disparity_full(DisparityMap(d_quarter.data * 4.0), h, w).data
 
