@@ -395,5 +395,4 @@ def predict_from_hypotheses(v: CostVolume, d_hyp: np.ndarray,
         picked.append(np.take_along_axis(d_hyp, i, axis=0))
         np.put_along_axis(vals, i, -np.inf, axis=0)
     weights = _softmax0(np.concatenate(sel))
-    disp = (weights * np.concatenate(picked)).sum(axis=0)
-    return _unchecked(DisparityMap, disp) if d_hyp.dtype.kind in "iu" else DisparityMap(disp)
+    return DisparityMap((weights * np.concatenate(picked)).sum(axis=0))

@@ -424,7 +424,7 @@ def _upsample_fast_volume(v: CostVolume) -> CostVolume:
     """
     factor = FAST_UPSAMPLE_FACTOR
     a_disp = _resize_linear(v.data, 1, v.disparities * factor, align_corners=False)
-    return _unchecked(CostVolume, _upsample_fast_rows(a_disp, 0, v.height * factor))
+    return CostVolume(_upsample_fast_rows(a_disp, 0, v.height * factor))
 
 
 def _upsample_disparity_full(d: DisparityMap, height: int, width: int) -> DisparityMap:

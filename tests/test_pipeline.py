@@ -481,7 +481,7 @@ def test_runner_scans_few_values(monkeypatch, mode, bound):
     """Elements _all_finite scans in one run_pipeline, in quarter volumes.
 
     Only the data entering a runner and the results of ops that can
-    overflow are scanned: 8.06 (fast_acv) and 4.33 (acv) quarter volumes of
+    overflow are scanned: 8.19 (fast_acv) and 4.33 (acv) quarter volumes of
     (D/4, H/4, W/4) = 16384 elements, against 39.75 and 35.12 while every
     computed container was re-checked.  Every module that imported
     _all_finite is patched, so no scan escapes the count.
