@@ -1,16 +1,12 @@
 """Command-line front end: match, eval, bench and selftest subcommands.
 
 Exit codes: 0 success, 1 test or metric failure, 2 usage or input error.
-Options may come from a flat key=value config file (--config); explicit
-flags always win.  STEREO_COSTVOL_THREADS (an integer >= 1) provides the
-thread cap when neither --threads nor the config file sets it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from statistics import median
 
@@ -23,77 +19,10 @@ from .pipeline import (
     run_pipeline,
 )
 
-# match's long options that are not config-file keys; every other one is.
-_NON_CONFIG_FLAGS = ("--help", "--config", "--output", "--json")
-
 
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
-
-
-def read_config_file(path: str, keys: dict) -> dict:
-    """Parse a flat key=value config file; '#' starts a comment.
-
-    keys maps each accepted key to the type its value is parsed with.
-    """
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, val = (part.strip() for part in line.split("=", 1))
-            key = key.replace("_", "-")
-            if key not in keys:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[key] = keys[key](val)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
-    return values
-
-
-def _resolve(args, file_cfg, key, default):
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if key in file_cfg:
-        return file_cfg[key]
-    return default
-
-
-def _resolve_threads(args, file_cfg) -> int:
-    """--threads, then the config file, then STEREO_COSTVOL_THREADS, then 1."""
-    threads = _resolve(args, file_cfg, "threads", None)
-    if threads is not None:
-        return threads
-    raw = os.environ.get("STEREO_COSTVOL_THREADS")
-    if raw is None:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"STEREO_COSTVOL_THREADS must be an integer >= 1, got {raw!r}")
-    return threads
-
-
-def _build_pipeline_config(args, file_cfg) -> PipelineConfig:
-    mode = _resolve(args, file_cfg, "mode", "fast_acv")
-    d_max = _resolve(args, file_cfg, "dmax", 64)
-    k = _resolve(args, file_cfg, "k", None)
-    if k is None:
-        k = min(24, max(1, d_max // 4))
-    return PipelineConfig(
-        mode=mode,
-        d_max=d_max,
-        k=k,
-        threads=_resolve_threads(args, file_cfg),
-    )
 
 
 def _load_disparity(path: str):
@@ -111,29 +40,23 @@ def _load_disparity(path: str):
 
 def cmd_match(args) -> int:
     try:
-        file_cfg = read_config_file(args.config, args.config_keys) if args.config else {}
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-    out_format = _resolve(args, file_cfg, "format", "pfm")
-    if out_format not in ("pfm", "kitti"):
-        return _fail(f"unknown output format {out_format!r}")
-    try:
         with open(args.left, "rb") as fh:
             left = io_formats.read_gray_image(fh.read())
         with open(args.right, "rb") as fh:
             right = io_formats.read_gray_image(fh.read())
     except (OSError, io_formats.FormatError) as exc:
         return _fail(str(exc))
+    k = args.k if args.k is not None else min(24, max(1, args.dmax // 4))
     try:
-        cfg = _build_pipeline_config(args, file_cfg)
+        cfg = PipelineConfig(mode=args.mode, d_max=args.dmax, k=k, threads=args.threads)
         report = RunReport()
         disp = run_pipeline(left, right, cfg, report)
     except ValueError as exc:
         return _fail(str(exc))
 
-    out_path = args.output or ("disparity.pfm" if out_format == "pfm" else "disparity.png")
+    out_path = args.output or ("disparity.pfm" if args.format == "pfm" else "disparity.png")
     try:
-        if out_format == "pfm":
+        if args.format == "pfm":
             blob = io_formats.write_pfm(disp)
         else:
             blob = io_formats.write_kitti_disp_png(
@@ -144,7 +67,7 @@ def cmd_match(args) -> int:
         return _fail(str(exc))
 
     if args.json:
-        print(json.dumps({"output": out_path, "format": out_format,
+        print(json.dumps({"output": out_path, "format": args.format,
                           "report": report.to_dict()}, indent=2))
     else:
         print(f"wrote {out_path}")
@@ -206,11 +129,10 @@ def _parse_sizes(raw):
     return sizes
 
 
-def _bench_case(mode, height, width, d_max, k, threads, runs, seed):
+def _bench_case(cfg, height, width, runs, seed):
     disparity = min(8, max(1, width // 4 - 1))
     spec = io_formats.StereogramSpec(height, width, disparity, 0.5, seed)
     left, right, _, _ = io_formats.generate_stereogram(spec)
-    cfg = PipelineConfig(mode=mode, d_max=d_max, k=k, threads=threads)
     reports = []
     for _ in range(runs + 1):  # first run is warmup
         rep = RunReport()
@@ -225,8 +147,8 @@ def _bench_case(mode, height, width, d_max, k, threads, runs, seed):
             raise AssertionError("volume element counts varied between runs")
     analytic = expected_volume_elements(cfg, height, width)
     return {
-        "mode": mode, "height": height, "width": width, "d_max": d_max,
-        "k": k if mode == "fast_acv" else None, "threads": threads,
+        "mode": cfg.mode, "height": height, "width": width, "d_max": cfg.d_max,
+        "k": cfg.k if cfg.mode == "fast_acv" else None, "threads": cfg.threads,
         "stage_ms": stage_ms,
         "construction_plus_aggregation_ms":
             stage_ms["volume_construction"] + stage_ms["aggregation"],
@@ -238,10 +160,6 @@ def _bench_case(mode, height, width, d_max, k, threads, runs, seed):
 
 
 def cmd_bench(args) -> int:
-    try:
-        threads = _resolve_threads(args, {})
-    except ValueError as exc:
-        return _fail(str(exc))
     if args.runs < 1:
         return _fail(f"--runs must be >= 1, got {args.runs}")
     k_tokens = [t.strip() for t in args.k_sweep.split(",")]
@@ -254,9 +172,6 @@ def cmd_bench(args) -> int:
         sizes = _parse_sizes(args.sizes)
     except ValueError as exc:
         return _fail(f"bad sweep specification: {exc}")
-    for m in modes:
-        if m not in MODES:
-            return _fail(f"unknown mode {m!r}")
     # A repeated token would run the same case twice and print its rows,
     # ratios and trends twice.
     for what, values in (("mode", modes), ("size", [f"{w}x{h}" for h, w in sizes]),
@@ -264,62 +179,56 @@ def cmd_bench(args) -> int:
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:
             return _fail(f"duplicate {what} {repeated[0]} in the sweep")
-    # Only fast_acv reads K.
-    if "fast_acv" in modes:
-        for k in ks:
-            if not 1 <= k <= args.dmax // 4:
-                return _fail(f"K={k} outside [1, dmax/4]")
 
-    rows = []
+    # Only fast_acv reads K, so acv runs once per size.
     try:
-        for height, width in sizes:
-            for mode in modes:
-                k_values = ks if mode == "fast_acv" else [ks[0]]
-                for k in k_values:
-                    rows.append(_bench_case(mode, height, width, args.dmax, k,
-                                            threads, args.runs, args.seed))
-                    if mode != "fast_acv":
-                        break
+        cases = [(PipelineConfig(mode=mode, d_max=args.dmax, k=k, threads=args.threads),
+                  height, width)
+                 for height, width in sizes for mode in modes
+                 for k in (ks if mode == "fast_acv" else ks[:1])]
+    except ValueError as exc:
+        return _fail(str(exc))
+    try:
+        rows = [_bench_case(cfg, height, width, args.runs, args.seed)
+                for cfg, height, width in cases]
     except (ValueError, AssertionError) as exc:
         return _fail(str(exc))
 
+    acv_rows = {(r["height"], r["width"]): r for r in rows if r["mode"] == "acv"}
     ratios = []
     trends = []
-    for height, width in sizes:
-        acv_rows = [r for r in rows if r["mode"] == "acv"
-                    and (r["height"], r["width"]) == (height, width)]
-        fast_rows = [r for r in rows if r["mode"] == "fast_acv"
-                     and (r["height"], r["width"]) == (height, width)]
-        if not acv_rows:
+    for row in rows:
+        size = (row["height"], row["width"])
+        if row["mode"] != "fast_acv" or size not in acv_rows:
             continue
-        acv_row = acv_rows[0]
-        for row in fast_rows:
-            corr_analytic = (row["analytic_elements"]["correlation"]
-                             / acv_row["analytic_elements"]["correlation"])
-            corr_measured = (row["volume_elements"]["correlation"]
-                             / acv_row["volume_elements"]["correlation"])
-            compact_analytic = (row["analytic_elements"]["compact_concat"]
-                                / acv_row["analytic_elements"]["concat"])
-            compact_measured = (row["volume_elements"]["compact_concat"]
-                                / acv_row["volume_elements"]["concat"])
-            ratios.append({
-                "height": height, "width": width, "d_max": args.dmax, "k": row["k"],
-                "correlation_ratio_analytic": corr_analytic,
-                "correlation_ratio_measured": corr_measured,
-                "correlation_ratio_match": corr_analytic == corr_measured,
-                "compact_ratio_analytic": compact_analytic,
-                "compact_ratio_measured": compact_measured,
-                "compact_ratio_match": compact_analytic == compact_measured,
-            })
-            trends.append({
-                "height": height, "width": width, "k": row["k"],
-                "threads": threads,
-                "fast_ms": row["construction_plus_aggregation_ms"],
-                "acv_ms": acv_row["construction_plus_aggregation_ms"],
-                "fast_below_acv":
-                    row["construction_plus_aggregation_ms"]
-                    < acv_row["construction_plus_aggregation_ms"],
-            })
+        acv_row = acv_rows[size]
+        corr_analytic = (row["analytic_elements"]["correlation"]
+                         / acv_row["analytic_elements"]["correlation"])
+        corr_measured = (row["volume_elements"]["correlation"]
+                         / acv_row["volume_elements"]["correlation"])
+        compact_analytic = (row["analytic_elements"]["compact_concat"]
+                            / acv_row["analytic_elements"]["concat"])
+        compact_measured = (row["volume_elements"]["compact_concat"]
+                            / acv_row["volume_elements"]["concat"])
+        ratios.append({
+            "height": row["height"], "width": row["width"], "d_max": row["d_max"],
+            "k": row["k"],
+            "correlation_ratio_analytic": corr_analytic,
+            "correlation_ratio_measured": corr_measured,
+            "correlation_ratio_match": corr_analytic == corr_measured,
+            "compact_ratio_analytic": compact_analytic,
+            "compact_ratio_measured": compact_measured,
+            "compact_ratio_match": compact_analytic == compact_measured,
+        })
+        trends.append({
+            "height": row["height"], "width": row["width"], "k": row["k"],
+            "threads": row["threads"],
+            "fast_ms": row["construction_plus_aggregation_ms"],
+            "acv_ms": acv_row["construction_plus_aggregation_ms"],
+            "fast_below_acv":
+                row["construction_plus_aggregation_ms"]
+                < acv_row["construction_plus_aggregation_ms"],
+        })
 
     if args.json:
         print(json.dumps({"rows": rows, "ratios": ratios, "trends": trends}, indent=2))
@@ -375,18 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_match = sub.add_parser("match", help="compute a disparity map for a stereo pair")
     p_match.add_argument("left")
     p_match.add_argument("right")
-    p_match.add_argument("--mode", choices=MODES)
-    p_match.add_argument("--dmax", type=int)
-    p_match.add_argument("--k", type=int)
-    p_match.add_argument("--threads", type=int)
-    p_match.add_argument("--config", help="flat key=value config file")
-    p_match.add_argument("--format", choices=("pfm", "kitti"))
+    p_match.add_argument("--mode", choices=MODES, default="fast_acv")
+    p_match.add_argument("--dmax", type=int, default=64)
+    p_match.add_argument("--k", type=int, help="default: min(24, max(1, dmax // 4))")
+    p_match.add_argument("--threads", type=int, default=1)
+    p_match.add_argument("--format", choices=("pfm", "kitti"), default="pfm")
     p_match.add_argument("-o", "--output")
     p_match.add_argument("--json", action="store_true")
-    config_keys = {opt[2:]: action.type or str for action in p_match._actions
-                   for opt in action.option_strings
-                   if opt.startswith("--") and opt not in _NON_CONFIG_FLAGS}
-    p_match.set_defaults(func=cmd_match, config_keys=config_keys)
+    p_match.set_defaults(func=cmd_match)
 
     p_eval = sub.add_parser("eval", help="score a disparity map against ground truth")
     p_eval.add_argument("pred")
@@ -403,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--k-sweep", default="16,24,32,48", dest="k_sweep")
     p_bench.add_argument("--runs", type=int, default=5,
                          help="timed runs per case (after one warmup)")
-    p_bench.add_argument("--threads", type=int, default=None)
+    p_bench.add_argument("--threads", type=int, default=1)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--json", action="store_true")
     p_bench.set_defaults(func=cmd_bench)

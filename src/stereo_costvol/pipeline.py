@@ -113,17 +113,18 @@ class PipelineConfig:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.d_max < 4 or self.d_max % 4 != 0:
-            raise ValueError("d_max must be a positive multiple of 4")
+            raise ValueError(f"d_max must be a positive multiple of 4, got {self.d_max!r}")
         if self.mode == "fast_acv":
             low_scale = 4 * FAST_UPSAMPLE_FACTOR
             if self.d_max % low_scale != 0:
-                raise ValueError(f"d_max must be divisible by {low_scale} in fast_acv mode")
+                raise ValueError(f"d_max must be divisible by {low_scale} in fast_acv mode, "
+                                 f"got {self.d_max!r}")
             if not 1 <= self.k <= self.d_max // 4:
-                raise ValueError("k must lie in [1, d_max / 4]")
+                raise ValueError(f"k must lie in [1, d_max / 4], got {self.k!r}")
         if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+            raise ValueError(f"threads must be >= 1, got {self.threads!r}")
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -247,7 +248,10 @@ def box_downsample(img: np.ndarray, factor: int) -> np.ndarray:
     hp = -(-h // factor) * factor
     wp = -(-w // factor) * factor
     padded = np.pad(img, ((0, hp - h), (0, wp - w)), mode="edge")
-    return padded.reshape(hp // factor, factor, wp // factor, factor).mean(axis=(1, 3))
+    # Scale before summing: the float32 sum of factor**2 large finite values
+    # can overflow where their mean does not.  np.pad returns a fresh array.
+    padded *= np.float32(1.0 / (factor * factor))
+    return padded.reshape(hp // factor, factor, wp // factor, factor).sum(axis=(1, 3))
 
 
 def _tile_channels(data: np.ndarray, n: int) -> np.ndarray:

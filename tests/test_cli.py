@@ -100,74 +100,10 @@ def test_match_json_report(pair, tmp_path, capsys):
     assert payload["report"]["volume_elements"]["correlation"] > 0
 
 
-def test_config_file_with_flag_override(pair, tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("mode = acv\ndmax = 32\nk = 4  # hypotheses\n")
-    out = tmp_path / "out.pfm"
-    code = cli.main(["match", pair["left"], pair["right"], "--config", str(cfg),
-                     "--mode", "fast_acv", "--json", "-o", str(out)])
-    assert code == 0
-    report = json.loads(capsys.readouterr().out)["report"]
-    assert report["mode"] == "fast_acv"       # flag wins
-    assert report["config"]["d_max"] == 32    # file value honored
-    assert report["config"]["k"] == 4
-
-
-def test_env_threads_fallback(pair, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("STEREO_COSTVOL_THREADS", "3")
-    code = cli.main(["match", pair["left"], pair["right"], "--dmax", "32",
-                     "--k", "8", "--json", "-o", str(tmp_path / "o.pfm")])
-    assert code == 0
-    report = json.loads(capsys.readouterr().out)["report"]
-    assert report["config"]["threads"] == 3
-
-
-@pytest.mark.parametrize("raw", ["0", "-1", "two", "1.5"])
-def test_match_bad_env_threads_exits_two(pair, tmp_path, capsys, monkeypatch, raw):
-    monkeypatch.setenv("STEREO_COSTVOL_THREADS", raw)
-    code = cli.main(["match", pair["left"], pair["right"], "--dmax", "32",
-                     "--k", "8", "-o", str(tmp_path / "o.pfm")])
-    assert code == 2
-    assert f"STEREO_COSTVOL_THREADS must be an integer >= 1, got {raw!r}" in capsys.readouterr().err
-    assert not (tmp_path / "o.pfm").exists()
-
-
-def test_threads_flag_overrides_bad_env(pair, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("STEREO_COSTVOL_THREADS", "0")
-    code = cli.main(["match", pair["left"], pair["right"], "--dmax", "32", "--k", "8",
-                     "--threads", "2", "--json", "-o", str(tmp_path / "o.pfm")])
-    assert code == 0
-    assert json.loads(capsys.readouterr().out)["report"]["config"]["threads"] == 2
-
-
-def test_bad_config_file_exits_two(pair, tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("nonsense_key = 12\n")
-    code = cli.main(["match", pair["left"], pair["right"], "--config", str(cfg),
-                     "-o", str(tmp_path / "x.pfm")])
-    assert code == 2
-    assert "unknown key" in capsys.readouterr().err
-
-
-def test_config_seed_key_is_unknown(pair, tmp_path, capsys):
-    # seed and the fixed matcher values are no options: a config file that
-    # still sets one fails loudly instead of being ignored
-    for line in ("seed = 1", "temperature = 48", "backend = gradient",
-                 "alpha = 1.0", "beta = -1.0", "radius = 1",
-                 "regularizer = box3d", "box_radius = 2", "box-radius = 2"):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(line + "\n")
-        out = tmp_path / "x.pfm"
-        code = cli.main(["match", pair["left"], pair["right"], "--config", str(cfg),
-                         "-o", str(out)])
-        assert code == 2, line
-        assert "unknown key" in capsys.readouterr().err
-        assert not out.exists()
-
-
 @pytest.mark.parametrize("flag,value", [("--temperature", "48"),
                                         ("--regularizer", "box3d"),
-                                        ("--box-radius", "1")])
+                                        ("--box-radius", "1"),
+                                        ("--config", "run.cfg")])
 def test_match_rejects_temperature_flag(pair, tmp_path, flag, value):
     out = tmp_path / "x.pfm"
     with pytest.raises(SystemExit) as exc:
@@ -176,26 +112,32 @@ def test_match_rejects_temperature_flag(pair, tmp_path, flag, value):
     assert not out.exists()
 
 
-def test_match_rejects_unknown_config_format_before_matching(pair, tmp_path, monkeypatch, capsys):
-    def no_matching(*args, **kwargs):
-        raise AssertionError("run_pipeline called before the output format was checked")
+@pytest.mark.parametrize("argv, d_max, k", [([], 64, 16),
+                                             (["--dmax", "32"], 32, 8),
+                                             (["--dmax", "192"], 192, 24)])
+def test_match_defaults(pair, tmp_path, capsys, argv, d_max, k):
+    out = tmp_path / "out"
+    code = cli.main(["match", pair["left"], pair["right"], *argv, "--json", "-o", str(out)])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["format"] == "pfm"
+    config = payload["report"]["config"]
+    assert (config["mode"], config["d_max"], config["k"], config["threads"]) == \
+        ("fast_acv", d_max, k, 1)
+    assert read_pfm(out.read_bytes()).data.shape == (64, 128)
 
-    monkeypatch.setattr(cli, "run_pipeline", no_matching)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("format = jpg\n")
-    out = tmp_path / "x.out"
-    code = cli.main(["match", pair["left"], pair["right"], "--config", str(cfg), "-o", str(out)])
-    assert code == 2
-    assert "unknown output format 'jpg'" in capsys.readouterr().err
-    assert not out.exists()
 
-
-def test_config_keys_mirror_match_flags():
-    # the config keys are derived from match's long options; pinning them
-    # makes a new flag that silently becomes a key show up here
-    args = cli.build_parser().parse_args(["match", "left.pgm", "right.pgm"])
-    assert args.config_keys == {"mode": str, "dmax": int, "k": int,
-                                "threads": int, "format": str}
+def test_thread_environment_variable_is_not_read(pair, tmp_path, capsys, monkeypatch):
+    # --threads, defaulting to 1, is the only source of the thread count.
+    monkeypatch.setenv("STEREO_COSTVOL_THREADS", "0")
+    code = cli.main(["match", pair["left"], pair["right"], "--dmax", "32", "--json",
+                     "-o", str(tmp_path / "o.pfm")])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["report"]["config"]["threads"] == 1
+    code = cli.main(["bench", "--modes", "fast_acv", "--sizes", "64x64", "--dmax", "16",
+                     "--k-sweep", "4", "--runs", "1", "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["rows"][0]["threads"] == 1
 
 
 def test_match_malformed_pgm_exits_two(pair, tmp_path, capsys):
@@ -336,23 +278,6 @@ def test_bench_run_count_changes_only_timings(capsys):
     assert outs[0]["peak_volume_elements"] == outs[1]["peak_volume_elements"]
 
 
-def test_bench_env_threads_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("STEREO_COSTVOL_THREADS", "2")
-    code = cli.main(["bench", "--modes", "fast_acv", "--sizes", "64x64",
-                     "--dmax", "16", "--k-sweep", "4", "--runs", "1", "--json"])
-    assert code == 0
-    assert json.loads(capsys.readouterr().out)["rows"][0]["threads"] == 2
-
-
-@pytest.mark.parametrize("raw", ["0", "-1", "two", "1.5"])
-def test_bench_bad_env_threads_exits_two(capsys, monkeypatch, raw):
-    monkeypatch.setenv("STEREO_COSTVOL_THREADS", raw)
-    code = cli.main(["bench", "--modes", "fast_acv", "--sizes", "64x64",
-                     "--dmax", "16", "--k-sweep", "4", "--runs", "1"])
-    assert code == 2
-    assert f"STEREO_COSTVOL_THREADS must be an integer >= 1, got {raw!r}" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("runs", ["0", "-1"])
 def test_bench_rejects_runs_below_one(capsys, runs):
     code = cli.main(["bench", "--modes", "fast_acv", "--sizes", "64x64",
@@ -363,6 +288,15 @@ def test_bench_rejects_runs_below_one(capsys, runs):
 
 def test_bench_rejects_bad_k(capsys):
     assert cli.main(["bench", "--dmax", "32", "--k-sweep", "64"]) == 2
+    assert "got 64" in capsys.readouterr().err
+
+
+def test_bench_rejects_unknown_mode(capsys):
+    assert cli.main(["bench", "--modes", "foo", "--sizes", "64x64", "--dmax", "16",
+                     "--k-sweep", "4", "--runs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "'foo'" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("flag, value, message", [

@@ -122,6 +122,17 @@ def test_pyramid_rejects_bad_dimensions():
         build_feature_pyramid(np.zeros((30, 64), dtype=np.float32), cfg)
 
 
+def test_box_downsample_keeps_large_finite_values_finite():
+    # A float32 sum of factor**2 values near the float32 maximum overflows;
+    # their mean does not.
+    img = np.full((32, 64), 3e38, dtype=np.float32)
+    for factor in (4, 8, 16):
+        np.testing.assert_allclose(box_downsample(img, factor), 3e38, rtol=1e-6)
+    for mode in MODES:
+        pred = run_pipeline(img, img, PipelineConfig(mode, 16, k=2))
+        assert np.all(np.isfinite(pred.data))
+
+
 def test_box_downsample_pads_ragged_edges():
     img = np.arange(15, dtype=np.float32).reshape(3, 5)
     out = box_downsample(img, 2)
