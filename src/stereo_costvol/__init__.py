@@ -15,6 +15,7 @@ from .acv import (
     PatchWeights,
     attention_filter,
     build_mapm_volume,
+    filtered_correlation,
     generate_attention_weights,
     mapm_attention,
     mapm_level,

@@ -75,7 +75,11 @@ def _shift_slices(h, w, dy, dx):
 
 
 def _mapm_slicer(f_l: FeatureMap, f_r: FeatureMap, w: PatchWeights, n_groups: int):
-    """Check one level's inputs; return slice_at(d), its (n_groups, H, W) slice at d."""
+    """Check one level's inputs; return (inner_at, patch).
+
+    inner_at(d) is the level's raw (n_groups, H, W) group sums at d, and
+    patch(inner) folds them over the taps into mapm_level's slice at d.
+    """
     if f_l.data.shape != f_r.data.shape:
         raise ValueError("mapm_level: feature map shapes differ")
     c, h, width = f_l.data.shape
@@ -92,15 +96,20 @@ def _mapm_slicer(f_l: FeatureMap, f_r: FeatureMap, w: PatchWeights, n_groups: in
     fl_g = f_l.data.reshape(n_groups, cpg, h, width)
     fr_g = f_r.data.reshape(n_groups, cpg, h, width)
 
-    def slice_at(d):
-        base = _group_inner(fl_g, fr_g, d)
-        acc = np.zeros_like(base)
+    def inner_at(d):
+        return _group_inner(fl_g, fr_g, d)
+
+    def patch(inner):
+        # Taps sharing a factor share its product: uniform weights multiply
+        # once.  The adds still run in row-major tap order.
+        products = {factor: factor * inner for factor in {t[0] for t in taps}}
+        acc = np.zeros_like(inner)
         for factor, dy, dx in taps:
             ys_dst, xs_dst, ys_src, xs_src = _shift_slices(h, width, dy, dx)
-            acc[:, ys_dst, xs_dst] += factor * base[:, ys_src, xs_src]
+            acc[:, ys_dst, xs_dst] += products[factor][:, ys_src, xs_src]
         return acc
 
-    return slice_at
+    return inner_at, patch
 
 
 def mapm_level(f_l: FeatureMap, f_r: FeatureMap, w: PatchWeights,
@@ -115,11 +124,11 @@ def mapm_level(f_l: FeatureMap, f_r: FeatureMap, w: PatchWeights,
     with tap offsets i, j in w.level * {-1, 0, +1}, the weights' own level.
     Taps whose left or right sample falls outside the frame contribute zero.
     """
-    slice_at = _mapm_slicer(f_l, f_r, w, n_groups)
+    inner_at, patch = _mapm_slicer(f_l, f_r, w, n_groups)
     out = np.zeros((n_groups, d_max) + f_l.data.shape[1:], dtype=np.float32)
 
     def run(d):
-        out[:, d] = slice_at(d)
+        out[:, d] = patch(inner_at(d))
 
     _run_over_disparities(d_max, run, threads)
     return CostVolume(out)
@@ -173,29 +182,79 @@ def _group_mean(groups, out):
     np.true_divide(out, len(groups), out=out)
 
 
+def _attention_folder(levels, d_max, name):
+    """Check the levels; return (splits, fold_at), splits their group counts.
+
+    fold_at(d, out) writes the attention slice at d into out and returns
+    level 1's raw (splits[0], H, W) group sums at d.  It computes each
+    level's distinct groups at d and folds the GROUP_SPLIT groups in the
+    tiled volume's order: tiled group g of level k is level k's group
+    g % n, n its own group count, and the scale n / channels is the same.
+    """
+    splits = _check_levels(levels, d_max, name)
+    slicers = [_mapm_slicer(f_l, f_r, w, n) for (f_l, f_r, w), n in zip(levels, splits)]
+
+    def fold_at(d, out):
+        inner = [inner_at(d) for inner_at, _ in slicers]
+        slices = [patch(v) for (_, patch), v in zip(slicers, inner)]
+        _group_mean([v[g % n] for v, n, tiled in zip(slices, splits, GROUP_SPLIT)
+                     for g in range(tiled)], out)
+        return inner[0]
+
+    return splits, fold_at
+
+
 def mapm_attention(levels: Sequence[Tuple[FeatureMap, FeatureMap, PatchWeights]],
                    d_max: int, threads: int = 1) -> CostVolume:
     """Attention weights of the tiled 40-group MAPM volume, from untiled levels.
 
     Equals generate_attention_weights(build_mapm_volume(tiled)) bit for bit,
-    where tiled repeats each level's channels out to GROUP_SPLIT[k] groups:
-    tiled group g of level k is then level k's group g % n, n its own group
-    count, and the scale n / channels is the same.  So one pass over the
-    disparities computes each level's n distinct groups at d and folds the
-    GROUP_SPLIT groups in the tiled volume's order; no level volume is held,
-    only one disparity's slices per task.
+    where tiled repeats each level's channels out to GROUP_SPLIT[k] groups.
+    One pass over the disparities folds each disparity's slices (see
+    _attention_folder); no level volume is held.
     """
-    splits = _check_levels(levels, d_max, "mapm_attention")
-    d_bins = d_max // 4
-    slicers = [_mapm_slicer(f_l, f_r, w, n) for (f_l, f_r, w), n in zip(levels, splits)]
-    out = np.empty((1, d_bins) + levels[0][0].data.shape[1:], dtype=np.float32)
+    _, fold_at = _attention_folder(levels, d_max, "mapm_attention")
+    out = np.empty((1, d_max // 4) + levels[0][0].data.shape[1:], dtype=np.float32)
 
     def run(d):
-        slices = [slice_at(d) for slice_at in slicers]
-        _group_mean([v[g % n] for v, n, tiled in zip(slices, splits, GROUP_SPLIT)
-                     for g in range(tiled)], out[0, d])
+        fold_at(d, out[0, d])
 
-    _run_over_disparities(d_bins, run, threads)
+    _run_over_disparities(d_max // 4, run, threads)
+    return CostVolume(out)
+
+
+def filtered_correlation(levels: Sequence[Tuple[FeatureMap, FeatureMap, PatchWeights]],
+                         d_max: int, threads: int = 1) -> CostVolume:
+    """acv's filtered cost in one pass: the attention times a one-group correlation.
+
+    Computes attention_filter(mapm_attention(levels, d_max), corr) with
+    corr = group_correlation(t_l, t_r, d_max // 4, 1), where t tiles level
+    1's channels out to CONCAT_CHANNELS.  Tiled group g of t is level 1's
+    group g % n, so corr is the sum of level 1's raw group sums in that
+    order times 1 / CONCAT_CHANNELS, read from the same sums the attention
+    folds at each disparity.
+
+    The result is bitwise the reference's only when those sums are exact,
+    as on census features: every product is -1, 0 or +1, so every partial
+    sum is a small integer in any order, and the scale is a power of two.
+    On other features the two differ by the float32 rounding of the
+    reordered sum.
+    """
+    splits, fold_at = _attention_folder(levels, d_max, "filtered_correlation")
+    n1 = splits[0]
+    scale = np.float32(1.0 / CONCAT_CHANNELS)
+    out = np.empty((1, d_max // 4) + levels[0][0].data.shape[1:], dtype=np.float32)
+
+    def run(d):
+        cost = out[0, d]
+        inner = fold_at(d, cost)
+        corr = inner[0].copy()
+        for g in range(1, CONCAT_CHANNELS // CHANNELS_PER_GROUP):
+            corr += inner[g % n1]
+        corr *= scale
+        cost *= corr
+
+    _run_over_disparities(d_max // 4, run, threads)
     return CostVolume(out)
 
 
@@ -213,9 +272,10 @@ def generate_attention_weights(c_patch: CostVolume) -> CostVolume:
 def attention_filter(a: CostVolume, c_concat: CostVolume) -> CostVolume:
     """Scale every channel of a volume by the single-channel attention weights.
 
-    run_acv_pipeline filters the compressed concatenation cost, so the
-    weights enter linearly; filtering the concatenation volume itself and
-    then reading it out would square them.
+    acv filters the compressed concatenation cost, so the weights enter
+    linearly; filtering the concatenation volume itself and then reading it
+    out would square them.  run_acv_pipeline computes the filtered cost with
+    filtered_correlation, which this op checks.
     """
     if a.channels != 1:
         raise ValueError("attention_filter: attention volume must have a single channel")

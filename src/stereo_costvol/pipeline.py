@@ -23,6 +23,7 @@ from .acv import (
     PatchWeights,
     attention_filter,
     build_mapm_volume,
+    filtered_correlation,
     generate_attention_weights,
     mapm_attention,
 )
@@ -60,17 +61,19 @@ from .volume_core import (
 )
 
 # build_concat_volume, build_compact_concat, compress_concat_volume (below),
-# matching_score, unfold_cross, cross_propagate, build_mapm_volume and
-# f2i_topk are reference ops: group_correlation with one group equals the
-# compressed dense concatenation volume, read_disparity_planes on it equals
-# matching_score at VAP's candidates and the compressed compact volume at
-# the hypotheses, cross_propagate_volume streams the unfolded propagation,
-# mapm_attention equals the group mean of the tiled 40-group MAPM volume,
-# and f2i_select keeps f2i_topk's hypotheses unsorted.  The runners no
-# longer call them, but they stay attributes of this module, next to
-# attention_filter, so oracle tests and call-site tracing still find them
-# here.  matching_score is a plain single-threaded gather: only tests and
-# selftest call it.
+# matching_score, unfold_cross, cross_propagate, build_mapm_volume,
+# mapm_attention, attention_filter and f2i_topk are reference ops:
+# group_correlation with one group equals the compressed dense
+# concatenation volume, read_disparity_planes on it equals matching_score
+# at VAP's candidates and the compressed compact volume at the hypotheses,
+# cross_propagate_volume streams the unfolded propagation, mapm_attention
+# equals the group mean of the tiled 40-group MAPM volume,
+# filtered_correlation equals attention_filter of that attention and the
+# one-group correlation, and f2i_select keeps f2i_topk's hypotheses
+# unsorted.  The runners no longer call them, but they stay attributes of
+# this module so oracle tests and call-site tracing still find them here.
+# matching_score is a plain single-threaded gather: only tests and selftest
+# call it.
 
 # Logical group count of fast_acv's low-resolution correlation; the meter
 # books it, while the runner computes the one group it equals.
@@ -148,13 +151,14 @@ class AllocationMeter:
     """Tracks named volume allocations and the peak number of live elements.
 
     Counts are logical volume elements of the paper's architecture, not
-    bytes held.  acv's 40-group "correlation" is booked in full although
-    neither it nor any level's volume is built: mapm_attention folds the
-    distinct groups into the attention one disparity slice at a time.  The
-    concatenation volumes are never built: acv reads its
-    "concat" cost as a one-group quarter-resolution correlation, and
-    fast_acv reads its "compact_concat" cost from the same correlation at
-    the hypotheses.  That dense correlation is not booked in fast_acv mode,
+    bytes held.  acv books its "correlation", "attention", "concat",
+    "compressed" and "filtered" volumes in full, though it holds only the
+    filtered one: filtered_correlation folds the distinct MAPM groups into
+    the attention one disparity slice at a time, reads the "concat" cost
+    as the one-group quarter-resolution correlation of the same level-1
+    sums, and multiplies the two in the same pass.  fast_acv reads its
+    "compact_concat" cost from that one-group correlation at the
+    hypotheses.  That dense correlation is not booked in fast_acv mode,
     where it stands in for the compact volume's feature gathers.  Nor is
     fast_acv's five-plane "unfolded" volume built; the propagation reads it
     straight from v_init.  fast_acv's "correlation" is booked with
@@ -280,12 +284,13 @@ def build_feature_pyramid(image: np.ndarray, cfg: PipelineConfig) -> FeaturePyra
     """Census features at the scales the configured matcher reads.
 
     f_quarter (quarter resolution, channels tiled to the concatenation
-    width) feeds the concatenation costs of both matchers.  f_corr is the
-    untiled eighth-resolution base map; fast_acv correlates it as one
-    group.  In acv mode only, pseudo-levels l1..l3 at quarter resolution
-    are the census maps of the quarter image and of its 2x / 4x
-    box-downsampled versions (resized back), untiled: mapm_attention reads
-    their distinct groups in place of the paper's 8/16/16 tiled ones.
+    width) feeds fast_acv's concatenation cost; acv reads the same
+    correlation from l1's group sums instead.  f_corr is the untiled
+    eighth-resolution base map; fast_acv correlates it as one group.  In
+    acv mode only, pseudo-levels l1..l3 at quarter resolution are the
+    census maps of the quarter image and of its 2x / 4x box-downsampled
+    versions (resized back), untiled: filtered_correlation reads their
+    distinct groups in place of the paper's 8/16/16 tiled ones.
     """
     img = np.asarray(getattr(image, "intensities", image), dtype=np.float32)
     if img.ndim != 2:
@@ -445,16 +450,24 @@ def run_acv_pipeline(left, right, cfg: PipelineConfig,
     soft-argmin -> x4 scale and bilinear upsampling.
 
     The attention is the group mean of the paper's 40-group patch-matching
-    volume.  Its groups tile the 24 census channels, so mapm_attention
-    computes the 3 distinct groups per level one disparity at a time and
-    folds the 40 in their tiled order, bit for bit the mean of the full
-    volume; it holds no level volume, only each task's disparity slices.
+    volume.  Its groups tile the 24 census channels, so the 3 distinct
+    groups per level are computed one disparity at a time and the 40 are
+    folded in their tiled order, bit for bit the mean of the full volume.
 
     The compressed concatenation volume is its fixed channel-pair readout,
-    i.e. a one-group correlation, so it is computed as one.  Filtering after
-    that readout lets the attention enter the cost linearly, as in fast_acv;
-    filtering the concatenation volume first would scale both halves and
-    square it, losing its sign and flattening the peaks.
+    i.e. a one-group correlation of the 32 channels tiled from level 1.
+    Filtering after that readout lets the attention enter the cost
+    linearly, as in fast_acv; filtering the concatenation volume first
+    would scale both halves and square it, losing its sign and flattening
+    the peaks.
+
+    filtered_correlation does all of this in one pass over the disparities:
+    the correlation is the sum of the level-1 group sums the attention
+    already computed, and census sums are exact integers, so the filtered
+    cost is bit for bit attention_filter(mapm_attention(...),
+    group_correlation(...)).  It holds no level volume and no attention or
+    correlation volume.  Its time books to the volume_construction stage;
+    the aggregation stage, where the filter ran, reads 0.
     """
     l_img, r_img = _check_pair(left, right)
     h, w = l_img.shape
@@ -469,25 +482,20 @@ def run_acv_pipeline(left, right, cfg: PipelineConfig,
     t0 = time.perf_counter()
     weights = [PatchWeights.uniform(k) for k in (1, 2, 3)]
     levels = [(pyr_l.levels[i], pyr_r.levels[i], weights[i]) for i in range(3)]
-    a = mapm_attention(levels, cfg.d_max, cfg.threads)
-    meter.alloc("correlation", sum(GROUP_SPLIT) * a.elements)
-    meter.alloc("attention", a.elements)
-    meter.release("correlation")
-    # The meter still books the logical concat volume the correlation reads.
-    compressed = group_correlation(pyr_l.f_quarter, pyr_r.f_quarter, cfg.d_max // 4, 1,
-                                   cfg.threads)
-    meter.alloc("concat", 2 * pyr_l.f_quarter.channels * compressed.elements)
-    meter.alloc("compressed", compressed.elements)
-    meter.release("concat")
+    cost = filtered_correlation(levels, cfg.d_max, cfg.threads)
     del pyr_l, pyr_r, levels
-    stage_ms["volume_construction"] = (time.perf_counter() - t0) * 1000.0
-
-    t0 = time.perf_counter()
-    cost = attention_filter(a, compressed)
+    # The meter books the logical volumes in the order the architecture
+    # allocates them, though the one pass holds only the filtered cost.
+    meter.alloc("correlation", sum(GROUP_SPLIT) * cost.elements)
+    meter.alloc("attention", cost.elements)
+    meter.release("correlation")
+    meter.alloc("concat", 2 * CONCAT_CHANNELS * cost.elements)
+    meter.alloc("compressed", cost.elements)
+    meter.release("concat")
     meter.alloc("filtered", cost.elements)
     meter.release("compressed")
-    del a, compressed
-    stage_ms["aggregation"] = (time.perf_counter() - t0) * 1000.0
+    stage_ms["volume_construction"] = (time.perf_counter() - t0) * 1000.0
+    stage_ms["aggregation"] = 0.0
 
     t0 = time.perf_counter()
     cost.data *= np.float32(TEMPERATURE)

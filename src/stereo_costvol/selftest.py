@@ -224,6 +224,55 @@ def check_mapm_attention(rng, cases):
                                    threads, signs=threads == 1)
 
 
+def _check_filtered_correlation_case(rng, h, w, threads, signs, uniform):
+    levels = []
+    for level in (1, 2, 3):
+        c = int(rng.integers(1, 4)) * acv.CHANNELS_PER_GROUP
+        if signs:  # census-like {-1, 0, +1} channels
+            pair = [rng.integers(-1, 2, size=(c, h, w)).astype(np.float32) for _ in range(2)]
+        else:
+            pair = [rng.standard_normal((c, h, w)).astype(np.float32) for _ in range(2)]
+        weights = (acv.PatchWeights.uniform(level) if uniform else
+                   acv.PatchWeights(level, rng.random((3, 3)).astype(np.float32)))
+        levels.append((volume_core.FeatureMap(pair[0]), volume_core.FeatureMap(pair[1]),
+                       weights))
+    d_max = 4 * int(rng.integers(1, 5))
+    out = acv.filtered_correlation(levels, d_max, threads)
+    n = acv.CONCAT_CHANNELS
+    t_l, t_r = (pipeline._tile_channels(f.data, n) for f in levels[0][:2])
+    corr = volume_core.group_correlation(volume_core.FeatureMap(t_l),
+                                         volume_core.FeatureMap(t_r), d_max // 4, 1)
+    a = acv.mapm_attention(levels, d_max)
+    expect = acv.attention_filter(a, corr)
+    if signs:
+        assert np.array_equal(out.data, expect.data)
+        return
+    # The 32 products are summed in another order.  Either sum is within 31
+    # unit roundoffs (eps / 2) of the exact one, relative to the sum of
+    # |products|, so 64 eps covers both sums and the rounding of the product.
+    mag = volume_core.group_correlation(volume_core.FeatureMap(np.abs(t_l)),
+                                        volume_core.FeatureMap(np.abs(t_r)), d_max // 4, 1)
+    bound = 64 * np.finfo(np.float32).eps * np.abs(a.data) * mag.data
+    assert np.all(np.abs(out.data.astype(np.float64) - expect.data) <= bound)
+
+
+def check_filtered_correlation(rng, cases):
+    # Bit for bit attention_filter(mapm_attention, group_correlation of level
+    # 1 tiled to CONCAT_CHANNELS, one group) on sign-valued features, whose
+    # level-1 group sums are exact integers; within float32 rounding on
+    # float features.
+    for i in range(cases):
+        _check_filtered_correlation_case(rng, int(rng.integers(4, 10)),
+                                         int(rng.integers(4, 14)), threads=(1, 3)[i % 2],
+                                         signs=i % 4 < 2, uniform=i % 3 == 0)
+    # Frames no larger than the level-3 offset: some taps fall wholly outside.
+    for threads in (1, 3):
+        for signs in (True, False):
+            _check_filtered_correlation_case(rng, int(rng.integers(1, 4)),
+                                             int(rng.integers(1, 4)), threads, signs,
+                                             uniform=signs)
+
+
 def check_generate_attention_weights(rng, cases):
     for _ in range(cases):
         g = int(rng.integers(1, 6))
@@ -944,6 +993,7 @@ CHECKS = [
     ("mapm_level", check_mapm_level),
     ("build_mapm_volume", check_build_mapm_volume),
     ("mapm_attention", check_mapm_attention),
+    ("filtered_correlation", check_filtered_correlation),
     ("generate_attention_weights", check_generate_attention_weights),
     ("attention_filter", check_attention_filter),
     ("regress_initial_disparity", check_regress_initial_disparity),

@@ -10,16 +10,25 @@ from stereo_costvol.acv import (
     PatchWeights,
     attention_filter,
     build_mapm_volume,
+    filtered_correlation,
     generate_attention_weights,
     mapm_attention,
     mapm_level,
 )
 from stereo_costvol import pipeline
 from stereo_costvol.io_formats import StereogramSpec, generate_stereogram
-from stereo_costvol.pipeline import PipelineConfig, _tile_channels, run_acv_pipeline
+from stereo_costvol.pipeline import (
+    PipelineConfig,
+    _tile_channels,
+    _upsample_disparity_full,
+    build_feature_pyramid,
+    run_acv_pipeline,
+)
 from stereo_costvol.volume_core import (
     CostVolume,
+    DisparityMap,
     FeatureMap,
+    _group_inner,
     group_correlation,
     soft_argmin,
     softmax_over_disparity,
@@ -73,6 +82,47 @@ def test_mapm_uniform_on_constant_features_equals_center():
         inner = (slice(level, -level), slice(level + d, 14 - level))
         assert np.allclose(uniform.data[:, d][(slice(None),) + inner],
                            center.data[:, d][(slice(None),) + inner], atol=1e-5)
+
+
+def _per_tap_mapm(f_l, f_r, w, d_max, n_groups):
+    # One multiply per nonzero tap over its in-frame slice, added in
+    # row-major tap order.
+    c, h, width = f_l.data.shape
+    fl_g = f_l.data.reshape(n_groups, c // n_groups, h, width)
+    fr_g = f_r.data.reshape(n_groups, c // n_groups, h, width)
+    scale = np.float32(n_groups / c)
+    offs = (-w.level, 0, w.level)
+    out = np.zeros((n_groups, d_max, h, width), dtype=np.float32)
+    for d in range(d_max):
+        base = _group_inner(fl_g, fr_g, d)
+        for jj in range(3):
+            for ii in range(3):
+                if w.weights[jj, ii] == 0.0:
+                    continue
+                factor = np.float32(w.weights[jj, ii] * scale)
+                dy, dx = offs[jj], offs[ii]
+                for y in range(max(dy, 0), min(h, h + dy)):
+                    x0, x1 = max(dx, 0), min(width, width + dx)
+                    if x0 < x1:
+                        out[:, d, y, x0:x1] += factor * base[:, y - dy, x0 - dx:x1 - dx]
+    return out
+
+
+@pytest.mark.parametrize("weights", [
+    PatchWeights.uniform(2).weights,
+    np.array([[0.25, 0.75, 0.25], [0.75, 0.25, 0.75], [0.25, 0.75, 0.25]]),
+    PatchWeights.center_only(2).weights,
+], ids=["uniform", "two_valued", "center_only"])
+@pytest.mark.parametrize("level, h, w", [(1, 7, 9), (2, 9, 12), (3, 5, 6), (3, 2, 3)])
+def test_mapm_level_shared_tap_products_equal_per_tap(weights, level, h, w):
+    # Taps with equal weights share one product; the sums stay bitwise.
+    rng = np.random.default_rng(14)
+    f_l, f_r = rand_feature(rng, 12, h, w), rand_feature(rng, 12, h, w)
+    pw = PatchWeights(level, weights)
+    out = mapm_level(f_l, f_r, pw, 5, 3)
+    expect = _per_tap_mapm(f_l, f_r, pw, 5, 3)
+    assert np.array_equal(out.data, expect)
+    assert np.array_equal(np.signbit(out.data), np.signbit(expect))
 
 
 def test_mapm_matches_nine_tap_oracle():
@@ -212,14 +262,60 @@ def _tiled_attention(levels, d_max, threads=1):
     return generate_attention_weights(build_mapm_volume(tiled, d_max, threads))
 
 
-def test_acv_runner_equals_tiled_composition(monkeypatch):
+def _reference_acv_map(left, right, d_max):
+    # The op-by-op chain the runner's one pass replaces: tiled MAPM volume,
+    # attention, dense one-group correlation, filter, softmax, soft-argmin.
+    cfg = PipelineConfig("acv", d_max)
+    pyr_l, pyr_r = build_feature_pyramid(left, cfg), build_feature_pyramid(right, cfg)
+    levels = [(pyr_l.levels[i], pyr_r.levels[i], PatchWeights.uniform(i + 1))
+              for i in range(3)]
+    a = _tiled_attention(levels, d_max)
+    compressed = group_correlation(pyr_l.f_quarter, pyr_r.f_quarter, d_max // 4, 1)
+    cost = attention_filter(a, compressed)
+    cost.data *= np.float32(pipeline.TEMPERATURE)
+    d_quarter = soft_argmin(softmax_over_disparity(cost))
+    h, w = left.intensities.shape
+    return _upsample_disparity_full(DisparityMap(d_quarter.data * 4.0), h, w)
+
+
+def test_acv_runner_equals_tiled_composition():
     left, right, _, _ = generate_stereogram(StereogramSpec(128, 256, 12, 0.5, 4))
-    with monkeypatch.context() as m:
-        m.setattr(pipeline, "mapm_attention", _tiled_attention)
-        expect = run_acv_pipeline(left, right, PipelineConfig("acv", 64))
+    expect = _reference_acv_map(left, right, 64)
     for threads in (1, 3):
         out = run_acv_pipeline(left, right, PipelineConfig("acv", 64, threads=threads))
         assert np.array_equal(out.data, expect.data)
+
+
+def test_filtered_correlation_rejects_what_mapm_attention_rejects():
+    rng = np.random.default_rng(15)
+    levels = _pyramid_levels(rng, 4, 5, split=(1, 1, 1))
+    odd = (rand_feature(rng, 12, 4, 5), rand_feature(rng, 12, 4, 5), levels[2][2])
+    with pytest.raises(ValueError, match="groups of 8"):
+        filtered_correlation(levels[:2] + [odd], 16)
+    with pytest.raises(ValueError, match="d_max"):
+        filtered_correlation(levels, 3)
+    with pytest.raises(ValueError, match="expected 3 levels"):
+        filtered_correlation(levels[:2], 16)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_filtered_correlation_holds_one_volume(threads):
+    # The attention, the correlation and their product were three volumes;
+    # the one pass holds only its output beside per-task slices, which at
+    # 256 bins stay under half the output's bytes.
+    rng = np.random.default_rng(16)
+
+    def signs():
+        return FeatureMap(rng.integers(-1, 2, size=(24, 32, 64)).astype(np.float32))
+
+    levels = [(signs(), signs(), PatchWeights.uniform(k)) for k in (1, 2, 3)]
+    tracemalloc.start()
+    try:
+        cost = filtered_correlation(levels, 1024, threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * cost.data.nbytes
 
 
 def test_attention_filter_identity_and_annihilator():
@@ -276,6 +372,7 @@ def test_identical_images_attention_peaks_at_zero():
     selftest.check_mapm_level,
     selftest.check_build_mapm_volume,
     selftest.check_mapm_attention,
+    selftest.check_filtered_correlation,
     selftest.check_generate_attention_weights,
     selftest.check_attention_filter,
 ])
