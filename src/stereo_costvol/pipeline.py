@@ -45,6 +45,7 @@ from .fast_acv import (
     sample_cross_disparities,
 )
 from .volume_core import (
+    CensusCodes,
     CostVolume,
     DisparityMap,
     FeatureMap,
@@ -54,26 +55,28 @@ from .volume_core import (
     _resize_linear,
     _unchecked,
     build_concat_volume,
+    census_correlation,
     group_correlation,
     soft_argmin,
     softmax_over_disparity,
     unfold_cross,
 )
 
-# build_concat_volume, build_compact_concat, compress_concat_volume (below),
-# matching_score, unfold_cross, cross_propagate, build_mapm_volume,
-# mapm_attention, attention_filter and f2i_topk are reference ops:
-# group_correlation with one group equals the compressed dense
-# concatenation volume, read_disparity_planes on it equals matching_score
-# at VAP's candidates and the compressed compact volume at the hypotheses,
-# cross_propagate_volume streams the unfolded propagation, mapm_attention
-# equals the group mean of the tiled 40-group MAPM volume,
-# filtered_correlation equals attention_filter of that attention and the
-# one-group correlation, and f2i_select keeps f2i_topk's hypotheses
-# unsorted.  The runners no longer call them, but they stay attributes of
-# this module so oracle tests and call-site tracing still find them here.
-# matching_score is a plain single-threaded gather: only tests and selftest
-# call it.
+# group_correlation, build_concat_volume, build_compact_concat,
+# compress_concat_volume (below), matching_score, unfold_cross,
+# cross_propagate, build_mapm_volume, mapm_attention, attention_filter and
+# f2i_topk are reference ops: census_correlation equals group_correlation
+# with one group on the census maps its codes pack, which equals the
+# compressed dense concatenation volume; read_disparity_planes on it
+# equals matching_score at VAP's candidates and the compressed compact
+# volume at the hypotheses; cross_propagate_volume streams the unfolded
+# propagation; mapm_attention equals the group mean of the tiled 40-group
+# MAPM volume; filtered_correlation equals attention_filter of that
+# attention and the one-group correlation; and f2i_select keeps
+# f2i_topk's hypotheses unsorted.  The runners no longer call them, but
+# they stay attributes of this module so oracle tests and call-site
+# tracing still find them here.  matching_score is a plain single-threaded
+# gather: only tests and selftest call it.
 
 # Logical group count of fast_acv's low-resolution correlation; the meter
 # books it, while the runner computes the one group it equals.
@@ -160,12 +163,15 @@ class AllocationMeter:
     "compact_concat" cost from that one-group correlation at the
     hypotheses.  That dense correlation is not booked in fast_acv mode,
     where it stands in for the compact volume's feature gathers.  Nor is
-    fast_acv's five-plane "unfolded" volume built; the propagation reads it
-    straight from v_init.  fast_acv's "correlation" is booked with
-    FAST_CORR_GROUPS groups although one is computed.  Nor does fast_acv
-    hold any whole quarter-resolution volume: it runs from v_init to the
-    prediction over bands of rows.  All are booked at full size in the
-    order the architecture allocates and frees them.
+    fast_acv's five-plane "unfolded" volume built; the propagation copies
+    its cross shifts straight from v_init.  fast_acv's "correlation" is
+    booked with FAST_CORR_GROUPS groups although one is computed, and
+    fast_acv's counts are the same whether its correlations add float
+    census channels or count bits of packed codes: "compact_concat" is
+    still 2 * CONCAT_CHANNELS feature channels per hypothesis.  Nor does
+    fast_acv hold any whole quarter-resolution volume: it runs from v_init
+    to the prediction over bands of rows.  All are booked at full size in
+    the order the architecture allocates and frees them.
     """
 
     def __init__(self):
@@ -219,11 +225,14 @@ class RunReport:
 # ---------------------------------------------------------------------------
 # Deterministic feature extraction
 
-def census_features(intensities: np.ndarray) -> FeatureMap:
-    """5x5 census transform: one +/-1 sign channel per off-center pixel.
+# Census channels: the 5x5 window's off-center pixels.
+CENSUS_CHANNELS = 24
 
-    Channel b holds sign(I(neighbor_b) - I(center)) for the 24 neighbors in
-    row-major order; ties map to 0 and the border replicates edge pixels.
+
+def _census_neighbors(intensities):
+    """The float32 image and views of its 24 census neighbors, row-major.
+
+    The border replicates edge pixels.
     """
     img = np.asarray(intensities, dtype=np.float32)
     if img.ndim != 2:
@@ -233,14 +242,35 @@ def census_features(intensities: np.ndarray) -> FeatureMap:
     r = 2
     padded = np.pad(img, r, mode="edge")
     h, w = img.shape
-    channels = []
-    for dy in range(-r, r + 1):
-        for dx in range(-r, r + 1):
-            if dy == 0 and dx == 0:
-                continue
-            neigh = padded[r + dy:r + dy + h, r + dx:r + dx + w]
-            channels.append(np.sign(neigh - img))
-    return _unchecked(FeatureMap, np.stack(channels, axis=0))
+    return img, [padded[r + dy:r + dy + h, r + dx:r + dx + w]
+                 for dy in range(-r, r + 1) for dx in range(-r, r + 1) if dy or dx]
+
+
+def census_features(intensities: np.ndarray) -> FeatureMap:
+    """5x5 census transform: one +/-1 sign channel per off-center pixel.
+
+    Channel b holds sign(I(neighbor_b) - I(center)) for the 24 neighbors in
+    row-major order; ties map to 0 and the border replicates edge pixels.
+    """
+    img, neighbors = _census_neighbors(intensities)
+    return _unchecked(FeatureMap, np.stack([np.sign(n - img) for n in neighbors]))
+
+
+def _census_codes(intensities, channels: int) -> CensusCodes:
+    """census_features packed as CensusCodes of CENSUS_CHANNELS or 32 bits.
+
+    Bit c holds census channel c % CENSUS_CHANNELS, so 32 bits carry the
+    channels tiled to CONCAT_CHANNELS as _tile_channels lays them out.
+    """
+    img, neighbors = _census_neighbors(intensities)
+    words = np.zeros((2,) + img.shape, dtype=np.uint32)
+    for c, n in enumerate(neighbors):
+        diff = n - img
+        words[0] |= (diff != 0).astype(np.uint32) << np.uint32(c)
+        words[1] |= (diff > 0).astype(np.uint32) << np.uint32(c)
+    if channels > CENSUS_CHANNELS:  # bits 24-31 repeat channels 0-7
+        words |= words << np.uint32(CENSUS_CHANNELS)
+    return CensusCodes(words, channels)
 
 
 def box_downsample(img: np.ndarray, factor: int) -> np.ndarray:
@@ -259,6 +289,7 @@ def box_downsample(img: np.ndarray, factor: int) -> np.ndarray:
 
 
 def _tile_channels(data: np.ndarray, n: int) -> np.ndarray:
+    """Channels repeated cyclically to n; tests and selftest build float references with it."""
     return np.take(data, np.arange(n) % data.shape[0], axis=0)
 
 
@@ -269,28 +300,30 @@ def _resize_features(data: np.ndarray, height: int, width: int) -> np.ndarray:
 
 @dataclass
 class FeaturePyramid:
-    """Feature maps the pipelines consume, all derived from one image.
+    """Census features at the scales one matcher reads, all from one image.
 
-    levels holds acv's three untiled 24-channel patch-matching levels and
-    is None in fast_acv mode, which never reads them.
+    In acv mode levels holds the three untiled 24-channel patch-matching
+    levels and the codes are None; in fast_acv mode levels is None and
+    quarter_codes (32 tiled channels) and low_codes (24 channels, eighth
+    resolution) hold the packed census codes its correlations read.
     """
 
     levels: Optional[Tuple[FeatureMap, FeatureMap, FeatureMap]]
-    f_quarter: FeatureMap
-    f_corr: FeatureMap
+    quarter_codes: Optional[CensusCodes] = None
+    low_codes: Optional[CensusCodes] = None
 
 
 def build_feature_pyramid(image: np.ndarray, cfg: PipelineConfig) -> FeaturePyramid:
     """Census features at the scales the configured matcher reads.
 
-    f_quarter (quarter resolution, channels tiled to the concatenation
-    width) feeds fast_acv's concatenation cost; acv reads the same
-    correlation from l1's group sums instead.  f_corr is the untiled
-    eighth-resolution base map; fast_acv correlates it as one group.  In
-    acv mode only, pseudo-levels l1..l3 at quarter resolution are the
-    census maps of the quarter image and of its 2x / 4x box-downsampled
-    versions (resized back), untiled: filtered_correlation reads their
-    distinct groups in place of the paper's 8/16/16 tiled ones.
+    fast_acv correlates packed census codes: the quarter-resolution image's
+    with its 24 channels tiled to the CONCAT_CHANNELS concatenation width,
+    and the eighth-resolution image's untiled, as one group each.  acv's
+    pseudo-levels l1..l3 at quarter resolution are the census maps of the
+    quarter image and of its 2x / 4x box-downsampled versions (resized
+    back), untiled: filtered_correlation reads their distinct groups in
+    place of the paper's 8/16/16 tiled ones, and the concatenation cost
+    from l1's group sums.
     """
     img = np.asarray(getattr(image, "intensities", image), dtype=np.float32)
     if img.ndim != 2:
@@ -298,17 +331,16 @@ def build_feature_pyramid(image: np.ndarray, cfg: PipelineConfig) -> FeaturePyra
     h, w = img.shape
     if 0 in img.shape or h % 8 != 0 or w % 8 != 0:
         raise ValueError("image dimensions must be positive and divisible by 8")
-    base4 = census_features(box_downsample(img, 4))
-    base8 = census_features(box_downsample(img, 8))
-    f_quarter = _unchecked(FeatureMap, _tile_channels(base4.data, CONCAT_CHANNELS))
+    quarter, low = box_downsample(img, 4), box_downsample(img, 8)
     if cfg.mode != "acv":
-        return FeaturePyramid(None, f_quarter, base8)
+        return FeaturePyramid(None, _census_codes(quarter, CONCAT_CHANNELS),
+                              _census_codes(low, CENSUS_CHANNELS))
 
     base16 = census_features(box_downsample(img, 16))
     h4, w4 = h // 4, w // 4
-    l2 = _unchecked(FeatureMap, _resize_features(base8.data, h4, w4))
+    l2 = _unchecked(FeatureMap, _resize_features(census_features(low).data, h4, w4))
     l3 = _unchecked(FeatureMap, _resize_features(base16.data, h4, w4))
-    return FeaturePyramid((base4, l2, l3), f_quarter, base8)
+    return FeaturePyramid((census_features(quarter), l2, l3))
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +558,7 @@ def _fast_acv_rows(pyr_l: FeaturePyramid, pyr_r: FeaturePyramid, a_disp: np.ndar
     per pixel on the band's own rows.  Stage times add to stage_ms.
     """
     t0 = time.perf_counter()
-    r0, r1 = max(y0 - VAP_RADIUS, 0), min(y1 + VAP_RADIUS, pyr_l.f_quarter.height)
+    r0, r1 = max(y0 - VAP_RADIUS, 0), min(y1 + VAP_RADIUS, pyr_l.quarter_codes.height)
     own = slice(y0 - r0, y1 - r0)
     v_init = _unchecked(CostVolume, _upsample_fast_rows(a_disp, r0, r1))
     v_init.data *= np.float32(TEMPERATURE)
@@ -534,9 +566,8 @@ def _fast_acv_rows(pyr_l: FeaturePyramid, pyr_r: FeaturePyramid, a_disp: np.ndar
     u = estimate_uncertainty(p_init, d_init)
     del p_init
     # VAP's scores and the compact cost are both read from this one volume.
-    corr_q = group_correlation(_unchecked(FeatureMap, pyr_l.f_quarter.data[:, r0:r1]),
-                               _unchecked(FeatureMap, pyr_r.f_quarter.data[:, r0:r1]),
-                               cfg.d_max // 4, 1, cfg.threads)
+    corr_q = census_correlation(pyr_l.quarter_codes.rows(r0, r1),
+                                pyr_r.quarter_codes.rows(r0, r1), cfg.d_max // 4)
     planes = sample_cross_disparities(d_init, VAP_RADIUS)
     # The soft-argmin can pass the top bin by a rounding error.
     np.minimum(planes, corr_q.disparities - 1, out=planes)
@@ -579,19 +610,27 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
     prediction -> x4 scale and bilinear upsampling.
 
     Only what the result reads is computed.  The FAST_CORR_GROUPS groups of
-    the paper's correlation are tiled copies of f_corr's channels (four
-    copies each of its three 8-channel blocks), so their group mean is the
-    one-group correlation of the untiled f_corr.  The propagation reads
-    v_init's cross shifts in place of the unfolded volume.  VAP's feature-similarity
-    scores and the compact volume's compressed cost are both the one-channel
-    readout (1 / C)<F_l(x), F_r(x - d)>, so both are read with
+    the paper's correlation are tiled copies of the eighth-resolution
+    census channels (four copies each of its three 8-channel blocks), so
+    their group mean is the one-group correlation of the untiled channels.
+    The propagation copies v_init's edge-clamped cross shifts with slices
+    in place of the unfolded volume.  VAP's feature-similarity scores and
+    the compact volume's compressed cost are both the one-channel readout
+    (1 / C)<F_l(x), F_r(x - d)>, so both are read with
     read_disparity_planes from one dense one-group quarter-resolution
-    correlation, the one acv builds: linearly between bins at VAP's
-    fractional candidates, directly at the integer hypotheses.  The K
-    hypotheses are selected with f2i_select, as a set in ascending bin
-    order, not sorted as f2i_topk sorts them: every later step reads them
-    per hypothesis, and the top-2 prediction breaks ties by the weight a_f
-    as that order did.
+    correlation over the 32 tiled channels, the one acv builds: linearly
+    between bins at VAP's fractional candidates, directly at the integer
+    hypotheses.  The K hypotheses are selected with f2i_select, as a set in
+    ascending bin order, not sorted as f2i_topk sorts them: every later
+    step reads them per hypothesis, and the top-2 prediction breaks ties by
+    the weight a_f as that order did.
+
+    Both correlations are census_correlation over the pyramid's packed
+    census codes: bit counts give the exact integer channel sums the float
+    group_correlation adds, so the volumes, and the map, are bit for bit
+    those of the float census maps.  Each is one vectorized pass over all
+    disparities, so the runner starts no thread pool and cfg.threads
+    changes nothing here.
 
     Everything from the upsampling to the top-2 prediction runs over bands
     of quarter-resolution rows (_fast_acv_rows), each sized so that its
@@ -616,7 +655,7 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
 
     t0 = time.perf_counter()
     d_low = cfg.d_max // (4 * FAST_UPSAMPLE_FACTOR)
-    corr = group_correlation(pyr_l.f_corr, pyr_r.f_corr, d_low, 1, cfg.threads)
+    corr = census_correlation(pyr_l.low_codes, pyr_r.low_codes, d_low)
     meter.alloc("correlation", FAST_CORR_GROUPS * corr.elements)
     a_low = generate_attention_weights(corr)
     meter.alloc("low_res_attention", a_low.elements)
@@ -636,7 +675,7 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
     meter.release("unfolded")
     meter.release("v_init")
     meter.release("propagated")
-    meter.alloc("compact_concat", 2 * pyr_l.f_quarter.channels * compact)
+    meter.alloc("compact_concat", 2 * CONCAT_CHANNELS * compact)
     meter.alloc("compressed", compact)
     meter.release("compact_concat")
     meter.alloc("filtered", compact)

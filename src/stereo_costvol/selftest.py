@@ -83,6 +83,30 @@ def check_group_correlation(rng, cases):
                         assert abs(vol.data[gi, d, y, x] - expect) < 1e-6
 
 
+def check_census_correlation(rng, cases):
+    for case in range(cases):
+        h, w = int(rng.integers(1, 7)), int(rng.integers(1, 10))
+        channels = (pipeline.CENSUS_CHANNELS, acv.CONCAT_CHANNELS)[case % 2]
+        d_max = int(rng.integers(1, w + 3))
+        # three intensity levels, so many census channels are ties (zero)
+        imgs = [rng.integers(0, 3, (h, w)).astype(np.float32) for _ in range(2)]
+        f_l, f_r = (pipeline.census_features(img).data for img in imgs)
+        codes_l, codes_r = (pipeline._census_codes(img, channels) for img in imgs)
+        vol = volume_core.census_correlation(codes_l, codes_r, d_max)
+        assert vol.data.dtype == np.float32 and vol.data.shape == (1, d_max, h, w)
+        n = pipeline.CENSUS_CHANNELS
+        for d in range(d_max):
+            for y in range(h):
+                for x in range(w):
+                    got = vol.data[0, d, y, x]
+                    if x - d < 0:
+                        assert got == 0.0 and not np.signbit(got)
+                        continue
+                    expect = sum(float(f_l[c % n, y, x]) * float(f_r[c % n, y, x - d])
+                                 for c in range(channels)) / channels
+                    assert abs(got - expect) < 1e-6
+
+
 def check_build_concat_volume(rng, cases):
     for _ in range(cases):
         c = int(rng.integers(1, 5))
@@ -651,31 +675,43 @@ def check_census_features(rng, cases):
     assert np.all(flat.data == 0.0)
 
 
+def _assert_packs(codes, feats, channels):
+    """codes hold census channel c % 24 of feats in bit c, for `channels` bits."""
+    assert codes.channels == channels and codes.words.dtype == np.uint32
+    assert codes.words.shape == (2,) + feats.shape[1:]
+    nonzero, positive = (words.astype(np.int64) for words in codes.words)
+    for c in range(32):
+        ch = feats[c % feats.shape[0]] if c < channels else np.zeros(feats.shape[1:])
+        assert np.array_equal(nonzero >> c & 1, ch != 0)
+        assert np.array_equal(positive >> c & 1, ch > 0)
+
+
 def check_build_feature_pyramid(rng, cases):
     img = rng.random((16, 32)).astype(np.float32)
-    f_corr = pipeline.census_features(pipeline.box_downsample(img, 8))
+    base8 = pipeline.census_features(pipeline.box_downsample(img, 8))
     base4 = pipeline.census_features(pipeline.box_downsample(img, 4))
     for mode in pipeline.MODES:
         cfg = pipeline.PipelineConfig(mode, 16, k=4)
         pyr_a = pipeline.build_feature_pyramid(img, cfg)
         pyr_b = pipeline.build_feature_pyramid(img, cfg)
-        maps_a, maps_b = (pyr_a.f_quarter, pyr_a.f_corr), (pyr_b.f_quarter, pyr_b.f_corr)
+        const = pipeline.build_feature_pyramid(np.full((16, 32), 0.75, np.float32), cfg)
         if mode == "acv":
             # three untiled census levels; the first is the quarter-res map
             assert [lvl.data.shape for lvl in pyr_a.levels] == [(24, 4, 8)] * 3
             assert np.array_equal(pyr_a.levels[0].data, base4.data)
-            maps_a, maps_b = pyr_a.levels + maps_a, pyr_b.levels + maps_b
+            assert pyr_a.quarter_codes is None and pyr_a.low_codes is None
+            arrays = [[lvl.data for lvl in pyr.levels] for pyr in (pyr_a, pyr_b, const)]
         else:
             assert pyr_a.levels is None
-        assert pyr_a.f_quarter.channels == acv.CONCAT_CHANNELS
-        # f_corr is the untiled eighth-resolution census map
-        assert pyr_a.f_corr.data.shape[1:] == (16 // 8, 32 // 8)
-        assert np.array_equal(pyr_a.f_corr.data, f_corr.data)
-        for fm_a, fm_b in zip(maps_a, maps_b):
-            assert np.array_equal(fm_a.data, fm_b.data)
-        const = pipeline.build_feature_pyramid(np.full((16, 32), 0.75, np.float32), cfg)
-        for fm in (const.levels or ()) + (const.f_quarter, const.f_corr):
-            assert np.all(fm.data == 0.0)
+            # the quarter codes tile to the concatenation width; the
+            # eighth-resolution codes are untiled
+            _assert_packs(pyr_a.quarter_codes, base4.data, acv.CONCAT_CHANNELS)
+            _assert_packs(pyr_a.low_codes, base8.data, pipeline.CENSUS_CHANNELS)
+            arrays = [[pyr.quarter_codes.words, pyr.low_codes.words]
+                      for pyr in (pyr_a, pyr_b, const)]
+        for arr_a, arr_b, arr_const in zip(*arrays):
+            assert np.array_equal(arr_a, arr_b)
+            assert np.all(arr_const == 0)
 
 
 def _linear_tap(n, out_len, j, align_corners):
@@ -988,6 +1024,7 @@ CHECKS = [
     ("softmax_over_disparity", check_softmax_over_disparity),
     ("soft_argmin", check_soft_argmin),
     ("group_correlation", check_group_correlation),
+    ("census_correlation", check_census_correlation),
     ("build_concat_volume", check_build_concat_volume),
     ("unfold_cross", check_unfold_cross),
     ("mapm_level", check_mapm_level),

@@ -1,6 +1,7 @@
 """Dense volume containers and the elementary tensor operations on them.
 
-Cost and feature volumes are stored as float32 arrays; probability volumes
+Cost and feature volumes are stored as float32 arrays (sign-valued census
+features may instead be packed as CensusCodes bits); probability volumes
 and disparity maps are float64 so that regression results survive oracle
 comparison at tight tolerances.  Constructors scan the values they are
 given; ops whose results stay finite on checked inputs skip that scan with
@@ -242,6 +243,68 @@ def group_correlation(f_l: FeatureMap, f_r: FeatureMap, d_max: int, n_groups: in
     return CostVolume(volume)
 
 
+@dataclass
+class CensusCodes:
+    """Sign-valued features packed as bits, two uint32 words per pixel.
+
+    words is (2, height, width): bit c of words[0] is set where channel c
+    is nonzero and bit c of words[1] where it is positive, for the low
+    `channels` bits; the bits above them are zero.  A channel in
+    {-1, 0, +1} is then its two bits.
+    """
+
+    words: np.ndarray
+    channels: int
+
+    def __post_init__(self):
+        if self.words.dtype != np.uint32 or self.words.ndim != 3 or self.words.shape[0] != 2:
+            raise ValueError("CensusCodes words must be uint32 (2, height, width)")
+        if not 1 <= self.channels <= 32:
+            raise ValueError("CensusCodes: channels must lie in [1, 32]")
+
+    @property
+    def height(self) -> int:
+        return self.words.shape[1]
+
+    def rows(self, start: int, stop: int) -> "CensusCodes":
+        return CensusCodes(self.words[:, start:stop], self.channels)
+
+
+def census_correlation(codes_l: CensusCodes, codes_r: CensusCodes, d_max: int) -> CostVolume:
+    """group_correlation(f_l, f_r, d_max, 1) of the features the codes pack.
+
+    A product of two sign channels is +1 where both are nonzero with equal
+    signs and -1 where both are nonzero with opposite signs, so with
+    both = nz_l & nz_r the channel sum is
+    popcount(both) - 2 * popcount(both & (pos_l ^ pos_r)).  That sum is the
+    exact integer the float einsum reaches, and it is scaled by the same
+    float32 1 / channels, so the volume is equal bit for bit.  The right
+    codes are read for every disparity at once through a sliding-window
+    view over a copy zero-padded on the left: out-of-frame samples have no
+    nonzero bit and read +0, as group_correlation's fill does.
+    """
+    if codes_l.words.shape != codes_r.words.shape or codes_l.channels != codes_r.channels:
+        raise ValueError("census_correlation: code shapes differ")
+    if d_max < 1:
+        raise ValueError("census_correlation: d_max must be >= 1")
+    _, h, w = codes_l.words.shape
+    padded = np.zeros((2, h, w + d_max - 1), dtype=np.uint32)
+    padded[:, :, d_max - 1:] = codes_r.words
+    # shifted[:, d, y, x] = codes_r.words[:, y, x - d], or 0 where x < d
+    shifted = np.lib.stride_tricks.sliding_window_view(padded, w, axis=2)
+    shifted = shifted[:, :, ::-1].transpose(0, 2, 1, 3)
+    nz_l, pos_l = codes_l.words[:, None]
+    both = np.bitwise_and(nz_l, shifted[0])
+    differ = np.bitwise_xor(pos_l, shifted[1])
+    differ &= both
+    total = np.bitwise_count(both).view(np.int8)  # at most 32 bits
+    twice = np.bitwise_count(differ).view(np.int8)
+    twice <<= 1
+    total -= twice
+    out = np.multiply(total, np.float32(1.0 / codes_l.channels), dtype=np.float32)
+    return _unchecked(CostVolume, out[None])
+
+
 def build_concat_volume(f_l: FeatureMap, f_r: FeatureMap, d_max: int) -> CostVolume:
     """Concatenation volume: left features stacked on d-shifted right features.
 
@@ -312,22 +375,40 @@ CROSS_OFFSETS = ((0, 0), (0, -1), (0, 1), (-1, 0), (1, 0))
 CROSS_NAMES = ("center", "up", "down", "left", "right")
 
 
-def _cross_indices(h, w, radius):
-    """Row and column indices of the center and four cross samples, in order.
+def _shift_clamped(src, offset, axis, out):
+    """out[..., i, ...] = src[..., clip(i + offset, 0, n - 1), ...] along axis -1 or -2.
 
-    Indices past an edge clamp to it, so sampling with them replicates the
-    nearest edge value.
+    Two slice copies: the in-frame part and the edge sample broadcast over
+    the |offset| positions past it, so any offset works, even |offset| >= n.
     """
-    return [(np.clip(np.arange(h) + dy * radius, 0, h - 1),
-             np.clip(np.arange(w) + dx * radius, 0, w - 1))
-            for dx, dy in CROSS_OFFSETS]
+    n = src.shape[axis]
+    k = min(abs(offset), n)
+
+    def at(start, stop):
+        return (Ellipsis, slice(start, stop)) + (slice(None),) * (-1 - axis)
+
+    if offset >= 0:
+        out[at(0, n - k)] = src[at(k, n)]
+        out[at(n - k, n)] = src[at(n - 1, n)]
+    else:
+        out[at(k, n)] = src[at(0, n - k)]
+        out[at(0, k)] = src[at(0, 1)]
+
+
+def _cross_shifts(src, radius, out):
+    """Write src's center and four cross samples into out[0..4], edge replicated."""
+    for plane, (dx, dy) in zip(out, CROSS_OFFSETS):
+        if dx:
+            _shift_clamped(src, dx * radius, -1, plane)
+        else:
+            _shift_clamped(src, dy * radius, -2, plane)
 
 
 def _cross_sample_2d(arr, radius):
     """Stack arr sampled at the center and four cross offsets, edge replicated."""
-    h, w = arr.shape[-2:]
-    return np.stack([arr[..., ys[:, None], xs[None, :]]
-                     for ys, xs in _cross_indices(h, w, radius)], axis=0)
+    out = np.empty((len(CROSS_OFFSETS),) + arr.shape, dtype=arr.dtype)
+    _cross_shifts(arr, radius, out)
+    return out
 
 
 def unfold_cross(v: CostVolume, radius: int) -> CostVolume:

@@ -6,6 +6,7 @@ import pytest
 from stereo_costvol import selftest
 from stereo_costvol.acv import (
     CHANNELS_PER_GROUP,
+    CONCAT_CHANNELS,
     GROUP_SPLIT,
     PatchWeights,
     attention_filter,
@@ -270,7 +271,10 @@ def _reference_acv_map(left, right, d_max):
     levels = [(pyr_l.levels[i], pyr_r.levels[i], PatchWeights.uniform(i + 1))
               for i in range(3)]
     a = _tiled_attention(levels, d_max)
-    compressed = group_correlation(pyr_l.f_quarter, pyr_r.f_quarter, d_max // 4, 1)
+    # level 1's census channels tiled to the concatenation width
+    quarter_l, quarter_r = (FeatureMap(_tile_channels(p.levels[0].data, CONCAT_CHANNELS))
+                            for p in (pyr_l, pyr_r))
+    compressed = group_correlation(quarter_l, quarter_r, d_max // 4, 1)
     cost = attention_filter(a, compressed)
     cost.data *= np.float32(pipeline.TEMPERATURE)
     d_quarter = soft_argmin(softmax_over_disparity(cost))

@@ -145,8 +145,9 @@ def test_read_disparity_planes_matches_matching_score_fractional(channels, n_d, 
 @pytest.mark.parametrize("n_d, h, w", [(6, 5, 11), (9, 4, 5)])
 @pytest.mark.parametrize("threads", [1, 2, 8])
 def test_read_disparity_planes_integer_planes_are_bitwise(channels, n_d, h, w, threads):
-    # Sign-valued features over a power-of-two channel count, as census
-    # f_quarter's 32 channels are: every sum and the 1 / C scale are exact.
+    # Sign-valued features over a power-of-two channel count, as the 32
+    # tiled quarter-resolution census channels are: every sum and the
+    # 1 / C scale are exact.
     rng = np.random.default_rng(channels * 100 + n_d)
     f_l, f_r = (FeatureMap(rng.integers(-1, 2, (channels, h, w)).astype(np.float32))
                 for _ in range(2))

@@ -26,6 +26,7 @@ from stereo_costvol.pipeline import (
 )
 from stereo_costvol.fast_acv import build_compact_concat, matching_score
 from stereo_costvol.volume_core import (
+    CensusCodes,
     CostVolume,
     DisparityMap,
     FeatureMap,
@@ -86,6 +87,18 @@ def test_census_vertical_step_edge():
 # ---------------------------------------------------------------------------
 # pyramid
 
+def _float_census(image, factor, channels=24):
+    """The float census map a fast_acv code level packs, tiled to `channels`."""
+    img = np.asarray(getattr(image, "intensities", image), dtype=np.float32)
+    return FeatureMap(_tile_channels(census_features(box_downsample(img, factor)).data, channels))
+
+
+def _pyramid_arrays(pyr):
+    if pyr.levels is not None:
+        return [lvl.data for lvl in pyr.levels]
+    return [pyr.quarter_codes.words, pyr.low_codes.words]
+
+
 def test_pyramid_channel_layout():
     img = np.random.default_rng(0).random((32, 64)).astype(np.float32)
     for mode in ("acv", "fast_acv"):
@@ -94,26 +107,33 @@ def test_pyramid_channel_layout():
         if mode == "acv":
             # untiled census levels; mapm_attention reads their distinct groups
             assert [lvl.data.shape for lvl in pyr.levels] == [(24, 8, 16)] * 3
-        else:
-            # fast_acv never reads the patch-matching levels
-            assert pyr.levels is None
-        assert pyr.f_quarter.channels == CONCAT_CHANNELS
-        assert pyr.f_corr.channels == 24
-        assert pyr.f_quarter.data.shape[1:] == (8, 16)
-        assert pyr.f_corr.data.shape[1:] == (4, 8)
+            assert pyr.quarter_codes is None and pyr.low_codes is None
+            continue
+        # fast_acv never reads the patch-matching levels
+        assert pyr.levels is None
+        assert pyr.quarter_codes.channels == CONCAT_CHANNELS
+        assert pyr.low_codes.channels == 24
+        assert pyr.quarter_codes.words.shape == (2, 8, 16)
+        assert pyr.low_codes.words.shape == (2, 4, 8)
+        assert pyr.quarter_codes.words.dtype == pyr.low_codes.words.dtype == np.uint32
+        # bits 24-31 repeat channels 0-7; the low codes use 24 bits
+        words = pyr.quarter_codes.words
+        assert np.array_equal(words >> np.uint32(24), words & np.uint32(0xFF))
+        assert np.all(pyr.low_codes.words >> np.uint32(24) == 0)
+        assert np.all(words[1] & ~words[0] == 0)  # positive implies nonzero
 
 
 def test_pyramid_determinism_and_constant_invariance():
-    cfg = PipelineConfig("acv", 32)
     img = np.random.default_rng(1).random((32, 64)).astype(np.float32)
-    a = build_feature_pyramid(img, cfg)
-    b = build_feature_pyramid(img, cfg)
-    for fa, fb in zip(a.levels + (a.f_quarter, a.f_corr),
-                      b.levels + (b.f_quarter, b.f_corr)):
-        assert np.array_equal(fa.data, fb.data)
-    const = build_feature_pyramid(np.full((32, 64), 0.3, dtype=np.float32), cfg)
-    for fm in const.levels + (const.f_quarter, const.f_corr):
-        assert np.all(fm.data == 0.0)
+    for mode in MODES:
+        cfg = PipelineConfig(mode, 32, k=8)
+        a = build_feature_pyramid(img, cfg)
+        b = build_feature_pyramid(img, cfg)
+        for fa, fb in zip(_pyramid_arrays(a), _pyramid_arrays(b), strict=True):
+            assert np.array_equal(fa, fb)
+        const = build_feature_pyramid(np.full((32, 64), 0.3, dtype=np.float32), cfg)
+        for arr in _pyramid_arrays(const):
+            assert np.all(arr == 0)
 
 
 def test_pyramid_rejects_bad_dimensions():
@@ -226,20 +246,19 @@ def test_one_group_correlation_matches_compressed_concat(channels, d_max):
 
 @pytest.mark.parametrize("regularizer", ["identity", "box3d"])
 def test_one_group_f_corr_attention_matches_tiled_groups(regularizer):
-    # fast_acv correlates the untiled f_corr as one group.  The paper's
-    # FAST_CORR_GROUPS groups over tiled channels repeat the same blocks,
-    # so the group mean agrees, also after a linear smoothing of each
-    # correlation (radius 0 is the identity).
+    # fast_acv correlates the untiled eighth-resolution census (f_corr)
+    # as one group.  The paper's FAST_CORR_GROUPS groups over tiled
+    # channels repeat the same blocks, so the group mean agrees, also after
+    # a linear smoothing of each correlation (radius 0 is the identity).
     radius = {"identity": 0, "box3d": 1}[regularizer]
     left, right, _, _ = stereogram(disparity=16)
     cfg = PipelineConfig("fast_acv", 64, k=8)
-    pyr_l, pyr_r = build_feature_pyramid(left, cfg), build_feature_pyramid(right, cfg)
+    f_corr_l, f_corr_r = _float_census(left, 8), _float_census(right, 8)
     d_low = cfg.d_max // 8
     one = generate_attention_weights(box3d_regularize(
-        group_correlation(pyr_l.f_corr, pyr_r.f_corr, d_low, 1), radius))
-    tiled_l, tiled_r = (FeatureMap(_tile_channels(p.f_corr.data,
-                                                  FAST_CORR_GROUPS * CHANNELS_PER_GROUP))
-                        for p in (pyr_l, pyr_r))
+        group_correlation(f_corr_l, f_corr_r, d_low, 1), radius))
+    tiled_l, tiled_r = (FeatureMap(_tile_channels(f.data, FAST_CORR_GROUPS * CHANNELS_PER_GROUP))
+                        for f in (f_corr_l, f_corr_r))
     tiled = generate_attention_weights(box3d_regularize(
         group_correlation(tiled_l, tiled_r, d_low, FAST_CORR_GROUPS), radius))
     assert one.data.shape == tiled.data.shape == (1, d_low, 16, 32)
@@ -262,12 +281,12 @@ def test_concat_cost_keeps_reference_input_checks():
 
 def test_fast_runner_reads_compact_cost_from_one_group_correlation(monkeypatch):
     # The runner reads its compact cost from the dense one-group quarter
-    # correlation; on census pyramids that is matching_score at the
-    # hypotheses bit for bit (up to the sign of zero), and the runner never
-    # gathers features with matching_score itself.
+    # correlation; on the tiled quarter census maps that is matching_score
+    # at the hypotheses bit for bit (up to the sign of zero), and the runner
+    # never gathers features with matching_score itself.
     import stereo_costvol.pipeline as pipeline_mod
 
-    seen = {"pyramids": [], "hyp": [], "cost": []}
+    seen = {"hyp": [], "cost": []}
 
     def record(name, fn):
         def wrapped(*args):
@@ -279,8 +298,6 @@ def test_fast_runner_reads_compact_cost_from_one_group_correlation(monkeypatch):
     def no_gather(*args, **kwargs):
         raise AssertionError("the fast_acv runner called matching_score")
 
-    monkeypatch.setattr(pipeline_mod, "build_feature_pyramid",
-                        record("pyramids", build_feature_pyramid))
     monkeypatch.setattr(pipeline_mod, "f2i_select", record("hyp", pipeline_mod.f2i_select))
     monkeypatch.setattr(pipeline_mod, "fast_attention_filter",
                         record("cost", pipeline_mod.fast_attention_filter))
@@ -288,10 +305,10 @@ def test_fast_runner_reads_compact_cost_from_one_group_correlation(monkeypatch):
     left, right, _, _ = stereogram(seed=3, h=64, w=128)
     run_fast_acv_pipeline(left, right, PipelineConfig("fast_acv", 32, k=8))
 
-    (_, pyr_l), (_, pyr_r) = seen["pyramids"]
     [(_, (d_hyp, _))] = seen["hyp"]
     [((_, cost_k), _)] = seen["cost"]  # the compact cost is filter's second argument
-    ref = matching_score(pyr_l.f_quarter, pyr_r.f_quarter, d_hyp)
+    ref = matching_score(_float_census(left, 4, CONCAT_CHANNELS),
+                         _float_census(right, 4, CONCAT_CHANNELS), d_hyp)
     assert np.any(d_hyp > np.arange(128 // 4))  # out-of-frame hypotheses too
     got = cost_k.data[0]
     assert got.shape == ref.shape
@@ -441,6 +458,23 @@ def test_pipelines_are_bitwise_deterministic_across_threads():
         assert np.array_equal(runs[0], runs[1])
 
 
+def test_fast_runner_starts_no_thread_pool(monkeypatch):
+    # fast_acv's correlations are single vectorized passes, so threads
+    # changes nothing in its run; acv still fans its disparities out.
+    import stereo_costvol.volume_core as vc
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    left, right, _, _ = stereogram(seed=5, h=64, w=128)
+    serial = run_fast_acv_pipeline(left, right, PipelineConfig("fast_acv", 32, k=8)).data
+    monkeypatch.setattr(vc, "ThreadPoolExecutor", no_pool)
+    got = run_fast_acv_pipeline(left, right, PipelineConfig("fast_acv", 32, k=8, threads=8)).data
+    assert np.array_equal(got, serial)
+    with pytest.raises(AssertionError, match="thread pool"):
+        run_acv_pipeline(left, right, PipelineConfig("acv", 32, threads=8))
+
+
 def test_concurrent_invocations_share_no_state():
     from concurrent.futures import ThreadPoolExecutor
 
@@ -524,11 +558,16 @@ def test_unchecked_results_keep_their_container_dtype_and_rank():
     for mode in MODES:
         cfg = PipelineConfig(mode, 32, k=4)
         pyr = build_feature_pyramid(left.intensities, cfg)
-        maps = [pyr.f_quarter, pyr.f_corr] + list(pyr.levels or ())
+        maps = list(pyr.levels or ())
         maps.append(census_features(left.intensities))
         for fm in maps:
             assert type(fm) is FeatureMap
             assert fm.data.dtype == np.float32 and fm.data.ndim == 3
+        for codes in (pyr.quarter_codes, pyr.low_codes):
+            assert (codes is None) == (mode == "acv")
+            if codes is not None:
+                assert type(codes) is CensusCodes
+                assert codes.words.dtype == np.uint32 and codes.words.ndim == 3
         out = run_pipeline(left, right, cfg)
         assert type(out) is DisparityMap
         assert out.data.dtype == np.float64 and out.data.shape == (64, 128)
@@ -635,17 +674,23 @@ def test_fast_acv_holds_no_whole_quarter_volume():
 
 
 def _whole_volume_fast_chain(left, right, cfg):
-    """The fast_acv runner's ops on whole quarter-resolution volumes."""
+    """The fast_acv runner's ops on whole quarter-resolution volumes.
+
+    Its correlations are the float ones the packed census codes replace:
+    group_correlation of the census maps, tiled to CONCAT_CHANNELS at
+    quarter resolution.
+    """
     import stereo_costvol.pipeline as pm
 
     l_img, r_img = pm._check_pair(left, right)
-    pyr_l, pyr_r = build_feature_pyramid(l_img, cfg), build_feature_pyramid(r_img, cfg)
-    corr = group_correlation(pyr_l.f_corr, pyr_r.f_corr, cfg.d_max // 8, 1, cfg.threads)
+    corr = group_correlation(_float_census(l_img, 8), _float_census(r_img, 8),
+                             cfg.d_max // 8, 1, cfg.threads)
     v_init = CostVolume(pm._upsample_fast_volume(generate_attention_weights(corr)).data
                         * np.float32(pm.TEMPERATURE))
     p_init, d_init = pm.regress_initial_disparity(v_init)
     u = pm.estimate_uncertainty(p_init, d_init)
-    corr_q = group_correlation(pyr_l.f_quarter, pyr_r.f_quarter, cfg.d_max // 4, 1,
+    corr_q = group_correlation(_float_census(l_img, 4, CONCAT_CHANNELS),
+                               _float_census(r_img, 4, CONCAT_CHANNELS), cfg.d_max // 4, 1,
                                cfg.threads)
     planes = np.minimum(pm.sample_cross_disparities(d_init, pm.VAP_RADIUS),
                         corr_q.disparities - 1)

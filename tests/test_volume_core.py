@@ -5,12 +5,17 @@ import pytest
 
 from stereo_costvol import selftest
 from stereo_costvol.fast_acv import matching_score
+from stereo_costvol.pipeline import _census_codes, _tile_channels, census_features
 from stereo_costvol.volume_core import (
+    CROSS_OFFSETS,
+    CensusCodes,
     CostVolume,
     DisparityMap,
     FeatureMap,
     ProbabilityVolume,
+    _cross_sample_2d,
     build_concat_volume,
+    census_correlation,
     group_correlation,
     soft_argmin,
     softmax_over_disparity,
@@ -192,6 +197,53 @@ def test_group_correlation_divisibility_error():
 
 
 # ---------------------------------------------------------------------------
+# census_correlation
+
+def _census_images(rng, h, w):
+    """Three-level images, so census ties are common, with a flat left half."""
+    imgs = [rng.integers(0, 3, (h, w)).astype(np.float32) for _ in range(2)]
+    for img in imgs:
+        img[:, : w // 2] = 0.5
+    return imgs
+
+
+@pytest.mark.parametrize("channels", [24, 32])
+@pytest.mark.parametrize("h, w, d_max", [
+    (6, 11, 5),
+    (6, 11, 11),  # d_max == width
+    (5, 7, 12),   # d_max > width: whole slices out of frame
+    (1, 9, 4),    # one row
+    (8, 1, 3),    # one column
+    (1, 1, 2),    # one pixel: every census channel is a tie
+])
+def test_census_correlation_equals_group_correlation_bitwise(channels, h, w, d_max):
+    rng = np.random.default_rng(channels * 100 + h * 10 + w)
+    imgs = _census_images(rng, h, w)
+    f_l, f_r = (FeatureMap(_tile_channels(census_features(img).data, channels)) for img in imgs)
+    codes_l, codes_r = (_census_codes(img, channels) for img in imgs)
+    got = census_correlation(codes_l, codes_r, d_max)
+    ref = group_correlation(f_l, f_r, d_max, 1)
+    assert got.data.dtype == np.float32 and got.data.shape == ref.data.shape
+    assert np.array_equal(got.data.view(np.uint32), ref.data.view(np.uint32))
+    if w > 1:
+        assert np.any(ref.data != 0)  # the untextured half alone reads 0
+
+
+def test_census_correlation_input_checks():
+    codes = CensusCodes(np.zeros((2, 3, 4), np.uint32), 24)
+    with pytest.raises(ValueError, match="shapes differ"):
+        census_correlation(codes, CensusCodes(np.zeros((2, 3, 5), np.uint32), 24), 2)
+    with pytest.raises(ValueError, match="shapes differ"):
+        census_correlation(codes, CensusCodes(codes.words, 32), 2)
+    with pytest.raises(ValueError, match="d_max"):
+        census_correlation(codes, codes, 0)
+    with pytest.raises(ValueError, match="uint32"):
+        CensusCodes(np.zeros((2, 3, 4), np.int64), 24)
+    with pytest.raises(ValueError, match="channels"):
+        CensusCodes(np.zeros((2, 3, 4), np.uint32), 33)
+
+
+# ---------------------------------------------------------------------------
 # build_concat_volume
 
 def test_concat_volume_zero_shift_slice():
@@ -256,6 +308,21 @@ def test_unfold_cross_mirror_swaps_left_right():
     assert np.array_equal(out_m.data[4], out.data[3][..., ::-1])
 
 
+@pytest.mark.parametrize("radius", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(5, 7), (2, 9), (6, 3), (1, 1), (3, 2, 4)])
+def test_cross_sample_2d_equals_the_fancy_index_gather(radius, shape):
+    # The slice copies give what the clamped-index gather gave, also where
+    # the radius reaches past the frame (radius >= height or width).
+    arr = np.random.default_rng(radius).standard_normal(shape).astype(np.float32)
+    h, w = shape[-2:]
+    ref = np.stack([arr[..., np.clip(np.arange(h) + dy * radius, 0, h - 1)[:, None],
+                        np.clip(np.arange(w) + dx * radius, 0, w - 1)[None, :]]
+                    for dx, dy in CROSS_OFFSETS])
+    got = _cross_sample_2d(arr, radius)
+    assert got.dtype == arr.dtype
+    assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
+
+
 def test_unfold_cross_requires_radius():
     vol = CostVolume(np.zeros((1, 2, 3, 3), dtype=np.float32))
     with pytest.raises(ValueError):
@@ -294,6 +361,7 @@ def check_concat_cost(rng, cases):
     selftest.check_softmax_over_disparity,
     selftest.check_soft_argmin,
     selftest.check_group_correlation,
+    selftest.check_census_correlation,
     selftest.check_build_concat_volume,
     check_concat_cost,
     selftest.check_unfold_cross,
