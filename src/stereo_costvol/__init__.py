@@ -17,7 +17,6 @@ from .acv import (
     build_mapm_volume,
     filtered_correlation,
     generate_attention_weights,
-    mapm_attention,
     mapm_level,
 )
 from .fast_acv import (

@@ -9,6 +9,7 @@ step stays a deterministic tensor operation.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -19,7 +20,6 @@ from .volume_core import (
     FeatureMap,
     _all_finite,
     _group_inner,
-    _run_over_disparities,
 )
 
 _PATCH_LEVELS = (1, 2, 3)
@@ -113,7 +113,7 @@ def _mapm_slicer(f_l: FeatureMap, f_r: FeatureMap, w: PatchWeights, n_groups: in
 
 
 def mapm_level(f_l: FeatureMap, f_r: FeatureMap, w: PatchWeights,
-               d_max: int, n_groups: int, threads: int = 1) -> CostVolume:
+               d_max: int, n_groups: int) -> CostVolume:
     """Multi-level adaptive patch matching correlation for one pyramid level.
 
     For every group g, disparity d and pixel (x, y):
@@ -126,11 +126,8 @@ def mapm_level(f_l: FeatureMap, f_r: FeatureMap, w: PatchWeights,
     """
     inner_at, patch = _mapm_slicer(f_l, f_r, w, n_groups)
     out = np.zeros((n_groups, d_max) + f_l.data.shape[1:], dtype=np.float32)
-
-    def run(d):
+    for d in range(d_max):
         out[:, d] = patch(inner_at(d))
-
-    _run_over_disparities(d_max, run, threads)
     return CostVolume(out)
 
 
@@ -153,18 +150,19 @@ def _check_levels(levels, d_max, name):
 
 
 def build_mapm_volume(levels: Sequence[Tuple[FeatureMap, FeatureMap, PatchWeights]],
-                      d_max: int, threads: int = 1) -> CostVolume:
+                      d_max: int) -> CostVolume:
     """Concatenate per-level patch matching volumes into one grouped volume.
 
     levels supplies one (left features, right features, patch weights)
     triple per pyramid level.  Level k contributes its channels /
     CHANNELS_PER_GROUP correlation groups; the groups are stacked in level
     order over d_max // 4 disparity bins.  run_acv_pipeline calls
-    mapm_attention instead, which holds no level volume; this is its oracle.
+    filtered_correlation instead, which holds no level volume; this volume's
+    generate_attention_weights is the oracle for the attention it folds.
     """
     splits = _check_levels(levels, d_max, "build_mapm_volume")
     return CostVolume(np.concatenate(
-        [mapm_level(f_l, f_r, w, d_max // 4, n, threads).data
+        [mapm_level(f_l, f_r, w, d_max // 4, n).data
          for (f_l, f_r, w), n in zip(levels, splits)]))
 
 
@@ -182,57 +180,35 @@ def _group_mean(groups, out):
     np.true_divide(out, len(groups), out=out)
 
 
-def _attention_folder(levels, d_max, name):
-    """Check the levels; return (splits, fold_at), splits their group counts.
+def _run_over_disparities(n_disp, worker, threads):
+    """Run worker(d) for every disparity, optionally on a thread pool.
 
-    fold_at(d, out) writes the attention slice at d into out and returns
-    level 1's raw (splits[0], H, W) group sums at d.  It computes each
-    level's distinct groups at d and folds the GROUP_SPLIT groups in the
-    tiled volume's order: tiled group g of level k is level k's group
-    g % n, n its own group count, and the scale n / channels is the same.
+    Each worker writes a disjoint output slice, so scheduling order cannot
+    change results.
     """
-    splits = _check_levels(levels, d_max, name)
-    slicers = [_mapm_slicer(f_l, f_r, w, n) for (f_l, f_r, w), n in zip(levels, splits)]
-
-    def fold_at(d, out):
-        inner = [inner_at(d) for inner_at, _ in slicers]
-        slices = [patch(v) for (_, patch), v in zip(slicers, inner)]
-        _group_mean([v[g % n] for v, n, tiled in zip(slices, splits, GROUP_SPLIT)
-                     for g in range(tiled)], out)
-        return inner[0]
-
-    return splits, fold_at
-
-
-def mapm_attention(levels: Sequence[Tuple[FeatureMap, FeatureMap, PatchWeights]],
-                   d_max: int, threads: int = 1) -> CostVolume:
-    """Attention weights of the tiled 40-group MAPM volume, from untiled levels.
-
-    Equals generate_attention_weights(build_mapm_volume(tiled)) bit for bit,
-    where tiled repeats each level's channels out to GROUP_SPLIT[k] groups.
-    One pass over the disparities folds each disparity's slices (see
-    _attention_folder); no level volume is held.
-    """
-    _, fold_at = _attention_folder(levels, d_max, "mapm_attention")
-    out = np.empty((1, d_max // 4) + levels[0][0].data.shape[1:], dtype=np.float32)
-
-    def run(d):
-        fold_at(d, out[0, d])
-
-    _run_over_disparities(d_max // 4, run, threads)
-    return CostVolume(out)
+    if threads <= 1 or n_disp <= 1:
+        for d in range(n_disp):
+            worker(d)
+        return
+    with ThreadPoolExecutor(max_workers=min(threads, n_disp)) as pool:
+        list(pool.map(worker, range(n_disp)))
 
 
 def filtered_correlation(levels: Sequence[Tuple[FeatureMap, FeatureMap, PatchWeights]],
                          d_max: int, threads: int = 1) -> CostVolume:
     """acv's filtered cost in one pass: the attention times a one-group correlation.
 
-    Computes attention_filter(mapm_attention(levels, d_max), corr) with
-    corr = group_correlation(t_l, t_r, d_max // 4, 1), where t tiles level
-    1's channels out to CONCAT_CHANNELS.  Tiled group g of t is level 1's
-    group g % n, so corr is the sum of level 1's raw group sums in that
-    order times 1 / CONCAT_CHANNELS, read from the same sums the attention
-    folds at each disparity.
+    Computes attention_filter(a, corr).  The attention a is
+    generate_attention_weights(build_mapm_volume(tiled, d_max)), where
+    tiled repeats each level's channels out to GROUP_SPLIT[k] groups; corr
+    is group_correlation(t_l, t_r, d_max // 4, 1), where t tiles level 1's
+    channels out to CONCAT_CHANNELS.  No level, attention or correlation
+    volume is held: each disparity computes each level's distinct groups
+    and folds the GROUP_SPLIT groups in the tiled volume's order.  Tiled
+    group g of level k is level k's group g % n, n its own group count,
+    and the scale n / channels is the same, so a is the reference's bit
+    for bit.  Likewise corr is the sum of level 1's raw group sums in that
+    order times 1 / CONCAT_CHANNELS.
 
     The result is bitwise the reference's only when those sums are exact,
     as on census features: every product is -1, 0 or +1, so every partial
@@ -240,17 +216,22 @@ def filtered_correlation(levels: Sequence[Tuple[FeatureMap, FeatureMap, PatchWei
     On other features the two differ by the float32 rounding of the
     reordered sum.
     """
-    splits, fold_at = _attention_folder(levels, d_max, "filtered_correlation")
+    splits = _check_levels(levels, d_max, "filtered_correlation")
+    slicers = [_mapm_slicer(f_l, f_r, w, n) for (f_l, f_r, w), n in zip(levels, splits)]
     n1 = splits[0]
     scale = np.float32(1.0 / CONCAT_CHANNELS)
     out = np.empty((1, d_max // 4) + levels[0][0].data.shape[1:], dtype=np.float32)
 
     def run(d):
         cost = out[0, d]
-        inner = fold_at(d, cost)
-        corr = inner[0].copy()
+        inner = [inner_at(d) for inner_at, _ in slicers]
+        slices = [patch(v) for (_, patch), v in zip(slicers, inner)]
+        _group_mean([v[g % n] for v, n, tiled in zip(slices, splits, GROUP_SPLIT)
+                     for g in range(tiled)], cost)
+        level1 = inner[0]
+        corr = level1[0].copy()
         for g in range(1, CONCAT_CHANNELS // CHANNELS_PER_GROUP):
-            corr += inner[g % n1]
+            corr += level1[g % n1]
         corr *= scale
         cost *= corr
 

@@ -25,7 +25,6 @@ from .acv import (
     build_mapm_volume,
     filtered_correlation,
     generate_attention_weights,
-    mapm_attention,
 )
 from .fast_acv import (
     N_CROSS,
@@ -64,19 +63,19 @@ from .volume_core import (
 
 # group_correlation, build_concat_volume, build_compact_concat,
 # compress_concat_volume (below), matching_score, unfold_cross,
-# cross_propagate, build_mapm_volume, mapm_attention, attention_filter and
-# f2i_topk are reference ops: census_correlation equals group_correlation
-# with one group on the census maps its codes pack, which equals the
-# compressed dense concatenation volume; read_disparity_planes on it
-# equals matching_score at VAP's candidates and the compressed compact
-# volume at the hypotheses; cross_propagate_volume streams the unfolded
-# propagation; mapm_attention equals the group mean of the tiled 40-group
-# MAPM volume; filtered_correlation equals attention_filter of that
-# attention and the one-group correlation; and f2i_select keeps
-# f2i_topk's hypotheses unsorted.  The runners no longer call them, but
-# they stay attributes of this module so oracle tests and call-site
-# tracing still find them here.  matching_score is a plain single-threaded
-# gather: only tests and selftest call it.
+# cross_propagate, build_mapm_volume, attention_filter and f2i_topk are
+# reference ops: census_correlation equals group_correlation with one
+# group on the census maps its codes pack, which equals the compressed
+# dense concatenation volume; read_disparity_planes on it equals
+# matching_score at VAP's candidates and the compressed compact volume at
+# the hypotheses; cross_propagate_volume streams the unfolded
+# propagation; filtered_correlation equals attention_filter of the
+# attention (the group mean of the tiled 40-group MAPM volume) and the
+# one-group correlation; and f2i_select keeps f2i_topk's hypotheses
+# unsorted.  The runners no longer call them, but they stay attributes of
+# this module so oracle tests and call-site tracing still find them here.
+# matching_score is a plain single-threaded gather: only tests and
+# selftest call it.
 
 # Logical group count of fast_acv's low-resolution correlation; the meter
 # books it, while the runner computes the one group it equals.
@@ -493,13 +492,15 @@ def run_acv_pipeline(left, right, cfg: PipelineConfig,
     would scale both halves and square it, losing its sign and flattening
     the peaks.
 
-    filtered_correlation does all of this in one pass over the disparities:
-    the correlation is the sum of the level-1 group sums the attention
-    already computed, and census sums are exact integers, so the filtered
-    cost is bit for bit attention_filter(mapm_attention(...),
-    group_correlation(...)).  It holds no level volume and no attention or
-    correlation volume.  Its time books to the volume_construction stage;
-    the aggregation stage, where the filter ran, reads 0.
+    filtered_correlation does all of this in one pass over the disparities,
+    the only step that splits work over cfg.threads: the correlation is the
+    sum of the level-1 group sums the attention already computed, and
+    census sums are exact integers, so the filtered cost is bit for bit
+    attention_filter(generate_attention_weights(build_mapm_volume(...)),
+    group_correlation(...)) on the tiled maps.  It holds no level volume
+    and no attention or correlation volume.  Its time books to the
+    volume_construction stage; the aggregation stage, where the filter
+    ran, reads 0.
     """
     l_img, r_img = _check_pair(left, right)
     h, w = l_img.shape

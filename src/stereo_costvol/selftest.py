@@ -216,41 +216,9 @@ def check_build_mapm_volume(rng, cases):
             g0 += s
 
 
-def _check_mapm_attention_case(rng, h, w, threads, signs):
-    untiled, tiled = [], []
-    for level, n_tiled in zip((1, 2, 3), acv.GROUP_SPLIT):
-        c = int(rng.integers(1, 4)) * acv.CHANNELS_PER_GROUP
-        if signs:  # census-like {-1, 0, +1} channels
-            pair = [rng.integers(-1, 2, size=(c, h, w)).astype(np.float32) for _ in range(2)]
-            weights = acv.PatchWeights.uniform(level)
-        else:
-            pair = [rng.standard_normal((c, h, w)).astype(np.float32) for _ in range(2)]
-            weights = acv.PatchWeights(level, rng.random((3, 3)).astype(np.float32))
-        n = n_tiled * acv.CHANNELS_PER_GROUP
-        untiled.append((volume_core.FeatureMap(pair[0]), volume_core.FeatureMap(pair[1]),
-                        weights))
-        tiled.append((volume_core.FeatureMap(pipeline._tile_channels(pair[0], n)),
-                      volume_core.FeatureMap(pipeline._tile_channels(pair[1], n)), weights))
-    d_max = 4 * int(rng.integers(1, 5))
-    a = acv.mapm_attention(untiled, d_max, threads)
-    expect = acv.generate_attention_weights(acv.build_mapm_volume(tiled, d_max))
-    assert np.array_equal(a.data, expect.data)
-
-
-def check_mapm_attention(rng, cases):
-    # Bit for bit the group mean of the tiled 40-group volume it never builds.
-    for i in range(cases):
-        _check_mapm_attention_case(rng, int(rng.integers(4, 10)), int(rng.integers(4, 14)),
-                                   threads=(1, 3)[i % 2], signs=i % 4 < 2)
-    # Frames no larger than the level-3 offset: some taps fall wholly outside.
-    for threads in (1, 3):
-        _check_mapm_attention_case(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)),
-                                   threads, signs=threads == 1)
-
-
 def _check_filtered_correlation_case(rng, h, w, threads, signs, uniform):
-    levels = []
-    for level in (1, 2, 3):
+    levels, tiled = [], []
+    for level, n_tiled in zip((1, 2, 3), acv.GROUP_SPLIT):
         c = int(rng.integers(1, 4)) * acv.CHANNELS_PER_GROUP
         if signs:  # census-like {-1, 0, +1} channels
             pair = [rng.integers(-1, 2, size=(c, h, w)).astype(np.float32) for _ in range(2)]
@@ -260,13 +228,16 @@ def _check_filtered_correlation_case(rng, h, w, threads, signs, uniform):
                    acv.PatchWeights(level, rng.random((3, 3)).astype(np.float32)))
         levels.append((volume_core.FeatureMap(pair[0]), volume_core.FeatureMap(pair[1]),
                        weights))
+        n = n_tiled * acv.CHANNELS_PER_GROUP
+        tiled.append((volume_core.FeatureMap(pipeline._tile_channels(pair[0], n)),
+                      volume_core.FeatureMap(pipeline._tile_channels(pair[1], n)), weights))
     d_max = 4 * int(rng.integers(1, 5))
     out = acv.filtered_correlation(levels, d_max, threads)
     n = acv.CONCAT_CHANNELS
     t_l, t_r = (pipeline._tile_channels(f.data, n) for f in levels[0][:2])
     corr = volume_core.group_correlation(volume_core.FeatureMap(t_l),
                                          volume_core.FeatureMap(t_r), d_max // 4, 1)
-    a = acv.mapm_attention(levels, d_max)
+    a = acv.generate_attention_weights(acv.build_mapm_volume(tiled, d_max))
     expect = acv.attention_filter(a, corr)
     if signs:
         assert np.array_equal(out.data, expect.data)
@@ -281,10 +252,11 @@ def _check_filtered_correlation_case(rng, h, w, threads, signs, uniform):
 
 
 def check_filtered_correlation(rng, cases):
-    # Bit for bit attention_filter(mapm_attention, group_correlation of level
-    # 1 tiled to CONCAT_CHANNELS, one group) on sign-valued features, whose
-    # level-1 group sums are exact integers; within float32 rounding on
-    # float features.
+    # Bit for bit attention_filter(the group mean of the tiled 40-group MAPM
+    # volume it never builds, group_correlation of level 1 tiled to
+    # CONCAT_CHANNELS, one group) on sign-valued features, whose level-1
+    # group sums are exact integers; within float32 rounding on float
+    # features.
     for i in range(cases):
         _check_filtered_correlation_case(rng, int(rng.integers(4, 10)),
                                          int(rng.integers(4, 14)), threads=(1, 3)[i % 2],
@@ -1029,7 +1001,6 @@ CHECKS = [
     ("unfold_cross", check_unfold_cross),
     ("mapm_level", check_mapm_level),
     ("build_mapm_volume", check_build_mapm_volume),
-    ("mapm_attention", check_mapm_attention),
     ("filtered_correlation", check_filtered_correlation),
     ("generate_attention_weights", check_generate_attention_weights),
     ("attention_filter", check_attention_filter),

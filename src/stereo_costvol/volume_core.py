@@ -7,13 +7,14 @@ comparison at tight tolerances.  Constructors scan the values they are
 given; ops whose results stay finite on checked inputs skip that scan with
 _unchecked.  Every operation is a pure function over immutable inputs.
 Per-pixel reductions always run over a fixed axis of a fixed-shape array,
-so results are bitwise reproducible regardless of the thread count used by
-callers: parallelism only ever splits work across disjoint disparity slices.
+and no op here starts a thread, so results are bitwise reproducible
+regardless of the thread count used by callers: the one op that splits work
+over a pool, acv.filtered_correlation, splits it across disjoint disparity
+slices.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,20 +160,6 @@ class DisparityMap:
         return self.data.shape[1]
 
 
-def _run_over_disparities(n_disp, worker, threads):
-    """Run worker(d) for every disparity, optionally on a thread pool.
-
-    Each worker writes a disjoint output slice, so scheduling order cannot
-    change results.
-    """
-    if threads <= 1 or n_disp <= 1:
-        for d in range(n_disp):
-            worker(d)
-        return
-    with ThreadPoolExecutor(max_workers=min(threads, n_disp)) as pool:
-        list(pool.map(worker, range(n_disp)))
-
-
 def _group_inner(fl_g, fr_g, d):
     """Per-group inner products <f_l(x), f_r(x - d)> with zero fill at x < d.
 
@@ -215,8 +202,7 @@ def soft_argmin(p: ProbabilityVolume) -> DisparityMap:
     return _unchecked(DisparityMap, np.einsum("d,dhw->hw", bins, p.data))
 
 
-def group_correlation(f_l: FeatureMap, f_r: FeatureMap, d_max: int, n_groups: int,
-                      threads: int = 1) -> CostVolume:
+def group_correlation(f_l: FeatureMap, f_r: FeatureMap, d_max: int, n_groups: int) -> CostVolume:
     """Group-wise correlation volume between left and right feature maps.
 
     out(g, d, y, x) = (n_groups / channels) * <f_l^g(y, x), f_r^g(y, x - d)>
@@ -235,11 +221,8 @@ def group_correlation(f_l: FeatureMap, f_r: FeatureMap, d_max: int, n_groups: in
     fl_g = f_l.data.reshape(n_groups, cpg, h, w)
     fr_g = f_r.data.reshape(n_groups, cpg, h, w)
     volume = np.zeros((n_groups, d_max, h, w), dtype=np.float32)
-
-    def run(d):
+    for d in range(d_max):
         volume[:, d] = _group_inner(fl_g, fr_g, d) * scale
-
-    _run_over_disparities(d_max, run, threads)
     return CostVolume(volume)
 
 

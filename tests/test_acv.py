@@ -1,8 +1,10 @@
+import inspect
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import stereo_costvol
 from stereo_costvol import selftest
 from stereo_costvol.acv import (
     CHANNELS_PER_GROUP,
@@ -13,7 +15,6 @@ from stereo_costvol.acv import (
     build_mapm_volume,
     filtered_correlation,
     generate_attention_weights,
-    mapm_attention,
     mapm_level,
 )
 from stereo_costvol import pipeline
@@ -223,44 +224,26 @@ def test_attention_weights_equal_numpy_mean():
     assert np.array_equal(np.signbit(a), np.signbit(zeros.data.mean(axis=0, keepdims=True)))
 
 
-def test_mapm_attention_rejects_what_build_mapm_volume_rejects():
+@pytest.mark.parametrize("op", [build_mapm_volume, filtered_correlation],
+                         ids=lambda op: op.__name__)
+def test_mapm_ops_reject_bad_levels(op):
     rng = np.random.default_rng(12)
     levels = _pyramid_levels(rng, 4, 5, split=(1, 1, 1))
     odd = (rand_feature(rng, 12, 4, 5), rand_feature(rng, 12, 4, 5), levels[2][2])
     with pytest.raises(ValueError, match="groups of 8"):
-        mapm_attention(levels[:2] + [odd], 16)
+        op(levels[:2] + [odd], 16)
     with pytest.raises(ValueError, match="d_max"):
-        mapm_attention(levels, 3)
+        op(levels, 3)
     with pytest.raises(ValueError, match="expected 3 levels"):
-        mapm_attention(levels[:2], 16)
+        op(levels[:2], 16)
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-def test_mapm_attention_holds_no_level_volume(threads):
-    # 24 sign-valued channels per level are 3 groups, as in the runner.  A
-    # level's 3-group volume alone is 3x the attention's bytes; the fold
-    # holds only one disparity's slices per task beside its output.
-    rng = np.random.default_rng(13)
-
-    def signs():
-        return FeatureMap(rng.integers(-1, 2, size=(24, 32, 64)).astype(np.float32))
-
-    levels = [(signs(), signs(), PatchWeights.uniform(k)) for k in (1, 2, 3)]
-    tracemalloc.start()
-    try:
-        a = mapm_attention(levels, 256, threads)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * a.data.nbytes
-
-
-def _tiled_attention(levels, d_max, threads=1):
+def _tiled_attention(levels, d_max):
     # The paper's 8/16/16 groups over channels tiled from the untiled levels.
     tiled = [(FeatureMap(_tile_channels(f_l.data, n * CHANNELS_PER_GROUP)),
               FeatureMap(_tile_channels(f_r.data, n * CHANNELS_PER_GROUP)), w)
              for (f_l, f_r, w), n in zip(levels, GROUP_SPLIT)]
-    return generate_attention_weights(build_mapm_volume(tiled, d_max, threads))
+    return generate_attention_weights(build_mapm_volume(tiled, d_max))
 
 
 def _reference_acv_map(left, right, d_max):
@@ -290,18 +273,6 @@ def test_acv_runner_equals_tiled_composition():
         assert np.array_equal(out.data, expect.data)
 
 
-def test_filtered_correlation_rejects_what_mapm_attention_rejects():
-    rng = np.random.default_rng(15)
-    levels = _pyramid_levels(rng, 4, 5, split=(1, 1, 1))
-    odd = (rand_feature(rng, 12, 4, 5), rand_feature(rng, 12, 4, 5), levels[2][2])
-    with pytest.raises(ValueError, match="groups of 8"):
-        filtered_correlation(levels[:2] + [odd], 16)
-    with pytest.raises(ValueError, match="d_max"):
-        filtered_correlation(levels, 3)
-    with pytest.raises(ValueError, match="expected 3 levels"):
-        filtered_correlation(levels[:2], 16)
-
-
 @pytest.mark.parametrize("threads", [1, 3])
 def test_filtered_correlation_holds_one_volume(threads):
     # The attention, the correlation and their product were three volumes;
@@ -320,6 +291,15 @@ def test_filtered_correlation_holds_one_volume(threads):
     finally:
         tracemalloc.stop()
     assert peak < 2 * cost.data.nbytes
+
+
+def test_only_filtered_correlation_takes_threads():
+    # The runner's one pass is the only public op that splits its work
+    # over a thread pool; every other op is a plain loop.
+    threaded = [name for name in stereo_costvol.__all__
+                if inspect.isfunction(getattr(stereo_costvol, name))
+                and "threads" in inspect.signature(getattr(stereo_costvol, name)).parameters]
+    assert threaded == ["filtered_correlation"]
 
 
 def test_attention_filter_identity_and_annihilator():
@@ -375,7 +355,6 @@ def test_identical_images_attention_peaks_at_zero():
 @pytest.mark.parametrize("check", [
     selftest.check_mapm_level,
     selftest.check_build_mapm_volume,
-    selftest.check_mapm_attention,
     selftest.check_filtered_correlation,
     selftest.check_generate_attention_weights,
     selftest.check_attention_filter,

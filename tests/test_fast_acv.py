@@ -143,8 +143,7 @@ def test_read_disparity_planes_matches_matching_score_fractional(channels, n_d, 
 
 @pytest.mark.parametrize("channels", [1, 8, 32])
 @pytest.mark.parametrize("n_d, h, w", [(6, 5, 11), (9, 4, 5)])
-@pytest.mark.parametrize("threads", [1, 2, 8])
-def test_read_disparity_planes_integer_planes_are_bitwise(channels, n_d, h, w, threads):
+def test_read_disparity_planes_integer_planes_are_bitwise(channels, n_d, h, w):
     # Sign-valued features over a power-of-two channel count, as the 32
     # tiled quarter-resolution census channels are: every sum and the
     # 1 / C scale are exact.
@@ -153,7 +152,7 @@ def test_read_disparity_planes_integer_planes_are_bitwise(channels, n_d, h, w, t
                 for _ in range(2))
     d_hyp = rng.integers(0, n_d, size=(4, h, w)).astype(np.int32)
     assert np.any(d_hyp > np.arange(w))  # some hypotheses leave the frame
-    corr = group_correlation(f_l, f_r, n_d, 1, threads)
+    corr = group_correlation(f_l, f_r, n_d, 1)
     got = read_disparity_planes(corr, d_hyp)
     ref = matching_score(f_l, f_r, d_hyp)
     assert np.array_equal(_no_signed_zero(got), _no_signed_zero(ref))

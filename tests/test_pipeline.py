@@ -5,7 +5,7 @@ import pytest
 
 from stereo_costvol import selftest
 from stereo_costvol.acv import CHANNELS_PER_GROUP, CONCAT_CHANNELS, GROUP_SPLIT, \
-    PatchWeights, generate_attention_weights, mapm_attention
+    PatchWeights, build_mapm_volume, generate_attention_weights
 from stereo_costvol.io_formats import StereogramSpec, generate_stereogram
 from stereo_costvol.metrics import epe, exclude_border
 from stereo_costvol.pipeline import (
@@ -105,7 +105,7 @@ def test_pyramid_channel_layout():
         cfg = PipelineConfig(mode, 32, k=8)
         pyr = build_feature_pyramid(img, cfg)
         if mode == "acv":
-            # untiled census levels; mapm_attention reads their distinct groups
+            # untiled census levels; filtered_correlation reads their distinct groups
             assert [lvl.data.shape for lvl in pyr.levels] == [(24, 8, 16)] * 3
             assert pyr.quarter_codes is None and pyr.low_codes is None
             continue
@@ -424,9 +424,12 @@ def test_swapped_pair_search_range_semantics():
     def attention_stats(l_img, r_img):
         pyr_l = build_feature_pyramid(l_img.intensities, cfg)
         pyr_r = build_feature_pyramid(r_img.intensities, cfg)
-        weights = [PatchWeights.uniform(i) for i in (1, 2, 3)]
-        levels = [(pyr_l.levels[i], pyr_r.levels[i], weights[i]) for i in range(3)]
-        a = mapm_attention(levels, cfg.d_max)
+        # the paper's 8/16/16 groups tiled from the untiled census levels
+        levels = [(FeatureMap(_tile_channels(pyr_l.levels[i].data, n * CHANNELS_PER_GROUP)),
+                   FeatureMap(_tile_channels(pyr_r.levels[i].data, n * CHANNELS_PER_GROUP)),
+                   PatchWeights.uniform(i + 1))
+                  for i, n in enumerate(GROUP_SPLIT)]
+        a = generate_attention_weights(build_mapm_volume(levels, cfg.d_max))
         inner = a.data[0][:, 8:-8, 8:-8]
         return inner.max(axis=0).mean(), np.median(inner.argmax(axis=0))
 
@@ -461,14 +464,14 @@ def test_pipelines_are_bitwise_deterministic_across_threads():
 def test_fast_runner_starts_no_thread_pool(monkeypatch):
     # fast_acv's correlations are single vectorized passes, so threads
     # changes nothing in its run; acv still fans its disparities out.
-    import stereo_costvol.volume_core as vc
+    from stereo_costvol import acv
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was started")
 
     left, right, _, _ = stereogram(seed=5, h=64, w=128)
     serial = run_fast_acv_pipeline(left, right, PipelineConfig("fast_acv", 32, k=8)).data
-    monkeypatch.setattr(vc, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(acv, "ThreadPoolExecutor", no_pool)
     got = run_fast_acv_pipeline(left, right, PipelineConfig("fast_acv", 32, k=8, threads=8)).data
     assert np.array_equal(got, serial)
     with pytest.raises(AssertionError, match="thread pool"):
@@ -684,14 +687,13 @@ def _whole_volume_fast_chain(left, right, cfg):
 
     l_img, r_img = pm._check_pair(left, right)
     corr = group_correlation(_float_census(l_img, 8), _float_census(r_img, 8),
-                             cfg.d_max // 8, 1, cfg.threads)
+                             cfg.d_max // 8, 1)
     v_init = CostVolume(pm._upsample_fast_volume(generate_attention_weights(corr)).data
                         * np.float32(pm.TEMPERATURE))
     p_init, d_init = pm.regress_initial_disparity(v_init)
     u = pm.estimate_uncertainty(p_init, d_init)
     corr_q = group_correlation(_float_census(l_img, 4, CONCAT_CHANNELS),
-                               _float_census(r_img, 4, CONCAT_CHANNELS), cfg.d_max // 4, 1,
-                               cfg.threads)
+                               _float_census(r_img, 4, CONCAT_CHANNELS), cfg.d_max // 4, 1)
     planes = np.minimum(pm.sample_cross_disparities(d_init, pm.VAP_RADIUS),
                         corr_q.disparities - 1)
     conf = pm._cross_sample_2d(pm.confidence(u, pm.VAP_ALPHA, pm.VAP_BETA), pm.VAP_RADIUS)
