@@ -143,14 +143,15 @@ def test_read_disparity_planes_matches_matching_score_fractional(channels, n_d, 
 
 @pytest.mark.parametrize("channels", [1, 8, 32])
 @pytest.mark.parametrize("n_d, h, w", [(6, 5, 11), (9, 4, 5)])
-def test_read_disparity_planes_integer_planes_are_bitwise(channels, n_d, h, w):
+@pytest.mark.parametrize("planes", [1, 2, 8])
+def test_read_disparity_planes_integer_planes_are_bitwise(channels, n_d, h, w, planes):
     # Sign-valued features over a power-of-two channel count, as the 32
     # tiled quarter-resolution census channels are: every sum and the
     # 1 / C scale are exact.
     rng = np.random.default_rng(channels * 100 + n_d)
     f_l, f_r = (FeatureMap(rng.integers(-1, 2, (channels, h, w)).astype(np.float32))
                 for _ in range(2))
-    d_hyp = rng.integers(0, n_d, size=(4, h, w)).astype(np.int32)
+    d_hyp = rng.integers(0, n_d, size=(planes, h, w)).astype(np.int32)
     assert np.any(d_hyp > np.arange(w))  # some hypotheses leave the frame
     corr = group_correlation(f_l, f_r, n_d, 1)
     got = read_disparity_planes(corr, d_hyp)
