@@ -11,9 +11,11 @@ expectation collapses toward the range midpoint.
 
 from __future__ import annotations
 
+import numbers
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -119,6 +121,9 @@ class PipelineConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name, value in (("d_max", self.d_max), ("k", self.k), ("threads", self.threads)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.d_max < 4 or self.d_max % 4 != 0:
             raise ValueError(f"d_max must be a positive multiple of 4, got {self.d_max!r}")
         if self.mode == "fast_acv":
@@ -292,9 +297,14 @@ def _tile_channels(data: np.ndarray, n: int) -> np.ndarray:
     return np.take(data, np.arange(n) % data.shape[0], axis=0)
 
 
-def _resize_features(data: np.ndarray, height: int, width: int) -> np.ndarray:
-    out = _resize_linear(data, 1, height, align_corners=True)
-    return _resize_linear(out, 2, width, align_corners=True)
+def _resize_hw(data: np.ndarray, height: int, width: int, r0=0, r1=None) -> np.ndarray:
+    """Corner-aligned linear resize of the last two axes, output rows [r0, r1).
+
+    Each output row reads only its own two input rows, so a row range equals
+    that slice of the whole resize bit for bit.
+    """
+    rows = _resize_linear(data, data.ndim - 2, height, align_corners=True, start=r0, stop=r1)
+    return _resize_linear(rows, data.ndim - 1, width, align_corners=True)
 
 
 @dataclass
@@ -337,8 +347,8 @@ def build_feature_pyramid(image: np.ndarray, cfg: PipelineConfig) -> FeaturePyra
 
     base16 = census_features(box_downsample(img, 16))
     h4, w4 = h // 4, w // 4
-    l2 = _unchecked(FeatureMap, _resize_features(census_features(low).data, h4, w4))
-    l3 = _unchecked(FeatureMap, _resize_features(base16.data, h4, w4))
+    l2 = _unchecked(FeatureMap, _resize_hw(census_features(low).data, h4, w4))
+    l3 = _unchecked(FeatureMap, _resize_hw(base16.data, h4, w4))
     return FeaturePyramid((census_features(quarter), l2, l3))
 
 
@@ -437,19 +447,37 @@ def _check_pair(left, right):
     return l, r
 
 
-def _upsample_fast_rows(a_disp: np.ndarray, r0: int, r1: int) -> np.ndarray:
-    """Rows [r0, r1) of the fast path's quarter-resolution upsampled volume.
+@contextmanager
+def _timed(stage_ms: Dict[str, float], stage: str):
+    """Add the wall time of the with-block, in ms, to stage_ms[stage]."""
+    t0 = time.perf_counter()
+    yield
+    stage_ms[stage] += (time.perf_counter() - t0) * 1000.0
 
-    a_disp is the low-resolution (1, D, h, w) volume already resized along
-    disparity (see _upsample_fast_volume); its rows and columns interpolate
-    corner-aligned by FAST_UPSAMPLE_FACTOR.  Each output row reads only its
-    own two input rows, so the rows equal that slice of the whole volume bit
-    for bit.
+
+def _run(left, right, cfg: PipelineConfig, report: Optional[RunReport], mode: str,
+         quarter: Callable[..., np.ndarray]) -> DisparityMap:
+    """The frame both matchers share around their quarter-resolution part.
+
+    quarter(l_img, r_img, cfg, meter, stage_ms) books the mode's volumes and
+    stage times and returns its (H/4, W/4) disparities; the frame scales
+    them by 4 and upsamples them in the prediction stage.
     """
-    factor = FAST_UPSAMPLE_FACTOR
-    _, _, h, w = a_disp.shape
-    out = _resize_linear(a_disp, 2, h * factor, align_corners=True, start=r0, stop=r1)
-    return _resize_linear(out, 3, w * factor, align_corners=True)
+    if cfg.mode != mode:
+        raise ValueError(f"run_{mode}_pipeline needs mode {mode!r}, got cfg.mode {cfg.mode!r}")
+    l_img, r_img = _check_pair(left, right)
+    meter = AllocationMeter()
+    stage_ms = dict.fromkeys(STAGES, 0.0)
+    d_quarter = quarter(l_img, r_img, cfg, meter, stage_ms)
+    with _timed(stage_ms, "prediction"):
+        full = _unchecked(DisparityMap, _resize_hw(d_quarter * 4.0, *l_img.shape))
+    if report is not None:
+        report.mode = mode
+        report.stage_ms = stage_ms
+        report.volume_elements = meter.counts
+        report.peak_volume_elements = meter.peak
+        report.config = cfg.as_dict()
+    return full
 
 
 def _upsample_fast_volume(v: CostVolume) -> CostVolume:
@@ -458,18 +486,43 @@ def _upsample_fast_volume(v: CostVolume) -> CostVolume:
     Spatial axes interpolate corner-aligned; the disparity axis keeps its
     index scale (output bin j reads input coordinate j / factor, clamped at
     the top) so that bin indices remain integer pixel disparities for
-    hypothesis selection and compact gathers.  This is the all-rows call of
-    _upsample_fast_rows; the runner resizes along disparity once and asks
-    for one band of rows at a time, so it never holds this whole volume.
+    hypothesis selection and compact gathers.  The runner resizes along
+    disparity once and asks _resize_hw for one band of rows at a time, so
+    it never holds this whole volume.
     """
     factor = FAST_UPSAMPLE_FACTOR
     a_disp = _resize_linear(v.data, 1, v.disparities * factor, align_corners=False)
-    return CostVolume(_upsample_fast_rows(a_disp, 0, v.height * factor))
+    return CostVolume(_resize_hw(a_disp, v.height * factor, v.width * factor))
 
 
-def _upsample_disparity_full(d: DisparityMap, height: int, width: int) -> DisparityMap:
-    data = _resize_linear(d.data, 0, height, align_corners=True)
-    return _unchecked(DisparityMap, _resize_linear(data, 1, width, align_corners=True))
+def _acv_quarter(l_img, r_img, cfg: PipelineConfig, meter: AllocationMeter,
+                 stage_ms: Dict[str, float]) -> np.ndarray:
+    """acv's quarter-resolution disparities (see run_acv_pipeline)."""
+    with _timed(stage_ms, "feature_extraction"):
+        pyr_l = build_feature_pyramid(l_img, cfg)
+        pyr_r = build_feature_pyramid(r_img, cfg)
+
+    with _timed(stage_ms, "volume_construction"):
+        weights = [PatchWeights.uniform(k) for k in (1, 2, 3)]
+        levels = [(pyr_l.levels[i], pyr_r.levels[i], weights[i]) for i in range(3)]
+        cost = filtered_correlation(levels, cfg.d_max, cfg.threads)
+        del pyr_l, pyr_r, levels
+        # The meter books the logical volumes in the order the architecture
+        # allocates them, though the one pass holds only the filtered cost.
+        meter.alloc("correlation", sum(GROUP_SPLIT) * cost.elements)
+        meter.alloc("attention", cost.elements)
+        meter.release("correlation")
+        meter.alloc("concat", 2 * CONCAT_CHANNELS * cost.elements)
+        meter.alloc("compressed", cost.elements)
+        meter.release("concat")
+        meter.alloc("filtered", cost.elements)
+        meter.release("compressed")
+
+    with _timed(stage_ms, "prediction"):
+        cost.data *= np.float32(TEMPERATURE)
+        p = softmax_over_disparity(cost)
+        del cost
+        return soft_argmin(p).data
 
 
 def run_acv_pipeline(left, right, cfg: PipelineConfig,
@@ -501,51 +554,10 @@ def run_acv_pipeline(left, right, cfg: PipelineConfig,
     and no attention or correlation volume.  Its time books to the
     volume_construction stage; the aggregation stage, where the filter
     ran, reads 0.
+
+    Raises ValueError if cfg.mode is not "acv".
     """
-    l_img, r_img = _check_pair(left, right)
-    h, w = l_img.shape
-    meter = AllocationMeter()
-    stage_ms = {}
-
-    t0 = time.perf_counter()
-    pyr_l = build_feature_pyramid(l_img, cfg)
-    pyr_r = build_feature_pyramid(r_img, cfg)
-    stage_ms["feature_extraction"] = (time.perf_counter() - t0) * 1000.0
-
-    t0 = time.perf_counter()
-    weights = [PatchWeights.uniform(k) for k in (1, 2, 3)]
-    levels = [(pyr_l.levels[i], pyr_r.levels[i], weights[i]) for i in range(3)]
-    cost = filtered_correlation(levels, cfg.d_max, cfg.threads)
-    del pyr_l, pyr_r, levels
-    # The meter books the logical volumes in the order the architecture
-    # allocates them, though the one pass holds only the filtered cost.
-    meter.alloc("correlation", sum(GROUP_SPLIT) * cost.elements)
-    meter.alloc("attention", cost.elements)
-    meter.release("correlation")
-    meter.alloc("concat", 2 * CONCAT_CHANNELS * cost.elements)
-    meter.alloc("compressed", cost.elements)
-    meter.release("concat")
-    meter.alloc("filtered", cost.elements)
-    meter.release("compressed")
-    stage_ms["volume_construction"] = (time.perf_counter() - t0) * 1000.0
-    stage_ms["aggregation"] = 0.0
-
-    t0 = time.perf_counter()
-    cost.data *= np.float32(TEMPERATURE)
-    p = softmax_over_disparity(cost)
-    del cost
-    d_quarter = soft_argmin(p)
-    del p
-    full = _upsample_disparity_full(_unchecked(DisparityMap, d_quarter.data * 4.0), h, w)
-    stage_ms["prediction"] = (time.perf_counter() - t0) * 1000.0
-
-    if report is not None:
-        report.mode = "acv"
-        report.stage_ms = stage_ms
-        report.volume_elements = meter.counts
-        report.peak_volume_elements = meter.peak
-        report.config = cfg.as_dict()
-    return full
+    return _run(left, right, cfg, report, "acv", _acv_quarter)
 
 
 def _fast_acv_rows(pyr_l: FeaturePyramid, pyr_r: FeaturePyramid, a_disp: np.ndarray,
@@ -558,47 +570,87 @@ def _fast_acv_rows(pyr_l: FeaturePyramid, pyr_r: FeaturePyramid, a_disp: np.ndar
     that halo (clipped at the frame); from the softmax on, every op works
     per pixel on the band's own rows.  Stage times add to stage_ms.
     """
-    t0 = time.perf_counter()
-    r0, r1 = max(y0 - VAP_RADIUS, 0), min(y1 + VAP_RADIUS, pyr_l.quarter_codes.height)
-    own = slice(y0 - r0, y1 - r0)
-    v_init = _unchecked(CostVolume, _upsample_fast_rows(a_disp, r0, r1))
-    v_init.data *= np.float32(TEMPERATURE)
-    p_init, d_init = regress_initial_disparity(v_init)
-    u = estimate_uncertainty(p_init, d_init)
-    del p_init
-    # VAP's scores and the compact cost are both read from this one volume.
-    corr_q = census_correlation(pyr_l.quarter_codes.rows(r0, r1),
-                                pyr_r.quarter_codes.rows(r0, r1), cfg.d_max // 4)
-    planes = sample_cross_disparities(d_init, VAP_RADIUS)
-    # The soft-argmin can pass the top bin by a rounding error.
-    np.minimum(planes, corr_q.disparities - 1, out=planes)
-    scores = read_disparity_planes(corr_q, planes)
-    conf = _cross_sample_2d(confidence(u, VAP_ALPHA, VAP_BETA), VAP_RADIUS)
-    pw = propagation_weights(scores, conf)
-    v_prop = cross_propagate_volume(v_init, VAP_RADIUS, pw)
-    del v_init
-    p_prop = softmax_over_disparity(_unchecked(CostVolume, v_prop.data[:, :, own]))
-    del v_prop
-    d_hyp, a_f = f2i_select(p_prop, cfg.k)
-    del p_prop
-    # The compressed compact volume is the correlation at the hypotheses.
-    corr_q = _unchecked(CostVolume, corr_q.data[:, :, own])
-    cost_k = _unchecked(CostVolume, read_disparity_planes(corr_q, d_hyp)[None])
-    del corr_q
-    stage_ms["volume_construction"] += (time.perf_counter() - t0) * 1000.0
+    with _timed(stage_ms, "volume_construction"):
+        h4, w4 = pyr_l.quarter_codes.words.shape[1:]
+        r0, r1 = max(y0 - VAP_RADIUS, 0), min(y1 + VAP_RADIUS, h4)
+        own = slice(y0 - r0, y1 - r0)
+        v_init = _unchecked(CostVolume, _resize_hw(a_disp, h4, w4, r0, r1))
+        v_init.data *= np.float32(TEMPERATURE)
+        p_init, d_init = regress_initial_disparity(v_init)
+        u = estimate_uncertainty(p_init, d_init)
+        del p_init
+        # VAP's scores and the compact cost are both read from this one volume.
+        corr_q = census_correlation(pyr_l.quarter_codes.rows(r0, r1),
+                                    pyr_r.quarter_codes.rows(r0, r1), cfg.d_max // 4)
+        planes = sample_cross_disparities(d_init, VAP_RADIUS)
+        # The soft-argmin can pass the top bin by a rounding error.
+        np.minimum(planes, corr_q.disparities - 1, out=planes)
+        scores = read_disparity_planes(corr_q, planes)
+        conf = _cross_sample_2d(confidence(u, VAP_ALPHA, VAP_BETA), VAP_RADIUS)
+        pw = propagation_weights(scores, conf)
+        v_prop = cross_propagate_volume(v_init, VAP_RADIUS, pw)
+        del v_init
+        p_prop = softmax_over_disparity(_unchecked(CostVolume, v_prop.data[:, :, own]))
+        del v_prop
+        d_hyp, a_f = f2i_select(p_prop, cfg.k)
+        del p_prop
+        # The compressed compact volume is the correlation at the hypotheses.
+        corr_q = _unchecked(CostVolume, corr_q.data[:, :, own])
+        cost_k = _unchecked(CostVolume, read_disparity_planes(corr_q, d_hyp)[None])
+        del corr_q
 
     # Filtering happens after compression so the attention enters the
     # per-hypothesis costs linearly rather than squared.
-    t0 = time.perf_counter()
-    cost = fast_attention_filter(a_f, cost_k)
-    del cost_k
-    stage_ms["aggregation"] += (time.perf_counter() - t0) * 1000.0
+    with _timed(stage_ms, "aggregation"):
+        cost = fast_attention_filter(a_f, cost_k)
+        del cost_k
 
-    t0 = time.perf_counter()
-    cost.data *= np.float32(TEMPERATURE)
-    d_rows = predict_from_hypotheses(cost, d_hyp, a_f)
-    stage_ms["prediction"] += (time.perf_counter() - t0) * 1000.0
-    return d_rows.data
+    with _timed(stage_ms, "prediction"):
+        cost.data *= np.float32(TEMPERATURE)
+        return predict_from_hypotheses(cost, d_hyp, a_f).data
+
+
+def _fast_acv_quarter(l_img, r_img, cfg: PipelineConfig, meter: AllocationMeter,
+                      stage_ms: Dict[str, float]) -> np.ndarray:
+    """fast_acv's quarter-resolution disparities (see run_fast_acv_pipeline)."""
+    with _timed(stage_ms, "feature_extraction"):
+        pyr_l = build_feature_pyramid(l_img, cfg)
+        pyr_r = build_feature_pyramid(r_img, cfg)
+
+    with _timed(stage_ms, "volume_construction"):
+        d_low = cfg.d_max // (4 * FAST_UPSAMPLE_FACTOR)
+        corr = census_correlation(pyr_l.low_codes, pyr_r.low_codes, d_low)
+        meter.alloc("correlation", FAST_CORR_GROUPS * corr.elements)
+        a_low = generate_attention_weights(corr)
+        meter.alloc("low_res_attention", a_low.elements)
+        meter.release("correlation")
+        del corr
+        a_disp = _resize_linear(a_low.data, 1, cfg.d_max // 4, align_corners=False)
+        del a_low
+
+    # The meter books the whole logical volumes; each band holds a slice.
+    h, w = l_img.shape
+    d4, h4, w4 = cfg.d_max // 4, h // 4, w // 4
+    quarter, compact = d4 * h4 * w4, cfg.k * h4 * w4
+    meter.alloc("v_init", quarter)
+    meter.release("low_res_attention")
+    meter.alloc("unfolded", N_CROSS * quarter)
+    meter.alloc("propagated", quarter)
+    meter.release("unfolded")
+    meter.release("v_init")
+    meter.release("propagated")
+    meter.alloc("compact_concat", 2 * CONCAT_CHANNELS * compact)
+    meter.alloc("compressed", compact)
+    meter.release("compact_concat")
+    meter.alloc("filtered", compact)
+    meter.release("compressed")
+
+    band = max(1, _BAND_ELEMENTS // (d4 * w4))
+    d_quarter = np.empty((h4, w4))
+    for y0 in range(0, h4, band):
+        y1 = min(y0 + band, h4)
+        d_quarter[y0:y1] = _fast_acv_rows(pyr_l, pyr_r, a_disp, y0, y1, cfg, stage_ms)
+    return d_quarter
 
 
 def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
@@ -643,70 +695,14 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
     the grouped "correlation", in the order the architecture allocates and
     frees them, and not the dense correlation that stands in for the
     compact volume's feature gathers.
+
+    Raises ValueError if cfg.mode is not "fast_acv".
     """
-    l_img, r_img = _check_pair(left, right)
-    h, w = l_img.shape
-    meter = AllocationMeter()
-    stage_ms = dict.fromkeys(STAGES, 0.0)
-
-    t0 = time.perf_counter()
-    pyr_l = build_feature_pyramid(l_img, cfg)
-    pyr_r = build_feature_pyramid(r_img, cfg)
-    stage_ms["feature_extraction"] = (time.perf_counter() - t0) * 1000.0
-
-    t0 = time.perf_counter()
-    d_low = cfg.d_max // (4 * FAST_UPSAMPLE_FACTOR)
-    corr = census_correlation(pyr_l.low_codes, pyr_r.low_codes, d_low)
-    meter.alloc("correlation", FAST_CORR_GROUPS * corr.elements)
-    a_low = generate_attention_weights(corr)
-    meter.alloc("low_res_attention", a_low.elements)
-    meter.release("correlation")
-    del corr
-    a_disp = _resize_linear(a_low.data, 1, d_low * FAST_UPSAMPLE_FACTOR, align_corners=False)
-    del a_low
-    stage_ms["volume_construction"] = (time.perf_counter() - t0) * 1000.0
-
-    # The meter books the whole logical volumes; each band holds a slice.
-    d4, h4, w4 = cfg.d_max // 4, h // 4, w // 4
-    quarter, compact = d4 * h4 * w4, cfg.k * h4 * w4
-    meter.alloc("v_init", quarter)
-    meter.release("low_res_attention")
-    meter.alloc("unfolded", N_CROSS * quarter)
-    meter.alloc("propagated", quarter)
-    meter.release("unfolded")
-    meter.release("v_init")
-    meter.release("propagated")
-    meter.alloc("compact_concat", 2 * CONCAT_CHANNELS * compact)
-    meter.alloc("compressed", compact)
-    meter.release("compact_concat")
-    meter.alloc("filtered", compact)
-    meter.release("compressed")
-
-    band = max(1, _BAND_ELEMENTS // (d4 * w4))
-    d_quarter = np.empty((h4, w4))
-    for y0 in range(0, h4, band):
-        y1 = min(y0 + band, h4)
-        d_quarter[y0:y1] = _fast_acv_rows(pyr_l, pyr_r, a_disp, y0, y1, cfg, stage_ms)
-    # The pyramids live until the return: freeing them here lowers no peak,
-    # and at 320x192 it left glibc's heap ~3 MiB larger.
-    del a_disp
-
-    t0 = time.perf_counter()
-    full = _upsample_disparity_full(_unchecked(DisparityMap, d_quarter * 4.0), h, w)
-    stage_ms["prediction"] += (time.perf_counter() - t0) * 1000.0
-
-    if report is not None:
-        report.mode = "fast_acv"
-        report.stage_ms = stage_ms
-        report.volume_elements = meter.counts
-        report.peak_volume_elements = meter.peak
-        report.config = cfg.as_dict()
-    return full
+    return _run(left, right, cfg, report, "fast_acv", _fast_acv_quarter)
 
 
 def run_pipeline(left, right, cfg: PipelineConfig,
                  report: Optional[RunReport] = None) -> DisparityMap:
     """Dispatch on cfg.mode."""
-    if cfg.mode == "acv":
-        return run_acv_pipeline(left, right, cfg, report)
-    return run_fast_acv_pipeline(left, right, cfg, report)
+    quarter = _acv_quarter if cfg.mode == "acv" else _fast_acv_quarter
+    return _run(left, right, cfg, report, cfg.mode, quarter)

@@ -695,7 +695,7 @@ def _linear_tap(n, out_len, j, align_corners):
     return i0, min(pos - i0, 1.0)
 
 
-def check_upsample_fast_rows(rng, cases):
+def check_resize_hw(rng, cases):
     factor = pipeline.FAST_UPSAMPLE_FACTOR
     for case in range(cases):
         # one-row and one-column low-res volumes (8-pixel frames) tile
@@ -711,30 +711,33 @@ def check_upsample_fast_rows(rng, cases):
         whole = pipeline._upsample_fast_volume(v).data
         assert np.array_equal(whole.view(np.uint32), ref.view(np.uint32))
         a_disp = volume_core._resize_linear(data, 1, d * factor, align_corners=False)
-        hq = h * factor
+        hq, wq = h * factor, w * factor
         mid = int(rng.integers(0, hq))
         for r0, r1 in ((0, 1), (hq - 1, hq), (mid, mid + 1), (1, hq - 1), (0, hq)):
-            rows = pipeline._upsample_fast_rows(a_disp, r0, r1)
+            rows = pipeline._resize_hw(a_disp, hq, wq, r0, r1)
             assert np.array_equal(rows.view(np.uint32), ref[:, :, r0:r1].view(np.uint32))
         for di in range(d * factor):
             i_d, t_d = _linear_tap(d, d * factor, di, False)
             for y in range(hq):
                 i_y, t_y = _linear_tap(h, hq, y, True)
-                for x in range(w * factor):
-                    i_x, t_x = _linear_tap(w, w * factor, x, True)
+                for x in range(wq):
+                    i_x, t_x = _linear_tap(w, wq, x, True)
                     expect = 0.0
                     for a, wa in ((i_d, 1 - t_d), (min(i_d + 1, d - 1), t_d)):
                         for b, wb in ((i_y, 1 - t_y), (min(i_y + 1, h - 1), t_y)):
                             for c, wc in ((i_x, 1 - t_x), (min(i_x + 1, w - 1), t_x)):
                                 expect += wa * wb * wc * float(data[0, a, b, c])
                     assert abs(whole[0, di, y, x] - expect) < 1e-5
+        # a 2D map, as the runners upsample theirs, resizes as each plane does
+        plane = pipeline._resize_hw(a_disp[0, 0], hq, wq)
+        assert np.array_equal(plane.view(np.uint32), whole[0, 0].view(np.uint32))
     # A one-sample axis is copied, not interpolated, so a 1x1x1 volume (an
     # 8x8 frame at D=8) tiles its value bitwise, signed zero included.
     for value in (-0.0, 0.0, 1.5):
         one = np.full((1, 1, 1, 1), value, dtype=np.float32)
         a_disp = volume_core._resize_linear(one, 1, factor, align_corners=False)
         for r0, r1 in ((0, 1), (1, factor), (0, factor)):
-            rows = pipeline._upsample_fast_rows(a_disp, r0, r1)
+            rows = pipeline._resize_hw(a_disp, factor, factor, r0, r1)
             tiled = np.full((1, factor, r1 - r0, factor), value, dtype=np.float32)
             assert np.array_equal(rows.view(np.uint32), tiled.view(np.uint32))
 
@@ -1020,7 +1023,7 @@ CHECKS = [
     ("predict_from_hypotheses", check_predict_from_hypotheses),
     ("census_features", check_census_features),
     ("build_feature_pyramid", check_build_feature_pyramid),
-    ("upsample_fast_rows", check_upsample_fast_rows),
+    ("resize_hw", check_resize_hw),
     ("box3d_regularize", check_box3d_regularize),
     ("run_acv_pipeline", check_run_acv_pipeline),
     ("run_fast_acv_pipeline", check_run_fast_acv_pipeline),

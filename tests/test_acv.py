@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import stereo_costvol
-from stereo_costvol import selftest
+from stereo_costvol import acv, selftest
 from stereo_costvol.acv import (
     CHANNELS_PER_GROUP,
     CONCAT_CHANNELS,
@@ -21,8 +21,8 @@ from stereo_costvol import pipeline
 from stereo_costvol.io_formats import StereogramSpec, generate_stereogram
 from stereo_costvol.pipeline import (
     PipelineConfig,
+    _resize_hw,
     _tile_channels,
-    _upsample_disparity_full,
     build_feature_pyramid,
     run_acv_pipeline,
 )
@@ -35,6 +35,8 @@ from stereo_costvol.volume_core import (
     soft_argmin,
     softmax_over_disparity,
 )
+
+from oracle_sweep import randomized_oracles
 
 
 def rand_feature(rng, c, h, w):
@@ -262,7 +264,7 @@ def _reference_acv_map(left, right, d_max):
     cost.data *= np.float32(pipeline.TEMPERATURE)
     d_quarter = soft_argmin(softmax_over_disparity(cost))
     h, w = left.intensities.shape
-    return _upsample_disparity_full(DisparityMap(d_quarter.data * 4.0), h, w)
+    return DisparityMap(_resize_hw(d_quarter.data * 4.0, h, w))
 
 
 def test_acv_runner_equals_tiled_composition():
@@ -352,12 +354,4 @@ def test_identical_images_attention_peaks_at_zero():
     assert np.all(d_att.data[3:-3, 3:-3] < 1.0)
 
 
-@pytest.mark.parametrize("check", [
-    selftest.check_mapm_level,
-    selftest.check_build_mapm_volume,
-    selftest.check_filtered_correlation,
-    selftest.check_generate_attention_weights,
-    selftest.check_attention_filter,
-])
-def test_randomized_oracles(check):
-    check(np.random.default_rng(21), 10)
+test_randomized_oracles = randomized_oracles(acv)

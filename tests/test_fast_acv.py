@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stereo_costvol import selftest
+from stereo_costvol import fast_acv, selftest
 from stereo_costvol.fast_acv import (
     HypothesisSet,
     PropagationField,
@@ -31,6 +31,8 @@ from stereo_costvol.volume_core import (
     group_correlation,
     unfold_cross,
 )
+
+from oracle_sweep import randomized_oracles
 
 
 def rand_feature(rng, c, h, w):
@@ -499,17 +501,4 @@ def test_predict_top_equals_k_oracle():
     selftest.check_predict_from_hypotheses(np.random.default_rng(17), 15)
 
 
-@pytest.mark.parametrize("check", [
-    selftest.check_regress_initial_disparity,
-    selftest.check_sample_cross_disparities,
-    selftest.check_estimate_uncertainty,
-    selftest.check_confidence,
-    selftest.check_propagation_weights,
-    selftest.check_cross_propagate,
-    selftest.check_cross_propagate_volume,
-    selftest.check_read_disparity_planes,
-    selftest.check_build_compact_concat,
-    selftest.check_fast_attention_filter,
-])
-def test_randomized_oracles(check):
-    check(np.random.default_rng(33), 10)
+test_randomized_oracles = randomized_oracles(fast_acv)

@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from stereo_costvol import selftest
+from stereo_costvol import io_formats, selftest
 from stereo_costvol.io_formats import (
     FormatError,
     GrayImage,
@@ -25,6 +25,8 @@ from stereo_costvol.io_formats import (
 )
 from stereo_costvol.metrics import EvalMask
 from stereo_costvol.volume_core import DisparityMap
+
+from oracle_sweep import randomized_oracles
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
 
@@ -341,3 +343,6 @@ def test_stereogram_rejects_bad_density():
 
 def test_stereogram_randomized_consistency():
     selftest.check_generate_stereogram(np.random.default_rng(4), 8)
+
+
+test_randomized_oracles = randomized_oracles(io_formats)

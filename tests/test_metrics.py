@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stereo_costvol import selftest
+from stereo_costvol import metrics
 from stereo_costvol.metrics import (
     EvalMask,
     bad_x,
@@ -10,6 +10,8 @@ from stereo_costvol.metrics import (
     exclude_border,
     smooth_l1,
 )
+
+from oracle_sweep import randomized_oracles
 from stereo_costvol.volume_core import DisparityMap
 
 
@@ -160,11 +162,4 @@ def test_metrics_are_nonnegative_and_bounded():
         assert 0.0 <= bad_x(pred, gt, mask, 1.0) <= 100.0
 
 
-@pytest.mark.parametrize("check", [
-    selftest.check_epe,
-    selftest.check_d1,
-    selftest.check_bad_x,
-    selftest.check_smooth_l1,
-])
-def test_randomized_oracles(check):
-    check(np.random.default_rng(55), 12)
+test_randomized_oracles = randomized_oracles(metrics)

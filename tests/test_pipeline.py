@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stereo_costvol import selftest
+from stereo_costvol import pipeline
 from stereo_costvol.acv import CHANNELS_PER_GROUP, CONCAT_CHANNELS, GROUP_SPLIT, \
     PatchWeights, build_mapm_volume, generate_attention_weights
 from stereo_costvol.io_formats import StereogramSpec, generate_stereogram
@@ -38,6 +38,8 @@ from stereo_costvol.volume_core import (
     unfold_cross,
 )
 
+from oracle_sweep import randomized_oracles
+
 
 def stereogram(disparity=8, seed=7, h=128, w=256):
     return generate_stereogram(StereogramSpec(h, w, disparity, 0.5, seed))
@@ -61,6 +63,23 @@ def test_config_rejects_unknown_names():
         PipelineConfig("both", 32)
     with pytest.raises(TypeError):
         PipelineConfig("acv", 32, regularizer="hourglass")
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("field, value", [
+    ("d_max", 32.0), ("d_max", "32"), ("k", 2.5), ("k", 4.0), ("threads", 2.5),
+    ("threads", True),
+])
+def test_config_rejects_non_integer_counts(mode, field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+        PipelineConfig(**{"mode": mode, "d_max": 32, "k": 4, field: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = PipelineConfig("fast_acv", np.int64(32), k=np.int32(4), threads=np.uint8(2))
+    left, right, _, _ = stereogram(seed=3, h=32, w=64)
+    ref = run_pipeline(left, right, PipelineConfig("fast_acv", 32, k=4, threads=2))
+    assert np.array_equal(run_pipeline(left, right, cfg).data, ref.data)
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +364,8 @@ def test_fast_runner_equals_the_sorted_top_k_reference_chain(monkeypatch):
     cost = pipeline_mod.fast_attention_filter(hyp.a_f, cost_k)
     d_quarter = pipeline_mod.predict_from_hypotheses(
         CostVolume(cost.data * np.float32(pipeline_mod.TEMPERATURE)), hyp.d_hyp, hyp.a_f)
-    ref = pipeline_mod._upsample_disparity_full(DisparityMap(d_quarter.data * 4.0), 64, 128)
-    assert np.array_equal(got.view(np.uint64), ref.data.view(np.uint64))
+    ref = pipeline_mod._resize_hw(d_quarter.data * 4.0, 64, 128)
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -582,9 +601,8 @@ def test_unchecked_results_keep_their_container_dtype_and_rank():
     d = soft_argmin(p)
     assert type(d) is DisparityMap
     assert d.data.dtype == np.float64 and d.data.shape == (5, 7)
-    up = pm._upsample_disparity_full(d, 20, 28)
-    assert type(up) is DisparityMap
-    assert up.data.dtype == np.float64 and up.data.shape == (20, 28)
+    up = pm._resize_hw(d.data, 20, 28)
+    assert up.dtype == np.float64 and up.shape == (20, 28)
 
     s = rng.standard_normal((5, 5, 7)).astype(np.float32)
     field = pm.propagation_weights(s, s)
@@ -597,6 +615,17 @@ def test_unchecked_results_keep_their_container_dtype_and_rank():
     pred = pm.predict_from_hypotheses(CostVolume(v.data[:, :2]), d_hyp, np.ones((2, 5, 7)) / 2)
     assert type(pred) is DisparityMap
     assert pred.data.dtype == np.float64 and pred.data.shape == (5, 7)
+
+
+@pytest.mark.parametrize("runner, mode, other", [
+    (run_acv_pipeline, "acv", "fast_acv"), (run_fast_acv_pipeline, "fast_acv", "acv"),
+])
+def test_runner_rejects_the_other_modes_config(runner, mode, other):
+    left, right, _, _ = stereogram(seed=1, h=32, w=64)
+    report = RunReport()
+    with pytest.raises(ValueError, match=f"needs mode '{mode}', got cfg.mode '{other}'"):
+        runner(left, right, PipelineConfig(other, 32, k=4), report)
+    assert report == RunReport()
 
 
 def test_image_size_mismatch_rejected():
@@ -705,7 +734,7 @@ def _whole_volume_fast_chain(left, right, cfg):
     d_quarter = pm.predict_from_hypotheses(CostVolume(cost.data * np.float32(pm.TEMPERATURE)),
                                            d_hyp, a_f)
     h, w = l_img.shape
-    return pm._upsample_disparity_full(DisparityMap(d_quarter.data * 4.0), h, w).data
+    return pm._resize_hw(d_quarter.data * 4.0, h, w)
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -743,13 +772,4 @@ def test_compact_volume_element_arithmetic():
     assert counts["compact_concat"] * 2 == full["concat"]
 
 
-@pytest.mark.parametrize("check", [
-    selftest.check_census_features,
-    selftest.check_build_feature_pyramid,
-    selftest.check_box3d_regularize,
-    selftest.check_upsample_fast_rows,
-    selftest.check_run_acv_pipeline,
-    selftest.check_run_fast_acv_pipeline,
-])
-def test_randomized_oracles(check):
-    check(np.random.default_rng(77), 6)
+test_randomized_oracles = randomized_oracles(pipeline)

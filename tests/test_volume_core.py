@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stereo_costvol import selftest
+from stereo_costvol import volume_core
 from stereo_costvol.fast_acv import matching_score
 from stereo_costvol.pipeline import _census_codes, _tile_channels, census_features
 from stereo_costvol.volume_core import (
@@ -21,6 +21,8 @@ from stereo_costvol.volume_core import (
     softmax_over_disparity,
     unfold_cross,
 )
+
+from oracle_sweep import randomized_oracles
 
 
 def rand_feature(rng, c, h, w):
@@ -330,7 +332,7 @@ def test_unfold_cross_requires_radius():
 
 
 # ---------------------------------------------------------------------------
-# randomized oracle sweeps (shared with the embedded selftest)
+# randomized oracles
 
 def check_concat_cost(rng, cases):
     """Compact concatenation cost at integer F2I hypotheses, as the fast_acv
@@ -357,14 +359,8 @@ def check_concat_cost(rng, cases):
                     assert abs(cost.data[0, k, y, x] - expect) < 1e-5
 
 
-@pytest.mark.parametrize("check", [
-    selftest.check_softmax_over_disparity,
-    selftest.check_soft_argmin,
-    selftest.check_group_correlation,
-    selftest.check_census_correlation,
-    selftest.check_build_concat_volume,
-    check_concat_cost,
-    selftest.check_unfold_cross,
-])
-def test_randomized_oracles(check):
-    check(np.random.default_rng(42), 10)
+def test_concat_cost_oracle():
+    check_concat_cost(np.random.default_rng(42), 10)
+
+
+test_randomized_oracles = randomized_oracles(volume_core)
