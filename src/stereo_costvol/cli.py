@@ -162,6 +162,8 @@ def _bench_case(cfg, height, width, runs, seed):
 def cmd_bench(args) -> int:
     if args.runs < 1:
         return _fail(f"--runs must be >= 1, got {args.runs}")
+    if args.seed < 0:
+        return _fail(f"--seed must be >= 0, got {args.seed}")
     k_tokens = [t.strip() for t in args.k_sweep.split(",")]
     for token in k_tokens:
         if not token.isdigit():
@@ -270,6 +272,8 @@ def cmd_bench(args) -> int:
 def cmd_selftest(args) -> int:
     if args.cases < 1:
         return _fail(f"--cases must be >= 1, got {args.cases}")
+    if args.seed < 0:
+        return _fail(f"--seed must be >= 0, got {args.seed}")
     return selftest.run_selftest(cases=args.cases, seed=args.seed)
 
 

@@ -18,7 +18,7 @@ from typing import Tuple, Union
 import numpy as np
 
 from .metrics import EvalMask
-from .volume_core import DisparityMap
+from .volume_core import DisparityMap, _all_finite
 
 
 class FormatError(ValueError):
@@ -43,7 +43,7 @@ class GrayImage:
         arr = np.asarray(self.intensities, dtype=np.float32)
         if arr.ndim != 2:
             raise ValueError("GrayImage intensities must be (height, width)")
-        if not np.all(np.isfinite(arr)):
+        if not _all_finite(arr):
             raise ValueError("GrayImage: non-finite intensity")
         if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
             raise ValueError("GrayImage: intensities must lie in [0, 1]")

@@ -3,14 +3,15 @@
 Cost and feature volumes are stored as float32 arrays (sign-valued census
 features may instead be packed as CensusCodes bits); probability volumes
 and disparity maps are float64 so that regression results survive oracle
-comparison at tight tolerances.  Constructors scan the values they are
-given; ops whose results stay finite on checked inputs skip that scan with
-_unchecked.  Every operation is a pure function over immutable inputs.
-Per-pixel reductions always run over a fixed axis of a fixed-shape array,
-and no op here starts a thread, so results are bitwise reproducible
-regardless of the thread count used by callers: the one op that splits work
-over a pool, acv.filtered_correlation, splits it across disjoint disparity
-slices.
+comparison at tight tolerances.  The four containers share one
+constructor (_Checked): it converts to the container's dtype, checks the
+rank and scans the values once; ops whose results stay finite on checked
+inputs skip that scan with _unchecked.  Every operation is a pure
+function over immutable inputs.  Per-pixel reductions always run over a
+fixed axis of a fixed-shape array, and no op here starts a thread, so
+results are bitwise reproducible regardless of the thread count used by
+callers: the one op that splits work over a pool,
+acv.filtered_correlation, splits it across disjoint disparity slices.
 """
 
 from __future__ import annotations
@@ -38,51 +39,59 @@ def _unchecked(cls, data):
     return out
 
 
-def _as_float32(data, name):
-    arr = np.asarray(data, dtype=np.float32)
-    if not _all_finite(arr):
-        raise ValueError(f"{name}: data contains non-finite values")
-    return arr
-
-
 @dataclass
-class FeatureMap:
-    """Per-pixel feature vectors, laid out (channels, height, width)."""
+class _Checked:
+    """The one constructor rule of the four volume containers.
+
+    data is converted to the class's DTYPE, then a rank other than
+    len(AXES) and any non-finite value are rejected, and last the class's
+    _check_values hook runs.  The last two axes are (height, width).
+    """
 
     data: np.ndarray
 
+    DTYPE = np.float32
+    AXES = ()
+
     def __post_init__(self):
-        self.data = _as_float32(self.data, "FeatureMap")
-        if self.data.ndim != 3:
-            raise ValueError("FeatureMap data must be (channels, height, width)")
+        name = type(self).__name__
+        self.data = np.asarray(self.data, dtype=self.DTYPE)
+        if self.data.ndim != len(self.AXES):
+            raise ValueError(f"{name} data must be ({', '.join(self.AXES)})")
+        if not _all_finite(self.data):
+            raise ValueError(f"{name}: data contains non-finite values")
+        self._check_values()
+
+    def _check_values(self):
+        pass
+
+    @property
+    def height(self) -> int:
+        return self.data.shape[-2]
+
+    @property
+    def width(self) -> int:
+        return self.data.shape[-1]
+
+
+class FeatureMap(_Checked):
+    """Per-pixel feature vectors, laid out (channels, height, width)."""
+
+    AXES = ("channels", "height", "width")
 
     @property
     def channels(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def height(self) -> int:
-        return self.data.shape[1]
 
-    @property
-    def width(self) -> int:
-        return self.data.shape[2]
-
-
-@dataclass
-class CostVolume:
+class CostVolume(_Checked):
     """4D cost volume, laid out (channels, disparities, height, width).
 
     The channel axis holds correlation groups, concatenated feature
     channels, or a single attention channel depending on the producer.
     """
 
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = _as_float32(self.data, "CostVolume")
-        if self.data.ndim != 4:
-            raise ValueError("CostVolume data must be (channels, disparities, height, width)")
+    AXES = ("channels", "disparities", "height", "width")
 
     @property
     def channels(self) -> int:
@@ -93,71 +102,33 @@ class CostVolume:
         return self.data.shape[1]
 
     @property
-    def height(self) -> int:
-        return self.data.shape[2]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[3]
-
-    @property
     def elements(self) -> int:
         return self.data.size
 
 
-@dataclass
-class ProbabilityVolume:
+class ProbabilityVolume(_Checked):
     """Softmax-normalized volume, (disparities, height, width), float64."""
 
-    data: np.ndarray
+    DTYPE = np.float64
+    AXES = ("disparities", "height", "width")
 
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim != 3:
-            raise ValueError("ProbabilityVolume data must be (disparities, height, width)")
-        if not _all_finite(arr):
-            raise ValueError("ProbabilityVolume: data contains non-finite values")
-        if np.any(arr < 0.0):
+    def _check_values(self):
+        if np.any(self.data < 0.0):
             raise ValueError("ProbabilityVolume: negative probability")
-        sums = arr.sum(axis=0)
+        sums = self.data.sum(axis=0)
         if np.any(np.abs(sums - 1.0) > 1e-5):
             raise ValueError("ProbabilityVolume: per-pixel sums deviate from 1")
-        self.data = arr
 
     @property
     def disparities(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def height(self) -> int:
-        return self.data.shape[1]
 
-    @property
-    def width(self) -> int:
-        return self.data.shape[2]
-
-
-@dataclass
-class DisparityMap:
+class DisparityMap(_Checked):
     """Real-valued disparities in pixels of the map's own resolution."""
 
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError("DisparityMap data must be (height, width)")
-        if not _all_finite(arr):
-            raise ValueError("DisparityMap: data contains non-finite values")
-        self.data = arr
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
+    DTYPE = np.float64
+    AXES = ("height", "width")
 
 
 def _group_inner(fl_g, fr_g, d):
@@ -244,10 +215,6 @@ class CensusCodes:
             raise ValueError("CensusCodes words must be uint32 (2, height, width)")
         if not 1 <= self.channels <= 32:
             raise ValueError("CensusCodes: channels must lie in [1, 32]")
-
-    @property
-    def height(self) -> int:
-        return self.words.shape[1]
 
     def rows(self, start: int, stop: int) -> "CensusCodes":
         return CensusCodes(self.words[:, start:stop], self.channels)

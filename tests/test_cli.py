@@ -286,6 +286,19 @@ def test_bench_rejects_runs_below_one(capsys, runs):
     assert f"--runs must be >= 1, got {runs}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "--modes", "fast_acv", "--sizes", "64x64", "--dmax", "16",
+     "--k-sweep", "4", "--runs", "1"],
+    ["selftest", "--cases", "1"],
+])
+def test_negative_seed_is_a_usage_error(capsys, argv):
+    # numpy rejects a negative seed, but its message does not name the flag.
+    assert cli.main(argv + ["--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "--seed must be >= 0, got -1" in captured.err
+    assert captured.out == ""
+
+
 def test_bench_rejects_bad_k(capsys):
     assert cli.main(["bench", "--dmax", "32", "--k-sweep", "64"]) == 2
     assert "got 64" in capsys.readouterr().err

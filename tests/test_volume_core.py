@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,26 +33,41 @@ def rand_feature(rng, c, h, w):
 # ---------------------------------------------------------------------------
 # containers
 
-def test_feature_map_rejects_non_finite():
-    with pytest.raises(ValueError):
-        FeatureMap(np.array([[[np.nan]]], dtype=np.float32))
+CONTAINERS = [
+    (FeatureMap, np.float32, "channels, height, width"),
+    (CostVolume, np.float32, "channels, disparities, height, width"),
+    (ProbabilityVolume, np.float64, "disparities, height, width"),
+    (DisparityMap, np.float64, "height, width"),
+]
 
 
-def test_cost_volume_shape_validation():
-    with pytest.raises(ValueError):
-        CostVolume(np.zeros((2, 3, 4), dtype=np.float32))
+@pytest.mark.parametrize("cls, dtype, axes", CONTAINERS,
+                         ids=[c[0].__name__ for c in CONTAINERS])
+def test_container_rule(cls, dtype, axes):
+    """Dtype, rank and finiteness checked in one constructor; _unchecked skips it."""
+    name = cls.__name__
+    shape = (1,) * (axes.count(",") - 1) + (2, 3)
+    ones = np.ones(shape, dtype=np.int64)
+    held = cls(ones)
+    assert held.data.dtype == dtype and held.data.shape == shape
+    assert (held.height, held.width) == (2, 3)
+    for wrong in (ones[0], ones[None]):
+        with pytest.raises(ValueError, match=re.escape(f"{name} data must be ({axes})")):
+            cls(wrong)
+    for bad in (np.nan, np.inf):
+        arr = ones.astype(dtype)
+        arr[(0,) * len(shape)] = bad
+        with pytest.raises(ValueError, match=f"{name}: data contains non-finite values"):
+            cls(arr)
+        kept = volume_core._unchecked(cls, arr)
+        assert type(kept) is cls and kept.data is arr
 
 
 def test_probability_volume_requires_normalization():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="per-pixel sums deviate from 1"):
         ProbabilityVolume(np.full((4, 2, 2), 0.3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="negative probability"):
         ProbabilityVolume(np.array([[[1.5]], [[-0.5]]]))
-
-
-def test_disparity_map_is_2d():
-    with pytest.raises(ValueError):
-        DisparityMap(np.zeros((2, 2, 2)))
 
 
 # ---------------------------------------------------------------------------
