@@ -27,11 +27,13 @@ from .fast_acv import (
     cross_propagate,
     cross_propagate_volume,
     estimate_uncertainty,
+    f2i_mask,
     f2i_select,
     f2i_topk,
     fast_attention_filter,
     matching_score,
     predict_from_hypotheses,
+    predict_from_mask,
     propagation_weights,
     read_disparity_planes,
     regress_initial_disparity,

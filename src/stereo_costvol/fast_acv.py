@@ -270,42 +270,61 @@ def cross_propagate_volume(v: CostVolume, radius: int, w: PropagationField) -> C
     return _unchecked(CostVolume, out)
 
 
-def f2i_select(p: ProbabilityVolume, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The K most probable disparity bins per pixel, in ascending bin order.
+def _count_dtype(n: int):
+    """The narrowest signed integer dtype that holds 0..n."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= n)
 
-    Returns (d_hyp, a_f), both (K, height, width): d_hyp holds each pixel's
-    bins ascending (int32) and a_f the probabilities at them.  The set is
-    f2i_topk's: ties at the K-th largest probability go to the smaller
-    bins.  No pixel's row is sorted: a partition finds the K-th largest
-    value, every bin above it is kept, and only pixels whose ties at that
-    value overflow K drop their larger tied bins.  The bins are distinct and
-    a_f is a subset of a probability distribution, so a HypothesisSet's
-    checks hold by construction.
+
+def f2i_mask(p: ProbabilityVolume, k: int) -> np.ndarray:
+    """The K most probable disparity bins per pixel, as a bool mask.
+
+    Returns keep, (disparities, height, width), True at each pixel's K
+    bins; ties at the K-th largest probability go to the smaller bins.
+    This is the one statement of the F2I rule: f2i_select and f2i_topk
+    list this set.  An in-place sort of a C-ordered pixel-major copy gives
+    each pixel's K-th largest value and every bin at or above it is kept;
+    only the pixels whose ties at that value overflow K drop their larger
+    tied bins.  The counts are integer sums in the narrowest type that
+    holds the bin count (int8 up to 127 bins), not per-element branches.
     """
     n_d = p.disparities
     if not 1 <= k <= n_d:
-        raise ValueError(f"f2i_select: k must be in [1, {n_d}]")
-    shape = p.data.shape[1:]
-    hw = p.data[0].size
-    bins = p.data.reshape(n_d, hw)
-    part = np.array(bins.T, order="C")  # a pixel-major copy partitions fast
-    part.partition(n_d - k, axis=1)
-    kth = part[:, n_d - k].copy()
-    del part
-    keep = bins > kth
-    tied = bins == kth
-    free = k - np.count_nonzero(keep, axis=0)  # >= 1: the K-th value itself
-    over = np.flatnonzero(np.count_nonzero(tied, axis=0) > free)
+        raise ValueError(f"f2i_mask: k must be in [1, {n_d}]")
+    bins = p.data.reshape(n_d, -1)
+    srt = np.array(bins.T, order="C")
+    srt.sort(axis=1)
+    kth = srt[:, n_d - k].copy()
+    del srt
+    keep = bins >= kth
+    count = _count_dtype(n_d)
+    # Only where ties at the K-th value overflow K are there more than K.
+    over = np.flatnonzero(keep.view(np.int8).sum(axis=0, dtype=count) > k)
     if over.size:
-        ties = tied[:, over]
-        ties &= np.cumsum(ties, axis=0) <= free[over]
-        tied[:, over] = ties
-    keep |= tied
+        sub, at = bins[:, over], kth[over]
+        above = sub > at
+        tied = sub == at
+        free = k - above.view(np.int8).sum(axis=0, dtype=count)  # >= 1: the K-th value
+        tied &= np.cumsum(tied, axis=0, dtype=count) <= free
+        keep[:, over] = above | tied
+    return keep.reshape(p.data.shape)
+
+
+def f2i_select(p: ProbabilityVolume, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """f2i_mask's K bins per pixel, listed in ascending bin order.
+
+    Returns (d_hyp, a_f), both (K, height, width): d_hyp holds each pixel's
+    bins ascending (int32) and a_f the probabilities at them.  The bins are
+    distinct and a_f is a subset of a probability distribution, so a
+    HypothesisSet's checks hold by construction.
+    """
+    n_d, shape = p.disparities, p.data.shape[1:]
+    hw = p.data[0].size
+    keep = f2i_mask(p, k).reshape(n_d, hw)
     # Pixel-major, the row-major order lists each pixel's K bins ascending.
     idx = np.flatnonzero(keep.T.copy()).reshape(hw, k)
     idx -= np.arange(0, hw * n_d, n_d)[:, None]
     d_hyp = np.ascontiguousarray(idx.T, dtype=np.int32)
-    a_f = np.take(bins, d_hyp * np.intp(hw) + np.arange(hw))
+    a_f = np.take(p.data.reshape(n_d, hw), d_hyp * np.intp(hw) + np.arange(hw))
     return d_hyp.reshape((k,) + shape), a_f.reshape((k,) + shape)
 
 
@@ -314,8 +333,8 @@ def f2i_topk(p: ProbabilityVolume, k: int) -> HypothesisSet:
 
     Ties between equal probabilities resolve toward the smaller disparity
     index, so results are independent of any internal sort details.  This
-    is f2i_select's set put in order; the fast_acv runner needs only the
-    set and calls f2i_select.
+    is f2i_mask's set put in order; the fast_acv runner needs only the set
+    and calls f2i_mask.
     """
     d_hyp, a_f = f2i_select(p, k)
     # The bins are ascending, so a stable sort by descending probability
@@ -353,7 +372,12 @@ def build_compact_concat(f_l: FeatureMap, f_r: FeatureMap, d_hyp: np.ndarray) ->
 
 
 def fast_attention_filter(a_f: np.ndarray, c_compact: CostVolume) -> CostVolume:
-    """Scale each hypothesis slice of the compact volume by its attention weight."""
+    """Scale each hypothesis slice of the compact volume by its attention weight.
+
+    The weights are cast to float32 first.  The fast_acv runner passes
+    every bin's probability and the dense one-group correlation, whose
+    slices at f2i_mask's bins are the compressed compact volume.
+    """
     a_f = np.asarray(a_f, dtype=np.float32)
     if a_f.shape != c_compact.data.shape[1:]:
         raise ValueError("fast_attention_filter: weight/volume shape mismatch")
@@ -394,3 +418,67 @@ def predict_from_hypotheses(v: CostVolume, d_hyp: np.ndarray,
         np.put_along_axis(vals, i, -np.inf, axis=0)
     weights = _softmax0(np.concatenate(sel))
     return DisparityMap((weights * np.concatenate(picked)).sum(axis=0))
+
+
+def _first_max(scores: np.ndarray, p: np.ndarray, rank: np.ndarray):
+    """Each column's maximum of (bins, pixels) scores and the bin that holds it.
+
+    The bin is the first maximum: the largest of a descending rank over
+    the equal bins.  Where several bins hold the maximum, the larger p
+    wins, then the smaller bin; columns whose maximum is -inf have no
+    bin left and keep the first.
+    """
+    top = scores.max(axis=0)
+    equal = scores == top
+    highest = np.multiply(equal.view(np.int8), rank, dtype=rank.dtype).max(axis=0)
+    first = scores.shape[0] - highest.astype(np.intp)
+    tied = equal.view(np.int8).sum(axis=0, dtype=rank.dtype) > 1
+    many = np.flatnonzero(tied & (top > -np.inf))
+    if many.size:
+        first[many] = np.where(equal[:, many], p[:, many], -np.inf).argmax(axis=0)
+    return top, first
+
+
+def predict_from_mask(v: CostVolume, keep: np.ndarray, p: ProbabilityVolume) -> DisparityMap:
+    """predict_from_hypotheses over the bins of a mask, with no compaction.
+
+    v is the single-channel aggregated volume over every disparity bin,
+    keep a (disparities, height, width) bool mask with at least one bin per
+    pixel (f2i_mask's K-set) and p the probabilities whose larger value
+    breaks equal scores, as a_f does for the listed hypotheses.  The two
+    largest kept values per pixel (one when a pixel keeps one bin) are
+    softmaxed and the expectation of their bins returned; equal values go
+    to the larger p, then to the smaller bin.  With keep = f2i_mask(p, K)
+    this is predict_from_hypotheses on f2i_select's hypotheses bit for bit.
+
+    No pass branches per element: the bins outside keep are set to -inf
+    through their uint32 bits (OR with an all-ones word, XOR of its
+    mantissa), and each pick is a max, a compare and the max of a
+    descending integer rank; only the pixels where several bins share the
+    maximum are resolved by p.
+    """
+    if v.channels != 1:
+        raise ValueError("predict_from_mask: volume must have a single channel")
+    keep = np.asarray(keep)
+    if keep.dtype != np.bool_ or keep.shape != v.data.shape[1:] or p.data.shape != keep.shape:
+        raise ValueError("predict_from_mask: mask/volume shape mismatch")
+    n_d = v.disparities
+    hw = p.data[0].size
+    drop = keep.reshape(n_d, hw).astype(np.uint32)
+    drop -= np.uint32(1)  # 0 where kept, all ones where dropped
+    scores = np.bitwise_or(v.data.reshape(n_d, hw).view(np.uint32), drop)
+    drop &= np.uint32(0x007FFFFF)
+    scores ^= drop  # dropped bins: all ones with the mantissa cleared, -inf
+    del drop
+    scores = scores.view(np.float32)
+    rank = np.arange(n_d, 0, -1, dtype=_count_dtype(n_d))[:, None]
+    probs = p.data.reshape(n_d, hw)
+    sel, picked = [], []
+    for _ in range(min(2, n_d)):
+        top, first = _first_max(scores, probs, rank)
+        sel.append(top)
+        picked.append(first)
+        scores[first, np.arange(hw)] = -np.inf
+    weights = _softmax0(np.stack(sel).astype(np.float64))
+    out = (weights * np.stack(picked)).sum(axis=0)
+    return DisparityMap(out.reshape(p.data.shape[1:]))

@@ -35,11 +35,13 @@ from .fast_acv import (
     cross_propagate,
     cross_propagate_volume,
     estimate_uncertainty,
+    f2i_mask,
     f2i_select,
     f2i_topk,
     fast_attention_filter,
     matching_score,
     predict_from_hypotheses,
+    predict_from_mask,
     propagation_weights,
     read_disparity_planes,
     regress_initial_disparity,
@@ -65,19 +67,21 @@ from .volume_core import (
 
 # group_correlation, build_concat_volume, build_compact_concat,
 # compress_concat_volume (below), matching_score, unfold_cross,
-# cross_propagate, build_mapm_volume, attention_filter and f2i_topk are
-# reference ops: census_correlation equals group_correlation with one
-# group on the census maps its codes pack, which equals the compressed
-# dense concatenation volume; read_disparity_planes on it equals
-# matching_score at VAP's candidates and the compressed compact volume at
-# the hypotheses; cross_propagate_volume streams the unfolded
+# cross_propagate, build_mapm_volume, attention_filter, f2i_topk,
+# f2i_select and predict_from_hypotheses are reference ops:
+# census_correlation equals group_correlation with one group on the
+# census maps its codes pack, which equals the compressed dense
+# concatenation volume; read_disparity_planes on it equals matching_score
+# at VAP's candidates, and the volume itself at f2i_mask's bins is the
+# compressed compact volume; cross_propagate_volume streams the unfolded
 # propagation; filtered_correlation equals attention_filter of the
 # attention (the group mean of the tiled 40-group MAPM volume) and the
-# one-group correlation; and f2i_select keeps f2i_topk's hypotheses
-# unsorted.  The runners no longer call them, but they stay attributes of
-# this module so oracle tests and call-site tracing still find them here.
-# matching_score is a plain single-threaded gather: only tests and
-# selftest call it.
+# one-group correlation; f2i_mask is the set f2i_topk sorts and
+# f2i_select lists; and predict_from_mask on that mask is
+# predict_from_hypotheses on the listed hypotheses.  The runners no longer
+# call them, but they stay attributes of this module so oracle tests and
+# call-site tracing still find them here.  matching_score is a plain
+# single-threaded gather: only tests and selftest call it.
 
 # Logical group count of fast_acv's low-resolution correlation; the meter
 # books it, while the runner computes the one group it equals.
@@ -277,8 +281,48 @@ def _census_codes(intensities, channels: int) -> CensusCodes:
     return CensusCodes(words, channels)
 
 
+def _pairwise_sum(terms):
+    """Elementwise sum of equal-shape arrays in numpy's pairwise order.
+
+    For n terms this adds as numpy's pairwise sum adds n values: in turn
+    below 8; up to 128 in 8 interleaved lanes combined as
+    ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)), then the remainder in turn;
+    above 128 as the halves split at a multiple of 8.  Returns a new array.
+    """
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        total = _pairwise_sum(terms[:half])
+        total += _pairwise_sum(terms[half:])
+        return total
+
+    def in_turn(run):
+        total = run[0] + run[1] if len(run) > 1 else run[0].copy()
+        for t in run[2:]:
+            total += t
+        return total
+
+    if n < 8:
+        return in_turn(terms)
+    m = n - n % 8
+    r = [in_turn(terms[j:m:8]) for j in range(8)]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for t in terms[m:]:
+        total += t
+    return total
+
+
 def box_downsample(img: np.ndarray, factor: int) -> np.ndarray:
-    """Mean-pool by an integer factor, edge padding any ragged remainder."""
+    """Mean-pool by an integer factor, edge padding any ragged remainder.
+
+    The padded image is scaled by 1 / factor**2, each row's factor pixels
+    of a block are summed in numpy's pairwise order, and the block's
+    factor row sums are added in turn onto +0.  That is the order of
+    reshape(h / f, f, w / f, f).sum(axis=(1, 3)), so the two are equal bit
+    for bit whenever the output has at least 2 columns; numpy sums a
+    one-column output as one pairwise run of factor**2 values, which can
+    differ in the last bit.
+    """
     if factor < 1:
         raise ValueError("downsample factor must be >= 1")
     img = np.asarray(img, dtype=np.float32)
@@ -289,7 +333,11 @@ def box_downsample(img: np.ndarray, factor: int) -> np.ndarray:
     # Scale before summing: the float32 sum of factor**2 large finite values
     # can overflow where their mean does not.  np.pad returns a fresh array.
     padded *= np.float32(1.0 / (factor * factor))
-    return padded.reshape(hp // factor, factor, wp // factor, factor).sum(axis=(1, 3))
+    rows = _pairwise_sum([padded[:, j::factor] for j in range(factor)])
+    out = np.zeros((hp // factor, wp // factor), dtype=np.float32)
+    for i in range(factor):
+        out += rows[i::factor]
+    return out
 
 
 def _tile_channels(data: np.ndarray, n: int) -> np.ndarray:
@@ -592,22 +640,20 @@ def _fast_acv_rows(pyr_l: FeaturePyramid, pyr_r: FeaturePyramid, a_disp: np.ndar
         del v_init
         p_prop = softmax_over_disparity(_unchecked(CostVolume, v_prop.data[:, :, own]))
         del v_prop
-        d_hyp, a_f = f2i_select(p_prop, cfg.k)
-        del p_prop
-        # The compressed compact volume is the correlation at the hypotheses.
+        keep = f2i_mask(p_prop, cfg.k)
         corr_q = _unchecked(CostVolume, corr_q.data[:, :, own])
-        cost_k = _unchecked(CostVolume, read_disparity_planes(corr_q, d_hyp)[None])
-        del corr_q
 
     # Filtering happens after compression so the attention enters the
-    # per-hypothesis costs linearly rather than squared.
+    # per-hypothesis costs linearly rather than squared.  Every bin is
+    # filtered; the prediction reads only the kept ones, where the
+    # correlation is the compressed compact cost.
     with _timed(stage_ms, "aggregation"):
-        cost = fast_attention_filter(a_f, cost_k)
-        del cost_k
+        cost = fast_attention_filter(p_prop.data, corr_q)
+        del corr_q
 
     with _timed(stage_ms, "prediction"):
         cost.data *= np.float32(TEMPERATURE)
-        return predict_from_hypotheses(cost, d_hyp, a_f).data
+        return predict_from_mask(cost, keep, p_prop).data
 
 
 def _fast_acv_quarter(l_img, r_img, cfg: PipelineConfig, meter: AllocationMeter,
@@ -673,10 +719,12 @@ def run_fast_acv_pipeline(left, right, cfg: PipelineConfig,
     read_disparity_planes from one dense one-group quarter-resolution
     correlation over the 32 tiled channels, the one acv builds: linearly
     between bins at VAP's fractional candidates, directly at the integer
-    hypotheses.  The K hypotheses are selected with f2i_select, as a set in
-    ascending bin order, not sorted as f2i_topk sorts them: every later
-    step reads them per hypothesis, and the top-2 prediction breaks ties by
-    the weight a_f as that order did.
+    hypotheses.  The K hypotheses are never listed: f2i_mask marks them
+    in a (D/4, rows, W/4) mask, fast_attention_filter scales every bin of
+    the correlation by its probability, and predict_from_mask takes the
+    top two of the kept bins, breaking equal scores by the larger
+    probability, then the smaller bin, as predict_from_hypotheses does on
+    f2i_topk's sorted list.
 
     Both correlations are census_correlation over the pyramid's packed
     census codes: bit counts give the exact integer channel sums the float

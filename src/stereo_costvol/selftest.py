@@ -551,6 +551,36 @@ def check_f2i_select(rng, cases):
                     assert a_f[j, y, x] == p.data[i, y, x]
 
 
+def _f2i_case(rng, case):
+    """Probabilities with exact duplicates; K is 1, 2, D or a random one in turn.
+
+    Every fifth case has 256 bins, more than an int8 count or rank holds,
+    and every third is a constant distribution, where all bins tie.
+    """
+    d = 256 if case % 5 == 4 else int(rng.integers(1, 10))
+    h, w = (2, 2) if d == 256 else (int(rng.integers(1, 5)), int(rng.integers(1, 6)))
+    levels = 1 if case % 3 == 2 else 3
+    logits = rng.integers(0, levels, size=(1, d, h, w)).astype(np.float32)
+    p = volume_core.softmax_over_disparity(volume_core.CostVolume(logits))
+    return p, min((1, 2, d, int(rng.integers(1, d + 1)))[case % 4], d)
+
+
+def check_f2i_mask(rng, cases):
+    for case in range(cases):
+        p, k = _f2i_case(rng, case)
+        d, h, w = p.data.shape
+        before = p.data.copy()
+        keep = fast_acv.f2i_mask(p, k)
+        assert np.array_equal(p.data, before)
+        assert keep.dtype == np.bool_ and keep.shape == (d, h, w)
+        hyp = fast_acv.f2i_topk(p, k)
+        for y in range(h):
+            for x in range(w):
+                chosen = sorted(range(d), key=lambda i: (-p.data[i, y, x], i))[:k]
+                kept = [i for i in range(d) if keep[i, y, x]]
+                assert kept == sorted(chosen) == sorted(hyp.d_hyp[:, y, x])
+
+
 def check_build_compact_concat(rng, cases):
     for _ in range(cases):
         c, h, w = int(rng.integers(1, 5)), int(rng.integers(2, 7)), int(rng.integers(3, 10))
@@ -619,6 +649,38 @@ def check_predict_from_hypotheses(rng, cases):
     d_hyp = np.array([10, 20, 30], np.int32).reshape(3, 1, 1)
     a_f = np.array([0.1, 0.3, 0.2]).reshape(3, 1, 1)
     assert fast_acv.predict_from_hypotheses(v, d_hyp, a_f).data[0, 0] == 25.0
+
+
+def check_predict_from_mask(rng, cases):
+    for case in range(cases):
+        p, k = _f2i_case(rng, case)
+        d, h, w = p.data.shape
+        keep = fast_acv.f2i_mask(p, k)
+        # Half-integer scores: equal scores at equal and at distinct p, and
+        # exact +0 and -0 among them.
+        raw = rng.integers(-2, 3, size=(1, d, h, w)) / 2.0
+        if case % 2:
+            raw = raw + rng.standard_normal(raw.shape) * 4
+        raw = raw.astype(np.float32)
+        raw[(raw == 0) & (rng.random(raw.shape) < 0.5)] = -0.0
+        v = volume_core.CostVolume(raw)
+        before = v.data.copy()
+        disp = fast_acv.predict_from_mask(v, keep, p)
+        assert np.array_equal(v.data.view(np.uint32), before.view(np.uint32))
+        for y in range(h):
+            for x in range(w):
+                # The top two kept bins by value, then by p, then by bin.
+                kept = [i for i in range(d) if keep[i, y, x]]
+                order = sorted(kept, key=lambda i: (-raw[0, i, y, x], -p.data[i, y, x], i))[:2]
+                vals = [float(raw[0, i, y, x]) for i in order]
+                e = [math.exp(val - max(vals)) for val in vals]
+                expect = sum(e[j] / sum(e) * order[j] for j in range(len(order)))
+                assert abs(disp.data[y, x] - expect) < 1e-9
+        # Bit for bit the compacted hypotheses' prediction.
+        d_hyp, a_f = fast_acv.f2i_select(p, k)
+        cost_k = volume_core.CostVolume(np.take_along_axis(raw[0], d_hyp, axis=0)[None])
+        ref = fast_acv.predict_from_hypotheses(cost_k, d_hyp, a_f)
+        assert np.array_equal(disp.data.view(np.uint64), ref.data.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -1018,9 +1080,11 @@ CHECKS = [
     ("cross_propagate_volume", check_cross_propagate_volume),
     ("f2i_topk", check_f2i_topk),
     ("f2i_select", check_f2i_select),
+    ("f2i_mask", check_f2i_mask),
     ("build_compact_concat", check_build_compact_concat),
     ("fast_attention_filter", check_fast_attention_filter),
     ("predict_from_hypotheses", check_predict_from_hypotheses),
+    ("predict_from_mask", check_predict_from_mask),
     ("census_features", check_census_features),
     ("build_feature_pyramid", check_build_feature_pyramid),
     ("resize_hw", check_resize_hw),

@@ -12,11 +12,13 @@ from stereo_costvol.fast_acv import (
     cross_propagate,
     cross_propagate_volume,
     estimate_uncertainty,
+    f2i_mask,
     f2i_select,
     f2i_topk,
     fast_attention_filter,
     matching_score,
     predict_from_hypotheses,
+    predict_from_mask,
     propagation_weights,
     read_disparity_planes,
     regress_initial_disparity,
@@ -411,6 +413,19 @@ def test_f2i_select_matches_sort_oracle():
     selftest.check_f2i_select(np.random.default_rng(19), 30)
 
 
+def test_f2i_mask_keeps_the_smaller_tied_bins():
+    p = ProbabilityVolume(np.array([0.1, 0.3, 0.2, 0.2, 0.2]).reshape(5, 1, 1))
+    assert list(f2i_mask(p, 3)[:, 0, 0]) == [False, True, True, True, False]
+    for k in (0, 6):
+        with pytest.raises(ValueError):
+            f2i_mask(p, k)
+
+
+def test_f2i_mask_matches_sort_oracle():
+    # 40 cases take every K kind with 256 bins and with a constant distribution.
+    selftest.check_f2i_mask(np.random.default_rng(23), 40)
+
+
 def test_hypothesis_set_invariants():
     with pytest.raises(ValueError):  # duplicate hypothesis
         HypothesisSet(np.zeros((2, 1, 1), dtype=np.int32), np.full((2, 1, 1), 0.3))
@@ -499,6 +514,21 @@ def test_predict_checks_non_integer_hypotheses():
 
 def test_predict_top_equals_k_oracle():
     selftest.check_predict_from_hypotheses(np.random.default_rng(17), 15)
+
+
+def test_predict_from_mask_breaks_equal_scores_by_p_then_bin():
+    # Bins 1, 2 and 4 are kept; all three score 1.  Bin 2 has the largest p
+    # and wins; bins 1 and 4 tie in p as well, so the smaller bin is second.
+    p = ProbabilityVolume(np.array([0.3, 0.1, 0.3, 0.2, 0.1]).reshape(5, 1, 1))
+    keep = np.array([False, True, True, False, True]).reshape(5, 1, 1)
+    v = CostVolume(np.array([9.0, 1.0, 1.0, 9.0, 1.0], np.float32).reshape(1, 5, 1, 1))
+    assert predict_from_mask(v, keep, p).data[0, 0] == 1.5
+    with pytest.raises(ValueError, match="shape mismatch"):
+        predict_from_mask(v, keep.astype(np.int8), p)
+
+
+def test_predict_from_mask_equals_the_compacted_prediction():
+    selftest.check_predict_from_mask(np.random.default_rng(29), 40)
 
 
 test_randomized_oracles = randomized_oracles(fast_acv)

@@ -24,7 +24,13 @@ from stereo_costvol.pipeline import (
     run_fast_acv_pipeline,
     run_pipeline,
 )
-from stereo_costvol.fast_acv import build_compact_concat, matching_score
+from stereo_costvol.fast_acv import (
+    build_compact_concat,
+    f2i_topk,
+    fast_attention_filter,
+    matching_score,
+    predict_from_hypotheses,
+)
 from stereo_costvol.volume_core import (
     CensusCodes,
     CostVolume,
@@ -172,6 +178,25 @@ def test_box_downsample_keeps_large_finite_values_finite():
         assert np.all(np.isfinite(pred.data))
 
 
+@pytest.mark.parametrize("factor", range(1, 17))
+def test_box_downsample_adds_in_numpys_order(factor):
+    # Pairwise row sums, then the rows in turn: bitwise numpy's two-axis sum
+    # whenever the output has at least 2 columns.  Values span six decades
+    # so that a different order would round differently; -0 entries too.
+    rng = np.random.default_rng(factor)
+    for rows, cols in ((1, 2), (3, 5), (2, 17)):
+        img = rng.standard_normal((rows * factor, cols * factor)).astype(np.float32)
+        img *= np.float32(10.0) ** rng.integers(-3, 4, img.shape).astype(np.float32)
+        img[rng.random(img.shape) < 0.1] = -0.0
+        ref = (img * np.float32(1.0 / factor ** 2)).reshape(
+            rows, factor, cols, factor).sum(axis=(1, 3))
+        got = box_downsample(img, factor)
+        assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
+    zeros = np.full((factor, 2 * factor), -0.0, dtype=np.float32)
+    assert np.array_equal(box_downsample(zeros, factor).view(np.uint32),
+                          np.zeros((1, 2), np.uint32))  # +0, as numpy's sum gives
+
+
 def test_box_downsample_pads_ragged_edges():
     img = np.arange(15, dtype=np.float32).reshape(3, 5)
     out = box_downsample(img, 2)
@@ -298,71 +323,64 @@ def test_concat_cost_keeps_reference_input_checks():
         matching_score(f, f, np.full((2, 3, 4), np.nan))
 
 
-def test_fast_runner_reads_compact_cost_from_one_group_correlation(monkeypatch):
-    # The runner reads its compact cost from the dense one-group quarter
-    # correlation; on the tiled quarter census maps that is matching_score
-    # at the hypotheses bit for bit (up to the sign of zero), and the runner
-    # never gathers features with matching_score itself.
+def _record_filter_inputs(monkeypatch):
+    """Patch the runner's fast_attention_filter to record its (p_prop, corr_q)."""
     import stereo_costvol.pipeline as pipeline_mod
 
-    seen = {"hyp": [], "cost": []}
+    seen = []
 
-    def record(name, fn):
-        def wrapped(*args):
-            out = fn(*args)
-            seen[name].append((args, out))
-            return out
-        return wrapped
+    def wrapped(*args):
+        seen.append(args)
+        return fast_attention_filter(*args)
+
+    monkeypatch.setattr(pipeline_mod, "fast_attention_filter", wrapped)
+    return seen
+
+
+def test_fast_runner_reads_compact_cost_from_one_group_correlation(monkeypatch):
+    # The runner filters the dense one-group quarter correlation; at the
+    # K-set's bins that is matching_score on the tiled quarter census maps
+    # bit for bit (up to the sign of zero), and the runner never gathers
+    # features with matching_score itself.
+    import stereo_costvol.pipeline as pipeline_mod
 
     def no_gather(*args, **kwargs):
         raise AssertionError("the fast_acv runner called matching_score")
 
-    monkeypatch.setattr(pipeline_mod, "f2i_select", record("hyp", pipeline_mod.f2i_select))
-    monkeypatch.setattr(pipeline_mod, "fast_attention_filter",
-                        record("cost", pipeline_mod.fast_attention_filter))
+    seen = _record_filter_inputs(monkeypatch)
     monkeypatch.setattr(pipeline_mod, "matching_score", no_gather)
     left, right, _, _ = stereogram(seed=3, h=64, w=128)
     run_fast_acv_pipeline(left, right, PipelineConfig("fast_acv", 32, k=8))
 
-    [(_, (d_hyp, _))] = seen["hyp"]
-    [((_, cost_k), _)] = seen["cost"]  # the compact cost is filter's second argument
+    [(p_prop, corr_q)] = seen
+    d_hyp = f2i_topk(ProbabilityVolume(p_prop), 8).d_hyp
     ref = matching_score(_float_census(left, 4, CONCAT_CHANNELS),
                          _float_census(right, 4, CONCAT_CHANNELS), d_hyp)
     assert np.any(d_hyp > np.arange(128 // 4))  # out-of-frame hypotheses too
-    got = cost_k.data[0]
+    got = np.take_along_axis(corr_q.data[0], d_hyp, axis=0)
     assert got.shape == ref.shape
     zero = np.float32(0.0)
     assert np.array_equal((got + zero).view(np.uint32), (ref + zero).view(np.uint32))
 
 
 def test_fast_runner_equals_the_sorted_top_k_reference_chain(monkeypatch):
-    # The runner keeps its hypotheses unsorted; the reference chain
-    # f2i_topk -> read_disparity_planes -> fast_attention_filter -> predict
-    # on the same probabilities and correlation gives the same map bit for bit.
+    # The runner keeps its hypotheses as a mask over every bin; the
+    # reference chain f2i_topk -> read_disparity_planes ->
+    # fast_attention_filter -> predict_from_hypotheses on the same
+    # probabilities and correlation gives the same map bit for bit.
     import stereo_costvol.pipeline as pipeline_mod
 
-    seen = {"p": [], "corr_q": []}
-
-    def record(fn, name):
-        def wrapped(*args):
-            seen[name].append(args[0])
-            return fn(*args)
-        return wrapped
-
-    monkeypatch.setattr(pipeline_mod, "f2i_select", record(pipeline_mod.f2i_select, "p"))
-    monkeypatch.setattr(pipeline_mod, "read_disparity_planes",
-                        record(pipeline_mod.read_disparity_planes, "corr_q"))
+    seen = _record_filter_inputs(monkeypatch)
     left, right, _, _ = stereogram(seed=5, h=64, w=128)
     cfg = PipelineConfig("fast_acv", 32, k=6)
     got = run_fast_acv_pipeline(left, right, cfg).data
     monkeypatch.undo()
 
-    [p_prop] = seen["p"]
-    corr_q = seen["corr_q"][-1]
-    hyp = pipeline_mod.f2i_topk(p_prop, cfg.k)
+    [(p_prop, corr_q)] = seen
+    hyp = f2i_topk(ProbabilityVolume(p_prop), cfg.k)
     cost_k = CostVolume(pipeline_mod.read_disparity_planes(corr_q, hyp.d_hyp)[None])
-    cost = pipeline_mod.fast_attention_filter(hyp.a_f, cost_k)
-    d_quarter = pipeline_mod.predict_from_hypotheses(
+    cost = fast_attention_filter(hyp.a_f, cost_k)
+    d_quarter = predict_from_hypotheses(
         CostVolume(cost.data * np.float32(pipeline_mod.TEMPERATURE)), hyp.d_hyp, hyp.a_f)
     ref = pipeline_mod._resize_hw(d_quarter.data * 4.0, 64, 128)
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
@@ -701,8 +719,9 @@ def test_acv_holds_no_pyramid_or_attention_in_its_prediction_tail(monkeypatch):
 
 def test_fast_acv_holds_no_whole_quarter_volume():
     # The banded runner holds one band's volumes at a time: at 960x512,
-    # D=192, K=24 the peak falls from 52.7 MiB to ~18, under 2.5 float64
-    # (D/4, H/4, W/4) volumes.
+    # D=192, K=24 the traced peak is ~9.0 MiB, 0.80 of one float64
+    # (D/4, H/4, W/4) volume (11.25 MiB).  A whole quarter volume held on
+    # top of that, even as float32, breaks the bound of 1.25.
     left, right, _, _ = stereogram(disparity=16, seed=5, h=512, w=960)
     cfg = PipelineConfig("fast_acv", 192, k=24)
     tracemalloc.start()
@@ -711,7 +730,7 @@ def test_fast_acv_holds_no_whole_quarter_volume():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * (192 // 4) * (512 // 4) * (960 // 4) * 8
+    assert peak < 1.25 * (192 // 4) * (512 // 4) * (960 // 4) * 8
 
 
 def _whole_volume_fast_chain(left, right, cfg):
