@@ -720,8 +720,9 @@ def test_acv_holds_no_pyramid_or_attention_in_its_prediction_tail(monkeypatch):
 def test_fast_acv_holds_no_whole_quarter_volume():
     # The banded runner holds one band's volumes at a time: at 960x512,
     # D=192, K=24 the traced peak is ~9.0 MiB, 0.80 of one float64
-    # (D/4, H/4, W/4) volume (11.25 MiB).  A whole quarter volume held on
-    # top of that, even as float32, breaks the bound of 1.25.
+    # (D/4, H/4, W/4) volume (11.25 MiB).  A whole float32 quarter volume
+    # held through the bands lifts it to ~14.0 MiB (1.245 volumes), over
+    # the bound of 1.1.
     left, right, _, _ = stereogram(disparity=16, seed=5, h=512, w=960)
     cfg = PipelineConfig("fast_acv", 192, k=24)
     tracemalloc.start()
@@ -730,7 +731,7 @@ def test_fast_acv_holds_no_whole_quarter_volume():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * (192 // 4) * (512 // 4) * (960 // 4) * 8
+    assert peak < 1.1 * (192 // 4) * (512 // 4) * (960 // 4) * 8
 
 
 def _whole_volume_fast_chain(left, right, cfg):
