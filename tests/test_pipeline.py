@@ -178,11 +178,12 @@ def test_box_downsample_keeps_large_finite_values_finite():
         assert np.all(np.isfinite(pred.data))
 
 
-@pytest.mark.parametrize("factor", range(1, 17))
+@pytest.mark.parametrize("factor", [*range(1, 17), 130])
 def test_box_downsample_adds_in_numpys_order(factor):
     # Pairwise row sums, then the rows in turn: bitwise numpy's two-axis sum
     # whenever the output has at least 2 columns.  Values span six decades
     # so that a different order would round differently; -0 entries too.
+    # Factor 130 takes the pairwise sum's split above 128 terms.
     rng = np.random.default_rng(factor)
     for rows, cols in ((1, 2), (3, 5), (2, 17)):
         img = rng.standard_normal((rows * factor, cols * factor)).astype(np.float32)
