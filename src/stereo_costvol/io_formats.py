@@ -18,7 +18,7 @@ from typing import Tuple, Union
 import numpy as np
 
 from .metrics import EvalMask
-from .volume_core import DisparityMap, _all_finite
+from .volume_core import DisparityMap, _Checked
 
 
 class FormatError(ValueError):
@@ -33,29 +33,18 @@ class PngError(FormatError):
     pass
 
 
-@dataclass
-class GrayImage:
-    """Grayscale image with intensities in [0, 1]."""
+class GrayImage(_Checked):
+    """Grayscale image, float32 (height, width), with intensities in [0, 1]."""
 
-    intensities: np.ndarray
+    AXES = ("height", "width")
 
-    def __post_init__(self):
-        arr = np.asarray(self.intensities, dtype=np.float32)
-        if arr.ndim != 2:
-            raise ValueError("GrayImage intensities must be (height, width)")
-        if not _all_finite(arr):
-            raise ValueError("GrayImage: non-finite intensity")
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+    def _check_values(self):
+        if self.data.size and (self.data.min() < 0.0 or self.data.max() > 1.0):
             raise ValueError("GrayImage: intensities must lie in [0, 1]")
-        self.intensities = arr
 
     @property
-    def height(self) -> int:
-        return self.intensities.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.intensities.shape[1]
+    def intensities(self) -> np.ndarray:
+        return self.data
 
 
 # ---------------------------------------------------------------------------

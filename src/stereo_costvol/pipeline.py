@@ -23,9 +23,10 @@ from .acv import (
     CONCAT_CHANNELS,
     GROUP_SPLIT,
     PatchWeights,
+    _filtered_cost,
+    _task_runner,
     attention_filter,
     build_mapm_volume,
-    filtered_correlation,
     generate_attention_weights,
 )
 from .fast_acv import (
@@ -165,7 +166,7 @@ class AllocationMeter:
     bytes held.  acv books its "correlation", "attention", "concat",
     "compressed" and "filtered" volumes in full, though it holds only the
     filtered one: filtered_correlation folds the distinct MAPM groups into
-    the attention one disparity slice at a time, reads the "concat" cost
+    the attention a few disparity bins at a time, reads the "concat" cost
     as the one-group quarter-resolution correlation of the same level-1
     sums, and multiplies the two in the same pass.  fast_acv reads its
     "compact_concat" cost from that one-group correlation at the
@@ -360,12 +361,13 @@ class FeaturePyramid:
     """Census features at the scales one matcher reads, all from one image.
 
     In acv mode levels holds the three untiled 24-channel patch-matching
-    levels and the codes are None; in fast_acv mode levels is None and
-    quarter_codes (32 tiled channels) and low_codes (24 channels, eighth
-    resolution) hold the packed census codes its correlations read.
+    levels, level 1 as packed CensusCodes and levels 2 and 3 as float
+    FeatureMaps, and the codes are None; in fast_acv mode levels is None
+    and quarter_codes (32 tiled channels) and low_codes (24 channels,
+    eighth resolution) hold the packed census codes its correlations read.
     """
 
-    levels: Optional[Tuple[FeatureMap, FeatureMap, FeatureMap]]
+    levels: Optional[Tuple[CensusCodes, FeatureMap, FeatureMap]]
     quarter_codes: Optional[CensusCodes] = None
     low_codes: Optional[CensusCodes] = None
 
@@ -380,7 +382,9 @@ def build_feature_pyramid(image: np.ndarray, cfg: PipelineConfig) -> FeaturePyra
     quarter image and of its 2x / 4x box-downsampled versions (resized
     back), untiled: filtered_correlation reads their distinct groups in
     place of the paper's 8/16/16 tiled ones, and the concatenation cost
-    from l1's group sums.
+    from l1's group sums.  l1 is packed as 24-channel CensusCodes, whose
+    three bytes are its groups; l2 and l3 hold values between the signs
+    and stay float maps.
     """
     img = np.asarray(getattr(image, "intensities", image), dtype=np.float32)
     if img.ndim != 2:
@@ -397,7 +401,7 @@ def build_feature_pyramid(image: np.ndarray, cfg: PipelineConfig) -> FeaturePyra
     h4, w4 = h // 4, w // 4
     l2 = _unchecked(FeatureMap, _resize_hw(census_features(low).data, h4, w4))
     l3 = _unchecked(FeatureMap, _resize_hw(base16.data, h4, w4))
-    return FeaturePyramid((census_features(quarter), l2, l3))
+    return FeaturePyramid((_census_codes(quarter, CENSUS_CHANNELS), l2, l3))
 
 
 # ---------------------------------------------------------------------------
@@ -546,25 +550,28 @@ def _upsample_fast_volume(v: CostVolume) -> CostVolume:
 def _acv_quarter(l_img, r_img, cfg: PipelineConfig, meter: AllocationMeter,
                  stage_ms: Dict[str, float]) -> np.ndarray:
     """acv's quarter-resolution disparities (see run_acv_pipeline)."""
-    with _timed(stage_ms, "feature_extraction"):
-        pyr_l = build_feature_pyramid(l_img, cfg)
-        pyr_r = build_feature_pyramid(r_img, cfg)
+    # One pool per run: the two pyramids are its first tasks, then
+    # filtered_correlation's groups of disparity bins.
+    with _task_runner(cfg.threads) as run:
+        with _timed(stage_ms, "feature_extraction"):
+            pyr_l, pyr_r = run(lambda img: build_feature_pyramid(img, cfg), (l_img, r_img))
 
-    with _timed(stage_ms, "volume_construction"):
-        weights = [PatchWeights.uniform(k) for k in (1, 2, 3)]
-        levels = [(pyr_l.levels[i], pyr_r.levels[i], weights[i]) for i in range(3)]
-        cost = filtered_correlation(levels, cfg.d_max, cfg.threads)
-        del pyr_l, pyr_r, levels
-        # The meter books the logical volumes in the order the architecture
-        # allocates them, though the one pass holds only the filtered cost.
-        meter.alloc("correlation", sum(GROUP_SPLIT) * cost.elements)
-        meter.alloc("attention", cost.elements)
-        meter.release("correlation")
-        meter.alloc("concat", 2 * CONCAT_CHANNELS * cost.elements)
-        meter.alloc("compressed", cost.elements)
-        meter.release("concat")
-        meter.alloc("filtered", cost.elements)
-        meter.release("compressed")
+        with _timed(stage_ms, "volume_construction"):
+            weights = [PatchWeights.uniform(k) for k in (1, 2, 3)]
+            levels = [(pyr_l.levels[i], pyr_r.levels[i], weights[i]) for i in range(3)]
+            del pyr_l, pyr_r
+            cost = _filtered_cost(levels, cfg.d_max, run)
+            del levels
+            # The meter books the logical volumes in the order the architecture
+            # allocates them, though the one pass holds only the filtered cost.
+            meter.alloc("correlation", sum(GROUP_SPLIT) * cost.elements)
+            meter.alloc("attention", cost.elements)
+            meter.release("correlation")
+            meter.alloc("concat", 2 * CONCAT_CHANNELS * cost.elements)
+            meter.alloc("compressed", cost.elements)
+            meter.release("concat")
+            meter.alloc("filtered", cost.elements)
+            meter.release("compressed")
 
     with _timed(stage_ms, "prediction"):
         cost.data *= np.float32(TEMPERATURE)
@@ -593,15 +600,22 @@ def run_acv_pipeline(left, right, cfg: PipelineConfig,
     would scale both halves and square it, losing its sign and flattening
     the peaks.
 
-    filtered_correlation does all of this in one pass over the disparities,
-    the only step that splits work over cfg.threads: the correlation is the
-    sum of the level-1 group sums the attention already computed, and
-    census sums are exact integers, so the filtered cost is bit for bit
+    filtered_correlation does all of this in one pass over the disparities:
+    the correlation is the sum of the level-1 group sums the attention
+    already computed, and those are bit counts of level 1's packed census
+    codes, exact integers, so the filtered cost is bit for bit
     attention_filter(generate_attention_weights(build_mapm_volume(...)),
-    group_correlation(...)) on the tiled maps.  It holds no level volume
-    and no attention or correlation volume.  Its time books to the
+    group_correlation(...)) on the tiled float maps.  It holds no level
+    volume and no attention or correlation volume.  Its time books to the
     volume_construction stage; the aggregation stage, where the filter
     ran, reads 0.
+
+    With cfg.threads > 1 the run opens one pool (acv._task_runner): its
+    first two tasks build the left and right pyramids, then each task
+    computes filtered_correlation over acv._BINS_PER_TASK adjacent bins.
+    The pool closes before the softmax, which runs on the calling thread.
+    Every task writes its own output, so the map is the same bits at
+    every thread count.
 
     Raises ValueError if cfg.mode is not "acv".
     """

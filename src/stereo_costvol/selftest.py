@@ -216,47 +216,50 @@ def check_build_mapm_volume(rng, cases):
             g0 += s
 
 
+def _pack_signs(signs):
+    """CensusCodes of a (channels, H, W) {-1, 0, +1} array, one bit pair per channel."""
+    words = np.zeros((2,) + signs.shape[1:], dtype=np.uint32)
+    for c, ch in enumerate(signs):
+        words[0] |= (ch != 0).astype(np.uint32) << np.uint32(c)
+        words[1] |= (ch > 0).astype(np.uint32) << np.uint32(c)
+    return volume_core.CensusCodes(words, signs.shape[0])
+
+
 def _check_filtered_correlation_case(rng, h, w, threads, signs, uniform):
     levels, tiled = [], []
     for level, n_tiled in zip((1, 2, 3), acv.GROUP_SPLIT):
         c = int(rng.integers(1, 4)) * acv.CHANNELS_PER_GROUP
-        if signs:  # census-like {-1, 0, +1} channels
+        if signs or level == 1:  # census-like {-1, 0, +1} channels, ties included
             pair = [rng.integers(-1, 2, size=(c, h, w)).astype(np.float32) for _ in range(2)]
         else:
             pair = [rng.standard_normal((c, h, w)).astype(np.float32) for _ in range(2)]
         weights = (acv.PatchWeights.uniform(level) if uniform else
                    acv.PatchWeights(level, rng.random((3, 3)).astype(np.float32)))
-        levels.append((volume_core.FeatureMap(pair[0]), volume_core.FeatureMap(pair[1]),
-                       weights))
+        if level == 1:
+            level1 = pair
+            levels.append((_pack_signs(pair[0]), _pack_signs(pair[1]), weights))
+        else:
+            levels.append((volume_core.FeatureMap(pair[0]), volume_core.FeatureMap(pair[1]),
+                           weights))
         n = n_tiled * acv.CHANNELS_PER_GROUP
         tiled.append((volume_core.FeatureMap(pipeline._tile_channels(pair[0], n)),
                       volume_core.FeatureMap(pipeline._tile_channels(pair[1], n)), weights))
     d_max = 4 * int(rng.integers(1, 5))
     out = acv.filtered_correlation(levels, d_max, threads)
-    n = acv.CONCAT_CHANNELS
-    t_l, t_r = (pipeline._tile_channels(f.data, n) for f in levels[0][:2])
+    t_l, t_r = (pipeline._tile_channels(f, acv.CONCAT_CHANNELS) for f in level1)
     corr = volume_core.group_correlation(volume_core.FeatureMap(t_l),
                                          volume_core.FeatureMap(t_r), d_max // 4, 1)
     a = acv.generate_attention_weights(acv.build_mapm_volume(tiled, d_max))
     expect = acv.attention_filter(a, corr)
-    if signs:
-        assert np.array_equal(out.data, expect.data)
-        return
-    # The 32 products are summed in another order.  Either sum is within 31
-    # unit roundoffs (eps / 2) of the exact one, relative to the sum of
-    # |products|, so 64 eps covers both sums and the rounding of the product.
-    mag = volume_core.group_correlation(volume_core.FeatureMap(np.abs(t_l)),
-                                        volume_core.FeatureMap(np.abs(t_r)), d_max // 4, 1)
-    bound = 64 * np.finfo(np.float32).eps * np.abs(a.data) * mag.data
-    assert np.all(np.abs(out.data.astype(np.float64) - expect.data) <= bound)
+    assert np.array_equal(out.data.view(np.uint32), expect.data.view(np.uint32))
 
 
 def check_filtered_correlation(rng, cases):
     # Bit for bit attention_filter(the group mean of the tiled 40-group MAPM
     # volume it never builds, group_correlation of level 1 tiled to
-    # CONCAT_CHANNELS, one group) on sign-valued features, whose level-1
-    # group sums are exact integers; within float32 rounding on float
-    # features.
+    # CONCAT_CHANNELS, one group).  Level 1 is packed sign channels, whose
+    # group sums are exact integers; levels 2 and 3 are sign-valued or
+    # float features.
     for i in range(cases):
         _check_filtered_correlation_case(rng, int(rng.integers(4, 10)),
                                          int(rng.integers(4, 14)), threads=(1, 3)[i % 2],
@@ -730,11 +733,13 @@ def check_build_feature_pyramid(rng, cases):
         pyr_b = pipeline.build_feature_pyramid(img, cfg)
         const = pipeline.build_feature_pyramid(np.full((16, 32), 0.75, np.float32), cfg)
         if mode == "acv":
-            # three untiled census levels; the first is the quarter-res map
-            assert [lvl.data.shape for lvl in pyr_a.levels] == [(24, 4, 8)] * 3
-            assert np.array_equal(pyr_a.levels[0].data, base4.data)
+            # three untiled census levels; the first is the quarter-res
+            # map's packed codes
+            _assert_packs(pyr_a.levels[0], base4.data, pipeline.CENSUS_CHANNELS)
+            assert [lvl.data.shape for lvl in pyr_a.levels[1:]] == [(24, 4, 8)] * 2
             assert pyr_a.quarter_codes is None and pyr_a.low_codes is None
-            arrays = [[lvl.data for lvl in pyr.levels] for pyr in (pyr_a, pyr_b, const)]
+            arrays = [[pyr.levels[0].words] + [lvl.data for lvl in pyr.levels[1:]]
+                      for pyr in (pyr_a, pyr_b, const)]
         else:
             assert pyr_a.levels is None
             # the quarter codes tile to the concatenation width; the

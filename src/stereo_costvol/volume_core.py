@@ -10,8 +10,10 @@ inputs skip that scan with _unchecked.  Every operation is a pure
 function over immutable inputs.  Per-pixel reductions always run over a
 fixed axis of a fixed-shape array, and no op here starts a thread, so
 results are bitwise reproducible regardless of the thread count used by
-callers: the one op that splits work over a pool,
-acv.filtered_correlation, splits it across disjoint disparity slices.
+callers.  Only acv's runner splits work over a pool, one per run
+(acv._task_runner): its tasks build the two feature pyramids, then
+acv.filtered_correlation's groups of adjacent disparity bins, and each
+task writes its own disjoint output.
 """
 
 from __future__ import annotations
@@ -131,17 +133,23 @@ class DisparityMap(_Checked):
     AXES = ("height", "width")
 
 
-def _group_inner(fl_g, fr_g, d):
-    """Per-group inner products <f_l(x), f_r(x - d)> with zero fill at x < d.
+def _group_sums(fl_g, fr_g, d):
+    """Per-group inner products <f_l(x), f_r(x - d)> over the columns x >= d.
 
-    Inputs are (groups, cpg, height, width) views; output is (groups,
-    height, width).  einsum with a fixed contraction order keeps the
-    per-pixel reduction deterministic.
+    Inputs are (groups, cpg, height, width) views and d < width; output is
+    (groups, height, width - d).  einsum with a fixed contraction order
+    keeps the per-pixel reduction deterministic.
     """
+    w = fl_g.shape[-1]
+    return np.einsum("gchw,gchw->ghw", fl_g[..., d:], fr_g[..., :w - d])
+
+
+def _group_inner(fl_g, fr_g, d):
+    """_group_sums over the whole (groups, height, width) frame, zero at x < d."""
     g, _, h, w = fl_g.shape
     out = np.zeros((g, h, w), dtype=np.float32)
     if d < w:
-        out[..., d:] = np.einsum("gchw,gchw->ghw", fl_g[..., d:], fr_g[..., :w - d])
+        out[..., d:] = _group_sums(fl_g, fr_g, d)
     return out
 
 
@@ -220,16 +228,32 @@ class CensusCodes:
         return CensusCodes(self.words[:, start:stop], self.channels)
 
 
+def _sign_sums(nz_l, pos_l, nz_r, pos_r):
+    """Channel sums of the products of packed sign channels, as int8.
+
+    The arguments are broadcastable unsigned "nonzero" and "positive" bit
+    arrays of at most 32 bits each.  With both = nz_l & nz_r the sum is
+    popcount(both) - 2 * popcount(both & (pos_l ^ pos_r)), the exact
+    integer a float sum of the {-1, 0, +1} products reaches in any order.
+    """
+    both = np.bitwise_and(nz_l, nz_r)
+    differ = np.bitwise_xor(pos_l, pos_r)
+    differ &= both
+    total = np.bitwise_count(both).view(np.int8)
+    twice = np.bitwise_count(differ).view(np.int8)
+    twice <<= 1
+    total -= twice
+    return total
+
+
 def census_correlation(codes_l: CensusCodes, codes_r: CensusCodes, d_max: int) -> CostVolume:
     """group_correlation(f_l, f_r, d_max, 1) of the features the codes pack.
 
     A product of two sign channels is +1 where both are nonzero with equal
-    signs and -1 where both are nonzero with opposite signs, so with
-    both = nz_l & nz_r the channel sum is
-    popcount(both) - 2 * popcount(both & (pos_l ^ pos_r)).  That sum is the
-    exact integer the float einsum reaches, and it is scaled by the same
-    float32 1 / channels, so the volume is equal bit for bit.  The right
-    codes are read for every disparity at once through a sliding-window
+    signs and -1 where both are nonzero with opposite signs, so the channel
+    sum is a bit count (_sign_sums): the exact integer the float einsum
+    reaches, scaled by the same float32 1 / channels, so the volume is
+    equal bit for bit.  The right codes are read for every disparity at once through a sliding-window
     view over a copy zero-padded on the left: out-of-frame samples have no
     nonzero bit and read +0, as group_correlation's fill does.
     """
@@ -244,13 +268,7 @@ def census_correlation(codes_l: CensusCodes, codes_r: CensusCodes, d_max: int) -
     shifted = np.lib.stride_tricks.sliding_window_view(padded, w, axis=2)
     shifted = shifted[:, :, ::-1].transpose(0, 2, 1, 3)
     nz_l, pos_l = codes_l.words[:, None]
-    both = np.bitwise_and(nz_l, shifted[0])
-    differ = np.bitwise_xor(pos_l, shifted[1])
-    differ &= both
-    total = np.bitwise_count(both).view(np.int8)  # at most 32 bits
-    twice = np.bitwise_count(differ).view(np.int8)
-    twice <<= 1
-    total -= twice
+    total = _sign_sums(nz_l, pos_l, shifted[0], shifted[1])
     out = np.multiply(total, np.float32(1.0 / codes_l.channels), dtype=np.float32)
     return _unchecked(CostVolume, out[None])
 

@@ -1,4 +1,7 @@
 import inspect
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -23,7 +26,9 @@ from stereo_costvol.pipeline import (
     PipelineConfig,
     _resize_hw,
     _tile_channels,
+    box_downsample,
     build_feature_pyramid,
+    census_features,
     run_acv_pipeline,
 )
 from stereo_costvol.volume_core import (
@@ -37,6 +42,10 @@ from stereo_costvol.volume_core import (
 )
 
 from oracle_sweep import randomized_oracles
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+
+import bench_scenes  # noqa: E402
 
 
 def rand_feature(rng, c, h, w):
@@ -251,14 +260,15 @@ def _tiled_attention(levels, d_max):
 def _reference_acv_map(left, right, d_max):
     # The op-by-op chain the runner's one pass replaces: tiled MAPM volume,
     # attention, dense one-group correlation, filter, softmax, soft-argmin.
+    # Level 1 is the float census map the pyramid's codes pack.
     cfg = PipelineConfig("acv", d_max)
     pyr_l, pyr_r = build_feature_pyramid(left, cfg), build_feature_pyramid(right, cfg)
-    levels = [(pyr_l.levels[i], pyr_r.levels[i], PatchWeights.uniform(i + 1))
-              for i in range(3)]
+    level1 = [census_features(box_downsample(img.intensities, 4)) for img in (left, right)]
+    levels = [(*level1, PatchWeights.uniform(1))]
+    levels += [(pyr_l.levels[i], pyr_r.levels[i], PatchWeights.uniform(i + 1)) for i in (1, 2)]
     a = _tiled_attention(levels, d_max)
     # level 1's census channels tiled to the concatenation width
-    quarter_l, quarter_r = (FeatureMap(_tile_channels(p.levels[0].data, CONCAT_CHANNELS))
-                            for p in (pyr_l, pyr_r))
+    quarter_l, quarter_r = (FeatureMap(_tile_channels(f.data, CONCAT_CHANNELS)) for f in level1)
     compressed = group_correlation(quarter_l, quarter_r, d_max // 4, 1)
     cost = attention_filter(a, compressed)
     cost.data *= np.float32(pipeline.TEMPERATURE)
@@ -268,11 +278,74 @@ def _reference_acv_map(left, right, d_max):
 
 
 def test_acv_runner_equals_tiled_composition():
+    # 16 bins split evenly into tasks; at D=36 the last of 9 bins is a task
+    # of its own.
     left, right, _, _ = generate_stereogram(StereogramSpec(128, 256, 12, 0.5, 4))
-    expect = _reference_acv_map(left, right, 64)
-    for threads in (1, 3):
-        out = run_acv_pipeline(left, right, PipelineConfig("acv", 64, threads=threads))
-        assert np.array_equal(out.data, expect.data)
+    for d_max in (64, 36):
+        expect = _reference_acv_map(left, right, d_max)
+        for threads in (1, 2, 3, 8):
+            out = run_acv_pipeline(left, right, PipelineConfig("acv", d_max, threads=threads))
+            assert np.array_equal(out.data.view(np.uint64), expect.data.view(np.uint64))
+
+
+def _runner_levels(left, right, d_max):
+    cfg = PipelineConfig("acv", d_max)
+    pyr_l, pyr_r = build_feature_pyramid(left, cfg), build_feature_pyramid(right, cfg)
+    return [(pyr_l.levels[i], pyr_r.levels[i], PatchWeights.uniform(i + 1)) for i in range(3)]
+
+
+@pytest.mark.parametrize("d_max", [36, 192])
+def test_acv_keeps_every_bit_over_threads_and_bins_per_task(monkeypatch, d_max):
+    # A seed-701 960x512 bench scene: the filtered cost and the map at 1, 2
+    # and 8 threads are bitwise those of one bin per task on one thread.
+    scene = bench_scenes.make_scene(701, 0, 512, 960, d_max)
+    levels = _runner_levels(scene.left, scene.right, d_max)
+    monkeypatch.setattr(acv, "_BINS_PER_TASK", 1)
+    ref_cost = filtered_correlation(levels, d_max).data.view(np.uint32)
+    ref_map = run_acv_pipeline(scene.left, scene.right, PipelineConfig("acv", d_max))
+    monkeypatch.undo()
+    for threads in (1, 2, 8):
+        cost = filtered_correlation(levels, d_max, threads)
+        assert np.array_equal(cost.data.view(np.uint32), ref_cost)
+        cfg = PipelineConfig("acv", d_max, threads=threads)
+        out = run_acv_pipeline(scene.left, scene.right, cfg)
+        assert np.array_equal(out.data.view(np.uint64), ref_map.data.view(np.uint64))
+
+
+def _packed_sign_levels(rng, h, w):
+    """Random sign levels: level 1 packed as codes, ties included."""
+    def signs():
+        return rng.integers(-1, 2, size=(24, h, w)).astype(np.float32)
+
+    l1 = (selftest._pack_signs(signs()), selftest._pack_signs(signs()), PatchWeights.uniform(1))
+    return [l1] + [(FeatureMap(signs()), FeatureMap(signs()), PatchWeights.uniform(k))
+                   for k in (2, 3)]
+
+
+@pytest.mark.parametrize("bins_per_task", [1, 2, 3])
+def test_bins_past_a_narrow_frame_read_positive_zero(monkeypatch, bins_per_task):
+    # 7 columns and 12 bins: bins 7-11 have no in-frame right sample, and
+    # with 2 or 3 bins per task one task holds bins on both sides of x = 7.
+    monkeypatch.setattr(acv, "_BINS_PER_TASK", bins_per_task)
+    levels = _packed_sign_levels(np.random.default_rng(19), 5, 7)
+    for threads in (1, 2, 8):
+        cost = filtered_correlation(levels, 48, threads).data
+        assert np.all(cost[:, 7:].view(np.uint32) == 0)
+        assert np.any(cost[:, :7] != 0)
+    # the runner on a 32x32 pair, 8 quarter-resolution columns and 16 bins
+    left, right, _, _ = generate_stereogram(StereogramSpec(32, 32, 2, 0.5, 3))
+    cost = filtered_correlation(_runner_levels(left, right, 64), 64, 2).data
+    assert np.all(cost[:, 8:].view(np.uint32) == 0)
+
+
+def test_filtered_correlation_reads_level_1_as_codes():
+    rng = np.random.default_rng(20)
+    levels = _packed_sign_levels(rng, 4, 6)
+    floats = (rand_feature(rng, 24, 4, 6), rand_feature(rng, 24, 4, 6), levels[0][2])
+    with pytest.raises(ValueError, match="level 1 must be CensusCodes"):
+        filtered_correlation([floats] + levels[1:], 16)
+    with pytest.raises(ValueError, match="levels 2 and 3 must be FeatureMaps"):
+        filtered_correlation(levels[:2] + [levels[0]], 16)
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -280,12 +353,7 @@ def test_filtered_correlation_holds_one_volume(threads):
     # The attention, the correlation and their product were three volumes;
     # the one pass holds only its output beside per-task slices, which at
     # 256 bins stay under half the output's bytes.
-    rng = np.random.default_rng(16)
-
-    def signs():
-        return FeatureMap(rng.integers(-1, 2, size=(24, 32, 64)).astype(np.float32))
-
-    levels = [(signs(), signs(), PatchWeights.uniform(k)) for k in (1, 2, 3)]
+    levels = _packed_sign_levels(np.random.default_rng(16), 32, 64)
     tracemalloc.start()
     try:
         cost = filtered_correlation(levels, 1024, threads)
@@ -293,6 +361,45 @@ def test_filtered_correlation_holds_one_volume(threads):
     finally:
         tracemalloc.stop()
     assert peak < 2 * cost.data.nbytes
+
+
+def test_task_runner_hands_each_item_to_exactly_one_thread():
+    # More threads than cores and a short switch interval: an index taken
+    # twice or lost would show in the calls or the results.
+    calls, out = [], []
+
+    def square(i):
+        calls.append(i)
+        return i * i
+
+    def body():
+        with acv._task_runner(8) as run:
+            out.append(run(square, range(2000)))
+            out.append(run(square, ()))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=body)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    assert out == [[i * i for i in range(2000)], []]
+    assert sorted(calls) == list(range(2000))
+
+
+def test_task_runner_raises_a_task_error():
+    def fail_on_3(i):
+        if i == 3:
+            raise KeyError(i)
+        return i
+
+    for threads in (1, 2, 8):
+        with pytest.raises(KeyError):
+            with acv._task_runner(threads) as run:
+                run(fail_on_3, range(6))
 
 
 def test_only_filtered_correlation_takes_threads():

@@ -290,6 +290,22 @@ def test_gray_image_range_validation():
         GrayImage(np.array([[1.5]], dtype=np.float32))
 
 
+def test_gray_image_shares_the_container_rule():
+    img = GrayImage(np.full((2, 3), 0.5))
+    assert img.intensities is img.data and img.data.dtype == np.float32
+    assert (img.height, img.width) == (2, 3)
+    for bad_rank in (np.zeros(4), np.zeros((2, 3, 1)), np.float32(0.5)):
+        with pytest.raises(ValueError, match=r"GrayImage data must be \(height, width\)"):
+            GrayImage(bad_rank)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="GrayImage: data contains non-finite values"):
+            GrayImage(np.array([[0.5, bad]]))
+    for out_of_range in (-0.01, 1.01):
+        with pytest.raises(ValueError, match=r"GrayImage: intensities must lie in \[0, 1\]"):
+            GrayImage(np.array([[0.5, out_of_range]]))
+    assert GrayImage(np.zeros((0, 3))).width == 3
+
+
 # ---------------------------------------------------------------------------
 # stereogram generator
 

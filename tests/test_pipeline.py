@@ -120,7 +120,7 @@ def _float_census(image, factor, channels=24):
 
 def _pyramid_arrays(pyr):
     if pyr.levels is not None:
-        return [lvl.data for lvl in pyr.levels]
+        return [pyr.levels[0].words] + [lvl.data for lvl in pyr.levels[1:]]
     return [pyr.quarter_codes.words, pyr.low_codes.words]
 
 
@@ -130,8 +130,11 @@ def test_pyramid_channel_layout():
         cfg = PipelineConfig(mode, 32, k=8)
         pyr = build_feature_pyramid(img, cfg)
         if mode == "acv":
-            # untiled census levels; filtered_correlation reads their distinct groups
-            assert [lvl.data.shape for lvl in pyr.levels] == [(24, 8, 16)] * 3
+            # untiled census levels; filtered_correlation reads their distinct
+            # groups, level 1's as bytes of its packed codes
+            assert pyr.levels[0].channels == 24 and pyr.levels[0].words.shape == (2, 8, 16)
+            assert np.all(pyr.levels[0].words >> np.uint32(24) == 0)
+            assert [lvl.data.shape for lvl in pyr.levels[1:]] == [(24, 8, 16)] * 2
             assert pyr.quarter_codes is None and pyr.low_codes is None
             continue
         # fast_acv never reads the patch-matching levels
@@ -462,9 +465,12 @@ def test_swapped_pair_search_range_semantics():
     def attention_stats(l_img, r_img):
         pyr_l = build_feature_pyramid(l_img.intensities, cfg)
         pyr_r = build_feature_pyramid(r_img.intensities, cfg)
-        # the paper's 8/16/16 groups tiled from the untiled census levels
-        levels = [(FeatureMap(_tile_channels(pyr_l.levels[i].data, n * CHANNELS_PER_GROUP)),
-                   FeatureMap(_tile_channels(pyr_r.levels[i].data, n * CHANNELS_PER_GROUP)),
+        # the paper's 8/16/16 groups tiled from the untiled census levels,
+        # level 1 as the float map its codes pack
+        maps = [[census_features(box_downsample(img.intensities, 4))] + list(pyr.levels[1:])
+                for img, pyr in ((l_img, pyr_l), (r_img, pyr_r))]
+        levels = [(FeatureMap(_tile_channels(maps[0][i].data, n * CHANNELS_PER_GROUP)),
+                   FeatureMap(_tile_channels(maps[1][i].data, n * CHANNELS_PER_GROUP)),
                    PatchWeights.uniform(i + 1))
                   for i, n in enumerate(GROUP_SPLIT)]
         a = generate_attention_weights(build_mapm_volume(levels, cfg.d_max))
@@ -599,16 +605,20 @@ def test_unchecked_results_keep_their_container_dtype_and_rank():
     for mode in MODES:
         cfg = PipelineConfig(mode, 32, k=4)
         pyr = build_feature_pyramid(left.intensities, cfg)
-        maps = list(pyr.levels or ())
+        maps = list(pyr.levels[1:] if pyr.levels else ())
         maps.append(census_features(left.intensities))
         for fm in maps:
             assert type(fm) is FeatureMap
             assert fm.data.dtype == np.float32 and fm.data.ndim == 3
-        for codes in (pyr.quarter_codes, pyr.low_codes):
-            assert (codes is None) == (mode == "acv")
-            if codes is not None:
-                assert type(codes) is CensusCodes
-                assert codes.words.dtype == np.uint32 and codes.words.ndim == 3
+        # acv packs its level 1; fast_acv its quarter and low codes
+        if mode == "acv":
+            assert pyr.quarter_codes is None and pyr.low_codes is None
+            packed = [pyr.levels[0]]
+        else:
+            packed = [pyr.quarter_codes, pyr.low_codes]
+        for codes in packed:
+            assert type(codes) is CensusCodes
+            assert codes.words.dtype == np.uint32 and codes.words.ndim == 3
         out = run_pipeline(left, right, cfg)
         assert type(out) is DisparityMap
         assert out.data.dtype == np.float64 and out.data.shape == (64, 128)
@@ -695,11 +705,11 @@ def test_acv_never_holds_its_forty_group_volume():
 
 
 def test_acv_holds_no_pyramid_or_attention_in_its_prediction_tail(monkeypatch):
-    # The run's peak (~27.7 MiB at 960x512, D=192) is set inside
+    # The run's peak (~26.3 MiB at 960x512, D=192) is set inside
     # filtered_correlation, while both pyramids are held, so the peak is
     # read from the softmax on.  With the pyramids and the attention dropped
     # and the logits scaled in place it is ~17.1 MiB, 1.52 float64 quarter
-    # volumes; with both pyramids kept alive it reads 3.02.
+    # volumes; with both pyramids kept alive it reads 2.56.
     real = pipeline.softmax_over_disparity
 
     def reset_peak(cost):
