@@ -28,7 +28,6 @@ from .fast_acv import (
     cross_propagate_volume,
     estimate_uncertainty,
     f2i_mask,
-    f2i_select,
     f2i_topk,
     fast_attention_filter,
     matching_score,

@@ -22,6 +22,7 @@ from .volume_core import (
     CostVolume,
     FeatureMap,
     _all_finite,
+    _bins_inner,
     _group_sums,
     _sign_sums,
 )
@@ -108,18 +109,6 @@ def _tap_fold(w: PatchWeights, scale):
         return acc
 
     return patch
-
-
-def _bins_inner(n_groups, d0, d1, h, width, sums_at):
-    """(n_groups, d1 - d0, H, W) group sums of bins [d0, d1), zero where x < d.
-
-    sums_at(d) gives bin d's sums over columns x >= d; bins at or past the
-    frame's width read +0 throughout.
-    """
-    out = np.zeros((n_groups, d1 - d0, h, width), dtype=np.float32)
-    for d in range(d0, min(d1, width)):
-        out[:, d - d0, :, d:] = sums_at(d)
-    return out
 
 
 def _mapm_slicer(f_l: FeatureMap, f_r: FeatureMap, w: PatchWeights, n_groups: int):
@@ -256,8 +245,9 @@ def _task_runner(threads: int):
 
     With threads > 1 one pool of threads - 1 workers lives for the
     with-block; this is the one place a pool starts.  Each run call hands
-    its items out in order to the workers and the calling thread alike, so
-    the caller does a share of the work and allocates it on its own heap:
+    its items out in order to the calling thread and at most one worker
+    per further item, so the caller does a share of the work and
+    allocates it on its own heap:
     with the caller idle and 2 workers, acv at 960x512, D=192 read ~12 MiB
     more peak RSS (perfbench acv_hd_2t, 185-187 against 172-174 MiB).
     Tasks write disjoint outputs, so scheduling order cannot change results.
@@ -279,7 +269,7 @@ def _task_runner(threads: int):
                         return
                     results[i] = fn(items[i])
 
-            helpers = [pool.submit(drain) for _ in range(threads - 1)]
+            helpers = [pool.submit(drain) for _ in range(min(threads, len(items)) - 1)]
             drain()
             for helper in helpers:
                 helper.result()
@@ -321,7 +311,7 @@ def _filtered_cost(levels, d_max: int, run) -> CostVolume:
 
 
 def filtered_correlation(levels: Sequence[Tuple[object, object, PatchWeights]],
-                         d_max: int, threads: int = 1) -> CostVolume:
+                         d_max: int) -> CostVolume:
     """acv's filtered cost in one pass: the attention times a one-group correlation.
 
     levels holds level 1 as 24-channel CensusCodes and levels 2 and 3 as
@@ -341,11 +331,12 @@ def filtered_correlation(levels: Sequence[Tuple[object, object, PatchWeights]],
     Level 1's group sums are bit counts of its code bytes (_code_slicer):
     exact integers, so the fold over them and corr, their sum in the
     tiled order times 1 / CONCAT_CHANNELS, a power of two, are the float
-    reference's bit for bit whatever order that sums in.  With threads > 1
-    the tasks run on a pool; each writes its own bins, so the result does
-    not depend on the thread count.
+    reference's bit for bit whatever order that sums in.  The tasks run
+    in turn here; run_acv_pipeline hands them to its pool through
+    _filtered_cost, and each writes its own bins, so the result does not
+    depend on the thread count.
     """
-    with _task_runner(threads) as run:
+    with _task_runner(1) as run:
         return _filtered_cost(levels, d_max, run)
 
 

@@ -166,7 +166,7 @@ def cmd_bench(args) -> int:
         return _fail(f"--seed must be >= 0, got {args.seed}")
     k_tokens = [t.strip() for t in args.k_sweep.split(",")]
     for token in k_tokens:
-        if not token.isdigit():
+        if not token.isdecimal():
             return _fail(f"bad K value {token!r}")
     ks = [int(t) for t in k_tokens]
     modes = [m.strip() for m in args.modes.split(",")]

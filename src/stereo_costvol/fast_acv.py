@@ -77,22 +77,17 @@ class HypothesisSet:
 
 @dataclass
 class PropagationField:
-    """Matching scores, confidences and combined cross-propagation weights."""
+    """Combined cross-propagation weights, (5, height, width) float32."""
 
-    s: np.ndarray
-    c: np.ndarray
     w: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.s, dtype=np.float32)
-        c = np.asarray(self.c, dtype=np.float32)
         w = np.asarray(self.w, dtype=np.float32)
-        if not (s.shape == c.shape == w.shape) or s.ndim != 3 or s.shape[0] != N_CROSS:
-            raise ValueError(f"PropagationField arrays must share shape ({N_CROSS}, height, width)")
-        for name, arr in (("s", s), ("c", c), ("w", w)):
-            if not _all_finite(arr):
-                raise ValueError(f"PropagationField: non-finite {name}")
-        self.s, self.c, self.w = s, c, w
+        if w.ndim != 3 or w.shape[0] != N_CROSS:
+            raise ValueError(f"PropagationField weights must be ({N_CROSS}, height, width)")
+        if not _all_finite(w):
+            raise ValueError("PropagationField: non-finite w")
+        self.w = w
 
 
 def regress_initial_disparity(v_init: CostVolume) -> Tuple[ProbabilityVolume, DisparityMap]:
@@ -220,7 +215,7 @@ def propagation_weights(s: np.ndarray, c: np.ndarray) -> PropagationField:
         raise ValueError("propagation_weights: score/confidence shape mismatch")
     sig = 1.0 / (1.0 + np.exp(-c.astype(np.float64)))
     w = (s.astype(np.float64) * sig).astype(np.float32)
-    return PropagationField(s, c, w)
+    return PropagationField(w)
 
 
 def cross_propagate(v_u: CostVolume, w: PropagationField) -> CostVolume:
@@ -280,11 +275,11 @@ def f2i_mask(p: ProbabilityVolume, k: int) -> np.ndarray:
 
     Returns keep, (disparities, height, width), True at each pixel's K
     bins; ties at the K-th largest probability go to the smaller bins.
-    This is the one statement of the F2I rule: f2i_select and f2i_topk
-    list this set.  An in-place sort of a C-ordered pixel-major copy gives
-    each pixel's K-th largest value and every bin at or above it is kept;
-    only the pixels whose ties at that value overflow K drop their larger
-    tied bins.  The counts are integer sums in the narrowest type that
+    This is the one statement of the F2I rule: f2i_topk lists this set,
+    most probable first.  An in-place sort of a C-ordered pixel-major copy
+    gives each pixel's K-th largest value and every bin at or above it is
+    kept; only the pixels whose ties at that value overflow K drop their
+    larger tied bins.  The counts are integer sums in the narrowest type that
     holds the bin count (int8 up to 127 bins), not per-element branches.
     """
     n_d = p.disparities
@@ -309,13 +304,13 @@ def f2i_mask(p: ProbabilityVolume, k: int) -> np.ndarray:
     return keep.reshape(p.data.shape)
 
 
-def f2i_select(p: ProbabilityVolume, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """f2i_mask's K bins per pixel, listed in ascending bin order.
+def f2i_topk(p: ProbabilityVolume, k: int) -> HypothesisSet:
+    """Keep the K most probable disparities per pixel, descending.
 
-    Returns (d_hyp, a_f), both (K, height, width): d_hyp holds each pixel's
-    bins ascending (int32) and a_f the probabilities at them.  The bins are
-    distinct and a_f is a subset of a probability distribution, so a
-    HypothesisSet's checks hold by construction.
+    Ties between equal probabilities resolve toward the smaller disparity
+    index, so results are independent of any internal sort details.  This
+    is f2i_mask's set put in order; the fast_acv runner needs only the set
+    and calls f2i_mask.
     """
     n_d, shape = p.disparities, p.data.shape[1:]
     hw = p.data[0].size
@@ -325,23 +320,11 @@ def f2i_select(p: ProbabilityVolume, k: int) -> Tuple[np.ndarray, np.ndarray]:
     idx -= np.arange(0, hw * n_d, n_d)[:, None]
     d_hyp = np.ascontiguousarray(idx.T, dtype=np.int32)
     a_f = np.take(p.data.reshape(n_d, hw), d_hyp * np.intp(hw) + np.arange(hw))
-    return d_hyp.reshape((k,) + shape), a_f.reshape((k,) + shape)
-
-
-def f2i_topk(p: ProbabilityVolume, k: int) -> HypothesisSet:
-    """Keep the K most probable disparities per pixel, descending.
-
-    Ties between equal probabilities resolve toward the smaller disparity
-    index, so results are independent of any internal sort details.  This
-    is f2i_mask's set put in order; the fast_acv runner needs only the set
-    and calls f2i_mask.
-    """
-    d_hyp, a_f = f2i_select(p, k)
     # The bins are ascending, so a stable sort by descending probability
     # puts equal probabilities in bin order.
     order = np.argsort(-a_f, axis=0, kind="stable")
-    return HypothesisSet(np.take_along_axis(d_hyp, order, axis=0),
-                         np.take_along_axis(a_f, order, axis=0))
+    return HypothesisSet(np.take_along_axis(d_hyp, order, axis=0).reshape((k,) + shape),
+                         np.take_along_axis(a_f, order, axis=0).reshape((k,) + shape))
 
 
 def build_compact_concat(f_l: FeatureMap, f_r: FeatureMap, d_hyp: np.ndarray) -> CostVolume:
@@ -449,7 +432,7 @@ def predict_from_mask(v: CostVolume, keep: np.ndarray, p: ProbabilityVolume) -> 
     largest kept values per pixel (one when a pixel keeps one bin) are
     softmaxed and the expectation of their bins returned; equal values go
     to the larger p, then to the smaller bin.  With keep = f2i_mask(p, K)
-    this is predict_from_hypotheses on f2i_select's hypotheses bit for bit.
+    this is predict_from_hypotheses on f2i_topk's hypotheses bit for bit.
 
     No pass branches per element: the bins outside keep are set to -inf
     through their uint32 bits (OR with an all-ones word, XOR of its

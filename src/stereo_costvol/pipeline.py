@@ -37,7 +37,6 @@ from .fast_acv import (
     cross_propagate_volume,
     estimate_uncertainty,
     f2i_mask,
-    f2i_select,
     f2i_topk,
     fast_attention_filter,
     matching_score,
@@ -68,8 +67,8 @@ from .volume_core import (
 
 # group_correlation, build_concat_volume, build_compact_concat,
 # compress_concat_volume (below), matching_score, unfold_cross,
-# cross_propagate, build_mapm_volume, attention_filter, f2i_topk,
-# f2i_select and predict_from_hypotheses are reference ops:
+# cross_propagate, build_mapm_volume, attention_filter, f2i_topk and
+# predict_from_hypotheses are reference ops:
 # census_correlation equals group_correlation with one group on the
 # census maps its codes pack, which equals the compressed dense
 # concatenation volume; read_disparity_planes on it equals matching_score
@@ -77,8 +76,8 @@ from .volume_core import (
 # compressed compact volume; cross_propagate_volume streams the unfolded
 # propagation; filtered_correlation equals attention_filter of the
 # attention (the group mean of the tiled 40-group MAPM volume) and the
-# one-group correlation; f2i_mask is the set f2i_topk sorts and
-# f2i_select lists; and predict_from_mask on that mask is
+# one-group correlation; f2i_mask is the set f2i_topk lists, most
+# probable first; and predict_from_mask on that mask is
 # predict_from_hypotheses on the listed hypotheses.  The runners no longer
 # call them, but they stay attributes of this module so oracle tests and
 # call-site tracing still find them here.  matching_score is a plain

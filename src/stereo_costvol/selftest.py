@@ -245,7 +245,8 @@ def _check_filtered_correlation_case(rng, h, w, threads, signs, uniform):
         tiled.append((volume_core.FeatureMap(pipeline._tile_channels(pair[0], n)),
                       volume_core.FeatureMap(pipeline._tile_channels(pair[1], n)), weights))
     d_max = 4 * int(rng.integers(1, 5))
-    out = acv.filtered_correlation(levels, d_max, threads)
+    with acv._task_runner(threads) as run:
+        out = acv._filtered_cost(levels, d_max, run)
     t_l, t_r = (pipeline._tile_channels(f, acv.CONCAT_CHANNELS) for f in level1)
     corr = volume_core.group_correlation(volume_core.FeatureMap(t_l),
                                          volume_core.FeatureMap(t_r), d_max // 4, 1)
@@ -475,8 +476,7 @@ def check_cross_propagate(rng, cases):
     v_u = volume_core.CostVolume(rng.standard_normal((5, 3, 4, 4)).astype(np.float32))
     w_dom = np.full((5, 4, 4), -20.0, dtype=np.float32)
     w_dom[0] = 20.0
-    field = fast_acv.PropagationField(np.ones((5, 4, 4), np.float32),
-                                      np.zeros((5, 4, 4), np.float32), w_dom)
+    field = fast_acv.PropagationField(w_dom)
     out = fast_acv.cross_propagate(v_u, field)
     assert np.max(np.abs(out.data[0] - v_u.data[0])) < 1e-6
 
@@ -530,28 +530,6 @@ def check_f2i_topk(rng, cases):
         assert np.all(hyp.a_f.sum(axis=0) <= 1.0 + 1e-5)
         if k == d:
             assert np.all(np.abs(hyp.a_f.sum(axis=0) - 1.0) < 1e-5)
-
-
-def check_f2i_select(rng, cases):
-    for case in range(cases):
-        # 1x1 maps and K = D come up in turn; quantized logits duplicate
-        # probabilities exactly
-        d = int(rng.integers(1, 9))
-        h, w = (1, 1) if case % 3 == 0 else (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
-        logits = rng.integers(0, 3, size=(1, d, h, w)).astype(np.float32)
-        p = volume_core.softmax_over_disparity(volume_core.CostVolume(logits))
-        k = d if case % 3 == 1 else int(rng.integers(1, d + 1))
-        before = p.data.copy()
-        d_hyp, a_f = fast_acv.f2i_select(p, k)
-        assert np.array_equal(p.data, before)
-        assert d_hyp.shape == a_f.shape == (k, h, w)
-        assert np.issubdtype(d_hyp.dtype, np.integer)
-        for y in range(h):
-            for x in range(w):
-                chosen = sorted(range(d), key=lambda i: (-p.data[i, y, x], i))[:k]
-                assert list(d_hyp[:, y, x]) == sorted(chosen)
-                for j, i in enumerate(d_hyp[:, y, x]):
-                    assert a_f[j, y, x] == p.data[i, y, x]
 
 
 def _f2i_case(rng, case):
@@ -680,9 +658,9 @@ def check_predict_from_mask(rng, cases):
                 expect = sum(e[j] / sum(e) * order[j] for j in range(len(order)))
                 assert abs(disp.data[y, x] - expect) < 1e-9
         # Bit for bit the compacted hypotheses' prediction.
-        d_hyp, a_f = fast_acv.f2i_select(p, k)
-        cost_k = volume_core.CostVolume(np.take_along_axis(raw[0], d_hyp, axis=0)[None])
-        ref = fast_acv.predict_from_hypotheses(cost_k, d_hyp, a_f)
+        hyp = fast_acv.f2i_topk(p, k)
+        cost_k = volume_core.CostVolume(np.take_along_axis(raw[0], hyp.d_hyp, axis=0)[None])
+        ref = fast_acv.predict_from_hypotheses(cost_k, hyp.d_hyp, hyp.a_f)
         assert np.array_equal(disp.data.view(np.uint64), ref.data.view(np.uint64))
 
 
@@ -1084,7 +1062,6 @@ CHECKS = [
     ("cross_propagate", check_cross_propagate),
     ("cross_propagate_volume", check_cross_propagate_volume),
     ("f2i_topk", check_f2i_topk),
-    ("f2i_select", check_f2i_select),
     ("f2i_mask", check_f2i_mask),
     ("build_compact_concat", check_build_compact_concat),
     ("fast_attention_filter", check_fast_attention_filter),

@@ -10,10 +10,12 @@ inputs skip that scan with _unchecked.  Every operation is a pure
 function over immutable inputs.  Per-pixel reductions always run over a
 fixed axis of a fixed-shape array, and no op here starts a thread, so
 results are bitwise reproducible regardless of the thread count used by
-callers.  Only acv's runner splits work over a pool, one per run
-(acv._task_runner): its tasks build the two feature pyramids, then
-acv.filtered_correlation's groups of adjacent disparity bins, and each
-task writes its own disjoint output.
+callers.  No public op takes a thread count.  Only acv's runner splits
+work over a pool, one per run (acv._task_runner): its tasks build the
+two feature pyramids, then the filtered cost's groups of adjacent
+disparity bins (acv._filtered_cost), and each task writes its own
+disjoint output.  One loop (_bins_inner) fills zero-padded group sums
+over disparity bins, for group_correlation and acv's MAPM levels alike.
 """
 
 from __future__ import annotations
@@ -144,12 +146,15 @@ def _group_sums(fl_g, fr_g, d):
     return np.einsum("gchw,gchw->ghw", fl_g[..., d:], fr_g[..., :w - d])
 
 
-def _group_inner(fl_g, fr_g, d):
-    """_group_sums over the whole (groups, height, width) frame, zero at x < d."""
-    g, _, h, w = fl_g.shape
-    out = np.zeros((g, h, w), dtype=np.float32)
-    if d < w:
-        out[..., d:] = _group_sums(fl_g, fr_g, d)
+def _bins_inner(n_groups, d0, d1, h, width, sums_at):
+    """(n_groups, d1 - d0, H, W) group sums of bins [d0, d1), zero where x < d.
+
+    sums_at(d) gives bin d's sums over columns x >= d; bins at or past the
+    frame's width read +0 throughout.
+    """
+    out = np.zeros((n_groups, d1 - d0, h, width), dtype=np.float32)
+    for d in range(d0, min(d1, width)):
+        out[:, d - d0, :, d:] = sums_at(d)
     return out
 
 
@@ -199,9 +204,8 @@ def group_correlation(f_l: FeatureMap, f_r: FeatureMap, d_max: int, n_groups: in
     scale = np.float32(n_groups / c)
     fl_g = f_l.data.reshape(n_groups, cpg, h, w)
     fr_g = f_r.data.reshape(n_groups, cpg, h, w)
-    volume = np.zeros((n_groups, d_max, h, w), dtype=np.float32)
-    for d in range(d_max):
-        volume[:, d] = _group_inner(fl_g, fr_g, d) * scale
+    volume = _bins_inner(n_groups, 0, d_max, h, w, lambda d: _group_sums(fl_g, fr_g, d))
+    volume *= scale
     return CostVolume(volume)
 
 

@@ -35,7 +35,8 @@ from stereo_costvol.volume_core import (
     CostVolume,
     DisparityMap,
     FeatureMap,
-    _group_inner,
+    _bins_inner,
+    _group_sums,
     group_correlation,
     soft_argmin,
     softmax_over_disparity,
@@ -106,8 +107,9 @@ def _per_tap_mapm(f_l, f_r, w, d_max, n_groups):
     scale = np.float32(n_groups / c)
     offs = (-w.level, 0, w.level)
     out = np.zeros((n_groups, d_max, h, width), dtype=np.float32)
+    sums = _bins_inner(n_groups, 0, d_max, h, width, lambda d: _group_sums(fl_g, fr_g, d))
     for d in range(d_max):
-        base = _group_inner(fl_g, fr_g, d)
+        base = sums[:, d]
         for jj in range(3):
             for ii in range(3):
                 if w.weights[jj, ii] == 0.0:
@@ -288,6 +290,13 @@ def test_acv_runner_equals_tiled_composition():
             assert np.array_equal(out.data.view(np.uint64), expect.data.view(np.uint64))
 
 
+def _pooled_cost(levels, d_max, threads):
+    # The runner's way into the pool: one task runner, the filtered cost's
+    # bin tasks handed to it.
+    with acv._task_runner(threads) as run:
+        return acv._filtered_cost(levels, d_max, run)
+
+
 def _runner_levels(left, right, d_max):
     cfg = PipelineConfig("acv", d_max)
     pyr_l, pyr_r = build_feature_pyramid(left, cfg), build_feature_pyramid(right, cfg)
@@ -305,7 +314,7 @@ def test_acv_keeps_every_bit_over_threads_and_bins_per_task(monkeypatch, d_max):
     ref_map = run_acv_pipeline(scene.left, scene.right, PipelineConfig("acv", d_max))
     monkeypatch.undo()
     for threads in (1, 2, 8):
-        cost = filtered_correlation(levels, d_max, threads)
+        cost = _pooled_cost(levels, d_max, threads)
         assert np.array_equal(cost.data.view(np.uint32), ref_cost)
         cfg = PipelineConfig("acv", d_max, threads=threads)
         out = run_acv_pipeline(scene.left, scene.right, cfg)
@@ -329,12 +338,12 @@ def test_bins_past_a_narrow_frame_read_positive_zero(monkeypatch, bins_per_task)
     monkeypatch.setattr(acv, "_BINS_PER_TASK", bins_per_task)
     levels = _packed_sign_levels(np.random.default_rng(19), 5, 7)
     for threads in (1, 2, 8):
-        cost = filtered_correlation(levels, 48, threads).data
+        cost = _pooled_cost(levels, 48, threads).data
         assert np.all(cost[:, 7:].view(np.uint32) == 0)
         assert np.any(cost[:, :7] != 0)
     # the runner on a 32x32 pair, 8 quarter-resolution columns and 16 bins
     left, right, _, _ = generate_stereogram(StereogramSpec(32, 32, 2, 0.5, 3))
-    cost = filtered_correlation(_runner_levels(left, right, 64), 64, 2).data
+    cost = _pooled_cost(_runner_levels(left, right, 64), 64, 2).data
     assert np.all(cost[:, 8:].view(np.uint32) == 0)
 
 
@@ -356,7 +365,7 @@ def test_filtered_correlation_holds_one_volume(threads):
     levels = _packed_sign_levels(np.random.default_rng(16), 32, 64)
     tracemalloc.start()
     try:
-        cost = filtered_correlation(levels, 1024, threads)
+        cost = _pooled_cost(levels, 1024, threads)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -390,6 +399,39 @@ def test_task_runner_hands_each_item_to_exactly_one_thread():
     assert sorted(calls) == list(range(2000))
 
 
+def test_task_runner_submits_one_helper_per_further_item(monkeypatch):
+    # A fake pool counts submits and drains inline: no thread starts.
+    submits = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn):
+            submits.append(self.max_workers)
+            fn()
+            return self
+
+        def result(self):
+            return None
+
+    monkeypatch.setattr(acv, "ThreadPoolExecutor", InlinePool)
+    counts = []
+    with acv._task_runner(8) as run:
+        for n in (2, 0, 1, 20):
+            del submits[:]
+            assert run(lambda i: i + 1, range(n)) == list(range(1, n + 1))
+            counts.append(len(submits))
+    assert counts == [1, 0, 0, 7]
+    assert set(submits) == {7}
+
+
 def test_task_runner_raises_a_task_error():
     def fail_on_3(i):
         if i == 3:
@@ -402,13 +444,13 @@ def test_task_runner_raises_a_task_error():
                 run(fail_on_3, range(6))
 
 
-def test_only_filtered_correlation_takes_threads():
-    # The runner's one pass is the only public op that splits its work
-    # over a thread pool; every other op is a plain loop.
+def test_no_public_op_takes_threads():
+    # Only PipelineConfig.threads reaches acv's one pool; every public op
+    # is a plain loop.
     threaded = [name for name in stereo_costvol.__all__
                 if inspect.isfunction(getattr(stereo_costvol, name))
                 and "threads" in inspect.signature(getattr(stereo_costvol, name)).parameters]
-    assert threaded == ["filtered_correlation"]
+    assert threaded == []
 
 
 def test_attention_filter_identity_and_annihilator():

@@ -302,6 +302,9 @@ def test_negative_seed_is_a_usage_error(capsys, argv):
 def test_bench_rejects_bad_k(capsys):
     assert cli.main(["bench", "--dmax", "32", "--k-sweep", "64"]) == 2
     assert "got 64" in capsys.readouterr().err
+    # str.isdigit accepts superscript digits, which int() rejects.
+    assert cli.main(["bench", "--dmax", "32", "--k-sweep", "\u00b2"]) == 2
+    assert "bad K value '\u00b2'" in capsys.readouterr().err
 
 
 def test_bench_rejects_unknown_mode(capsys):

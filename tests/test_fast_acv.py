@@ -13,7 +13,6 @@ from stereo_costvol.fast_acv import (
     cross_propagate_volume,
     estimate_uncertainty,
     f2i_mask,
-    f2i_select,
     f2i_topk,
     fast_attention_filter,
     matching_score,
@@ -252,7 +251,7 @@ def test_propagation_weights_sigmoid_zero_and_saturation():
 
 def test_propagation_field_shape_validation():
     with pytest.raises(ValueError):
-        PropagationField(np.zeros((4, 2, 2)), np.zeros((4, 2, 2)), np.zeros((4, 2, 2)))
+        PropagationField(np.zeros((4, 2, 2)))
 
 
 def test_cross_propagate_uniform_weights_average():
@@ -270,8 +269,7 @@ def test_cross_propagate_center_dominant_reproduces_input():
     v_u = unfold_cross(vol, 1)
     w = np.full((5, 5, 5), -20.0, dtype=np.float32)
     w[0] = 20.0
-    field = PropagationField(np.ones((5, 5, 5), np.float32),
-                             np.zeros((5, 5, 5), np.float32), w)
+    field = PropagationField(w)
     out = cross_propagate(v_u, field)
     assert np.max(np.abs(out.data - vol.data)) < 1e-6
 
@@ -328,8 +326,7 @@ def test_vap_identity_round_trip():
     v_u = unfold_cross(vol, 1)
     w = np.full((5, 6, 8), -40.0, dtype=np.float32)
     w[0] = 40.0
-    field = PropagationField(np.ones((5, 6, 8), np.float32),
-                             np.zeros((5, 6, 8), np.float32), w)
+    field = PropagationField(w)
     out = cross_propagate(v_u, field)
     assert np.max(np.abs(out.data - vol.data)) < 1e-5
 
@@ -394,23 +391,6 @@ def test_f2i_topk_remainder_bounded_by_selected_minimum():
         dropped = np.copy(p.data)
         np.put_along_axis(dropped, hyp.d_hyp.astype(np.intp), -1.0, axis=0)
         assert np.all(dropped.max(axis=0) <= hyp.a_f.min(axis=0))
-
-
-def test_f2i_select_keeps_the_smaller_tied_bins():
-    p = np.array([0.1, 0.3, 0.2, 0.2, 0.2]).reshape(5, 1, 1)
-    d_hyp, _ = f2i_select(ProbabilityVolume(p), 3)
-    assert list(d_hyp[:, 0, 0]) == [1, 2, 3]
-
-
-def test_f2i_select_k_out_of_range():
-    p = ProbabilityVolume(np.full((4, 2, 2), 0.25))
-    for k in (0, 5):
-        with pytest.raises(ValueError):
-            f2i_select(p, k)
-
-
-def test_f2i_select_matches_sort_oracle():
-    selftest.check_f2i_select(np.random.default_rng(19), 30)
 
 
 def test_f2i_mask_keeps_the_smaller_tied_bins():

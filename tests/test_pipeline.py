@@ -768,7 +768,8 @@ def _whole_volume_fast_chain(left, right, cfg):
     conf = pm._cross_sample_2d(pm.confidence(u, pm.VAP_ALPHA, pm.VAP_BETA), pm.VAP_RADIUS)
     pw = pm.propagation_weights(pm.read_disparity_planes(corr_q, planes), conf)
     p_prop = pm.softmax_over_disparity(pm.cross_propagate_volume(v_init, pm.VAP_RADIUS, pw))
-    d_hyp, a_f = pm.f2i_select(p_prop, cfg.k)
+    hyp = pm.f2i_topk(p_prop, cfg.k)
+    d_hyp, a_f = hyp.d_hyp, hyp.a_f
     cost_k = CostVolume(pm.read_disparity_planes(corr_q, d_hyp)[None])
     cost = pm.fast_attention_filter(a_f, cost_k)
     d_quarter = pm.predict_from_hypotheses(CostVolume(cost.data * np.float32(pm.TEMPERATURE)),
