@@ -39,7 +39,6 @@ from .fast_acv import (
     sample_cross_disparities,
 )
 from .pipeline import (
-    FeaturePyramid,
     PipelineConfig,
     RunReport,
     box3d_regularize,

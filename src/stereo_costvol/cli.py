@@ -46,9 +46,8 @@ def cmd_match(args) -> int:
             right = io_formats.read_gray_image(fh.read())
     except (OSError, io_formats.FormatError) as exc:
         return _fail(str(exc))
-    k = args.k if args.k is not None else min(24, max(1, args.dmax // 4))
     try:
-        cfg = PipelineConfig(mode=args.mode, d_max=args.dmax, k=k, threads=args.threads)
+        cfg = PipelineConfig(mode=args.mode, d_max=args.dmax, k=args.k, threads=args.threads)
         report = RunReport()
         disp = run_pipeline(left, right, cfg, report)
     except ValueError as exc:
@@ -129,9 +128,10 @@ def _parse_sizes(raw):
     return sizes
 
 
-def _bench_case(cfg, height, width, runs, seed):
+def _bench_case(cfg, height, width, runs):
+    # The stereogram's seed only picks which random dots are timed.
     disparity = min(8, max(1, width // 4 - 1))
-    spec = io_formats.StereogramSpec(height, width, disparity, 0.5, seed)
+    spec = io_formats.StereogramSpec(height, width, disparity, 0.5, 0)
     left, right, _, _ = io_formats.generate_stereogram(spec)
     reports = []
     for _ in range(runs + 1):  # first run is warmup
@@ -148,7 +148,7 @@ def _bench_case(cfg, height, width, runs, seed):
     analytic = expected_volume_elements(cfg, height, width)
     return {
         "mode": cfg.mode, "height": height, "width": width, "d_max": cfg.d_max,
-        "k": cfg.k if cfg.mode == "fast_acv" else None, "threads": cfg.threads,
+        "k": cfg.k, "threads": cfg.threads,
         "stage_ms": stage_ms,
         "construction_plus_aggregation_ms":
             stage_ms["volume_construction"] + stage_ms["aggregation"],
@@ -162,8 +162,6 @@ def _bench_case(cfg, height, width, runs, seed):
 def cmd_bench(args) -> int:
     if args.runs < 1:
         return _fail(f"--runs must be >= 1, got {args.runs}")
-    if args.seed < 0:
-        return _fail(f"--seed must be >= 0, got {args.seed}")
     k_tokens = [t.strip() for t in args.k_sweep.split(",")]
     for token in k_tokens:
         if not token.isdecimal():
@@ -187,11 +185,11 @@ def cmd_bench(args) -> int:
         cases = [(PipelineConfig(mode=mode, d_max=args.dmax, k=k, threads=args.threads),
                   height, width)
                  for height, width in sizes for mode in modes
-                 for k in (ks if mode == "fast_acv" else ks[:1])]
+                 for k in (ks if mode == "fast_acv" else [None])]
     except ValueError as exc:
         return _fail(str(exc))
     try:
-        rows = [_bench_case(cfg, height, width, args.runs, args.seed)
+        rows = [_bench_case(cfg, height, width, args.runs)
                 for cfg, height, width in cases]
     except (ValueError, AssertionError) as exc:
         return _fail(str(exc))
@@ -290,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_match.add_argument("right")
     p_match.add_argument("--mode", choices=MODES, default="fast_acv")
     p_match.add_argument("--dmax", type=int, default=64)
-    p_match.add_argument("--k", type=int, help="default: min(24, max(1, dmax // 4))")
+    p_match.add_argument("--k", type=int, help="fast_acv only; default: min(24, dmax // 4)")
     p_match.add_argument("--threads", type=int, default=1)
     p_match.add_argument("--format", choices=("pfm", "kitti"), default="pfm")
     p_match.add_argument("-o", "--output")
@@ -313,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--runs", type=int, default=5,
                          help="timed runs per case (after one warmup)")
     p_bench.add_argument("--threads", type=int, default=1)
-    p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--json", action="store_true")
     p_bench.set_defaults(func=cmd_bench)
 

@@ -15,7 +15,7 @@ import numbers
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -115,26 +115,36 @@ STAGES = ("feature_extraction", "volume_construction", "aggregation", "predictio
 
 @dataclass
 class PipelineConfig:
-    """Everything needed to run one matcher end to end."""
+    """Everything needed to run one matcher end to end.
+
+    k is fast_acv's hypothesis count, min(24, d_max / 4) when not given.
+    acv reads no K: once the value passes the integer check it stores None.
+    """
 
     mode: str
     d_max: int
-    k: int = 24
+    k: Optional[int] = None
     threads: int = 1
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         for name, value in (("d_max", self.d_max), ("k", self.k), ("threads", self.threads)):
+            if name == "k" and value is None:
+                continue
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.d_max < 4 or self.d_max % 4 != 0:
             raise ValueError(f"d_max must be a positive multiple of 4, got {self.d_max!r}")
-        if self.mode == "fast_acv":
+        if self.mode == "acv":
+            self.k = None
+        else:
             low_scale = 4 * FAST_UPSAMPLE_FACTOR
             if self.d_max % low_scale != 0:
                 raise ValueError(f"d_max must be divisible by {low_scale} in fast_acv mode, "
                                  f"got {self.d_max!r}")
+            if self.k is None:
+                self.k = min(24, self.d_max // 4)
             if not 1 <= self.k <= self.d_max // 4:
                 raise ValueError(f"k must lie in [1, d_max / 4], got {self.k!r}")
         if self.threads < 1:
@@ -355,52 +365,42 @@ def _resize_hw(data: np.ndarray, height: int, width: int, r0=0, r1=None) -> np.n
     return _resize_linear(rows, data.ndim - 1, width, align_corners=True)
 
 
-@dataclass
-class FeaturePyramid:
-    """Census features at the scales one matcher reads, all from one image.
-
-    In acv mode levels holds the three untiled 24-channel patch-matching
-    levels, level 1 as packed CensusCodes and levels 2 and 3 as float
-    FeatureMaps, and the codes are None; in fast_acv mode levels is None
-    and quarter_codes (32 tiled channels) and low_codes (24 channels,
-    eighth resolution) hold the packed census codes its correlations read.
-    """
-
-    levels: Optional[Tuple[CensusCodes, FeatureMap, FeatureMap]]
-    quarter_codes: Optional[CensusCodes] = None
-    low_codes: Optional[CensusCodes] = None
-
-
-def build_feature_pyramid(image: np.ndarray, cfg: PipelineConfig) -> FeaturePyramid:
-    """Census features at the scales the configured matcher reads.
-
-    fast_acv correlates packed census codes: the quarter-resolution image's
-    with its 24 channels tiled to the CONCAT_CHANNELS concatenation width,
-    and the eighth-resolution image's untiled, as one group each.  acv's
-    pseudo-levels l1..l3 at quarter resolution are the census maps of the
-    quarter image and of its 2x / 4x box-downsampled versions (resized
-    back), untiled: filtered_correlation reads their distinct groups in
-    place of the paper's 8/16/16 tiled ones, and the concatenation cost
-    from l1's group sums.  l1 is packed as 24-channel CensusCodes, whose
-    three bytes are its groups; l2 and l3 hold values between the signs
-    and stay float maps.
-    """
+def _gray(image, not_2d: str = "expected a 2D grayscale image") -> np.ndarray:
+    """A GrayImage or array as a float32 2D image whose sides are positive multiples of 8."""
     img = np.asarray(getattr(image, "intensities", image), dtype=np.float32)
     if img.ndim != 2:
-        raise ValueError("expected a 2D grayscale image")
+        raise ValueError(not_2d)
     h, w = img.shape
     if 0 in img.shape or h % 8 != 0 or w % 8 != 0:
         raise ValueError("image dimensions must be positive and divisible by 8")
+    return img
+
+
+def build_feature_pyramid(image: np.ndarray, cfg: PipelineConfig) -> tuple:
+    """The census levels the configured matcher reads, as a tuple.
+
+    Level 0 is the quarter-resolution census as packed CensusCodes in both
+    modes.  fast_acv correlates packed codes only: level 0 holds the
+    quarter image's 24 channels tiled to the CONCAT_CHANNELS concatenation
+    width, and level 1 the eighth-resolution image's untiled; each is read
+    as one group.  acv's pseudo-levels l1..l3 at quarter resolution are
+    the census maps of the quarter image and of its 2x / 4x
+    box-downsampled versions (resized back), untiled: filtered_correlation
+    reads their distinct groups in place of the paper's 8/16/16 tiled
+    ones, and the concatenation cost from l1's group sums.  l1 is packed
+    as 24-channel CensusCodes, whose three bytes are its groups; l2 and l3
+    hold values between the signs and stay float FeatureMaps.
+    """
+    img = _gray(image)
     quarter, low = box_downsample(img, 4), box_downsample(img, 8)
     if cfg.mode != "acv":
-        return FeaturePyramid(None, _census_codes(quarter, CONCAT_CHANNELS),
-                              _census_codes(low, CENSUS_CHANNELS))
+        return _census_codes(quarter, CONCAT_CHANNELS), _census_codes(low, CENSUS_CHANNELS)
 
     base16 = census_features(box_downsample(img, 16))
-    h4, w4 = h // 4, w // 4
+    h4, w4 = img.shape[0] // 4, img.shape[1] // 4
     l2 = _unchecked(FeatureMap, _resize_hw(census_features(low).data, h4, w4))
     l3 = _unchecked(FeatureMap, _resize_hw(base16.data, h4, w4))
-    return FeaturePyramid((_census_codes(quarter, CENSUS_CHANNELS), l2, l3))
+    return _census_codes(quarter, CENSUS_CHANNELS), l2, l3
 
 
 # ---------------------------------------------------------------------------
@@ -487,14 +487,9 @@ def expected_volume_elements(cfg: PipelineConfig, height: int, width: int) -> Di
 # Pipelines
 
 def _check_pair(left, right):
-    l = np.asarray(getattr(left, "intensities", left), dtype=np.float32)
-    r = np.asarray(getattr(right, "intensities", right), dtype=np.float32)
-    if l.ndim != 2 or r.ndim != 2:
-        raise ValueError("expected 2D grayscale images")
+    l, r = (_gray(img, "expected 2D grayscale images") for img in (left, right))
     if l.shape != r.shape:
         raise ValueError("image size mismatch")
-    if 0 in l.shape or l.shape[0] % 8 != 0 or l.shape[1] % 8 != 0:
-        raise ValueError("image dimensions must be positive and divisible by 8")
     return l, r
 
 
@@ -531,21 +526,6 @@ def _run(left, right, cfg: PipelineConfig, report: Optional[RunReport], mode: st
     return full
 
 
-def _upsample_fast_volume(v: CostVolume) -> CostVolume:
-    """Fast-path volume upsampling by FAST_UPSAMPLE_FACTOR to quarter resolution.
-
-    Spatial axes interpolate corner-aligned; the disparity axis keeps its
-    index scale (output bin j reads input coordinate j / factor, clamped at
-    the top) so that bin indices remain integer pixel disparities for
-    hypothesis selection and compact gathers.  The runner resizes along
-    disparity once and asks _resize_hw for one band of rows at a time, so
-    it never holds this whole volume.
-    """
-    factor = FAST_UPSAMPLE_FACTOR
-    a_disp = _resize_linear(v.data, 1, v.disparities * factor, align_corners=False)
-    return CostVolume(_resize_hw(a_disp, v.height * factor, v.width * factor))
-
-
 def _acv_quarter(l_img, r_img, cfg: PipelineConfig, meter: AllocationMeter,
                  stage_ms: Dict[str, float]) -> np.ndarray:
     """acv's quarter-resolution disparities (see run_acv_pipeline)."""
@@ -557,7 +537,7 @@ def _acv_quarter(l_img, r_img, cfg: PipelineConfig, meter: AllocationMeter,
 
         with _timed(stage_ms, "volume_construction"):
             weights = [PatchWeights.uniform(k) for k in (1, 2, 3)]
-            levels = [(pyr_l.levels[i], pyr_r.levels[i], weights[i]) for i in range(3)]
+            levels = list(zip(pyr_l, pyr_r, weights))
             del pyr_l, pyr_r
             cost = _filtered_cost(levels, cfg.d_max, run)
             del levels
@@ -621,10 +601,12 @@ def run_acv_pipeline(left, right, cfg: PipelineConfig,
     return _run(left, right, cfg, report, "acv", _acv_quarter)
 
 
-def _fast_acv_rows(pyr_l: FeaturePyramid, pyr_r: FeaturePyramid, a_disp: np.ndarray,
+def _fast_acv_rows(codes_l: CensusCodes, codes_r: CensusCodes, a_disp: np.ndarray,
                    y0: int, y1: int, cfg: PipelineConfig,
                    stage_ms: Dict[str, float]) -> np.ndarray:
     """Quarter-resolution disparity rows [y0, y1) of the fast_acv matcher.
+
+    codes_l and codes_r are the pyramids' quarter-resolution levels.
 
     VAP's cross reaches VAP_RADIUS rows up and down and clamps at the
     frame, so everything up to the propagation runs on the rows widened by
@@ -632,7 +614,7 @@ def _fast_acv_rows(pyr_l: FeaturePyramid, pyr_r: FeaturePyramid, a_disp: np.ndar
     per pixel on the band's own rows.  Stage times add to stage_ms.
     """
     with _timed(stage_ms, "volume_construction"):
-        h4, w4 = pyr_l.quarter_codes.words.shape[1:]
+        h4, w4 = codes_l.words.shape[1:]
         r0, r1 = max(y0 - VAP_RADIUS, 0), min(y1 + VAP_RADIUS, h4)
         own = slice(y0 - r0, y1 - r0)
         v_init = _unchecked(CostVolume, _resize_hw(a_disp, h4, w4, r0, r1))
@@ -641,8 +623,8 @@ def _fast_acv_rows(pyr_l: FeaturePyramid, pyr_r: FeaturePyramid, a_disp: np.ndar
         u = estimate_uncertainty(p_init, d_init)
         del p_init
         # VAP's scores and the compact cost are both read from this one volume.
-        corr_q = census_correlation(pyr_l.quarter_codes.rows(r0, r1),
-                                    pyr_r.quarter_codes.rows(r0, r1), cfg.d_max // 4)
+        corr_q = census_correlation(codes_l.rows(r0, r1), codes_r.rows(r0, r1),
+                                    cfg.d_max // 4)
         planes = sample_cross_disparities(d_init, VAP_RADIUS)
         # The soft-argmin can pass the top bin by a rounding error.
         np.minimum(planes, corr_q.disparities - 1, out=planes)
@@ -673,12 +655,12 @@ def _fast_acv_quarter(l_img, r_img, cfg: PipelineConfig, meter: AllocationMeter,
                       stage_ms: Dict[str, float]) -> np.ndarray:
     """fast_acv's quarter-resolution disparities (see run_fast_acv_pipeline)."""
     with _timed(stage_ms, "feature_extraction"):
-        pyr_l = build_feature_pyramid(l_img, cfg)
-        pyr_r = build_feature_pyramid(r_img, cfg)
+        quarter_l, low_l = build_feature_pyramid(l_img, cfg)
+        quarter_r, low_r = build_feature_pyramid(r_img, cfg)
 
     with _timed(stage_ms, "volume_construction"):
         d_low = cfg.d_max // (4 * FAST_UPSAMPLE_FACTOR)
-        corr = census_correlation(pyr_l.low_codes, pyr_r.low_codes, d_low)
+        corr = census_correlation(low_l, low_r, d_low)
         meter.alloc("correlation", FAST_CORR_GROUPS * corr.elements)
         a_low = generate_attention_weights(corr)
         meter.alloc("low_res_attention", a_low.elements)
@@ -708,7 +690,7 @@ def _fast_acv_quarter(l_img, r_img, cfg: PipelineConfig, meter: AllocationMeter,
     d_quarter = np.empty((h4, w4))
     for y0 in range(0, h4, band):
         y1 = min(y0 + band, h4)
-        d_quarter[y0:y1] = _fast_acv_rows(pyr_l, pyr_r, a_disp, y0, y1, cfg, stage_ms)
+        d_quarter[y0:y1] = _fast_acv_rows(quarter_l, quarter_r, a_disp, y0, y1, cfg, stage_ms)
     return d_quarter
 
 

@@ -713,19 +713,17 @@ def check_build_feature_pyramid(rng, cases):
         if mode == "acv":
             # three untiled census levels; the first is the quarter-res
             # map's packed codes
-            _assert_packs(pyr_a.levels[0], base4.data, pipeline.CENSUS_CHANNELS)
-            assert [lvl.data.shape for lvl in pyr_a.levels[1:]] == [(24, 4, 8)] * 2
-            assert pyr_a.quarter_codes is None and pyr_a.low_codes is None
-            arrays = [[pyr.levels[0].words] + [lvl.data for lvl in pyr.levels[1:]]
-                      for pyr in (pyr_a, pyr_b, const)]
+            assert len(pyr_a) == 3
+            _assert_packs(pyr_a[0], base4.data, pipeline.CENSUS_CHANNELS)
+            assert [lvl.data.shape for lvl in pyr_a[1:]] == [(24, 4, 8)] * 2
         else:
-            assert pyr_a.levels is None
             # the quarter codes tile to the concatenation width; the
             # eighth-resolution codes are untiled
-            _assert_packs(pyr_a.quarter_codes, base4.data, acv.CONCAT_CHANNELS)
-            _assert_packs(pyr_a.low_codes, base8.data, pipeline.CENSUS_CHANNELS)
-            arrays = [[pyr.quarter_codes.words, pyr.low_codes.words]
-                      for pyr in (pyr_a, pyr_b, const)]
+            assert len(pyr_a) == 2
+            _assert_packs(pyr_a[0], base4.data, acv.CONCAT_CHANNELS)
+            _assert_packs(pyr_a[1], base8.data, pipeline.CENSUS_CHANNELS)
+        arrays = [[lvl.words if isinstance(lvl, volume_core.CensusCodes) else lvl.data
+                   for lvl in pyr] for pyr in (pyr_a, pyr_b, const)]
         for arr_a, arr_b, arr_const in zip(*arrays):
             assert np.array_equal(arr_a, arr_b)
             assert np.all(arr_const == 0)
@@ -748,15 +746,13 @@ def check_resize_hw(rng, cases):
             int(rng.integers(1, 6))
         data = rng.standard_normal((1, d, h, w)).astype(np.float32)
         data[rng.random(data.shape) < 0.3] = -0.0
-        v = volume_core.CostVolume(data)
         # the whole-volume composition the runner's bands replace
-        ref = volume_core._resize_linear(data, 1, d * factor, align_corners=False)
-        ref = volume_core._resize_linear(ref, 2, h * factor, align_corners=True)
-        ref = volume_core._resize_linear(ref, 3, w * factor, align_corners=True)
-        whole = pipeline._upsample_fast_volume(v).data
-        assert np.array_equal(whole.view(np.uint32), ref.view(np.uint32))
         a_disp = volume_core._resize_linear(data, 1, d * factor, align_corners=False)
+        ref = volume_core._resize_linear(a_disp, 2, h * factor, align_corners=True)
+        ref = volume_core._resize_linear(ref, 3, w * factor, align_corners=True)
         hq, wq = h * factor, w * factor
+        whole = pipeline._resize_hw(a_disp, hq, wq)
+        assert np.array_equal(whole.view(np.uint32), ref.view(np.uint32))
         mid = int(rng.integers(0, hq))
         for r0, r1 in ((0, 1), (hq - 1, hq), (mid, mid + 1), (1, hq - 1), (0, hq)):
             rows = pipeline._resize_hw(a_disp, hq, wq, r0, r1)

@@ -299,14 +299,12 @@ def build_concat_volume(f_l: FeatureMap, f_r: FeatureMap, d_max: int) -> CostVol
 def _pair_readout(left, right):
     """Mean over axis 0 of the channel products left * right, as float32.
 
-    The sum runs channel by channel in float32, or in float64 above 256
-    channels.  Every concatenation readout goes through here, so splitting
-    the work along any other axis cannot change a single bit.
+    The sum runs channel by channel in float32.  Every concatenation
+    readout goes through here, so splitting the work along any other axis
+    cannot change a single bit.
     """
     c = left.shape[0]
-    sum_dtype = np.float64 if c > 256 else np.float32
-    total = (left * right).sum(axis=0, dtype=sum_dtype)
-    return (total / np.float32(c)).astype(np.float32, copy=False)
+    return (left * right).sum(axis=0, dtype=np.float32) / np.float32(c)
 
 
 def _resize_linear(arr, axis, out_len, align_corners=True, start=0, stop=None):

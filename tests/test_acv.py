@@ -61,7 +61,7 @@ def test_patch_weights_validation():
     assert PatchWeights.uniform(2).weights.sum() == pytest.approx(1.0)
 
 
-def test_acv_config_invariants():
+def test_config_echoes_the_fixed_acv_layout():
     # The paper's layout is fixed; the config echo still reports it.
     with pytest.raises(ValueError, match="positive multiple of 4"):
         PipelineConfig("acv", 30)
@@ -267,7 +267,7 @@ def _reference_acv_map(left, right, d_max):
     pyr_l, pyr_r = build_feature_pyramid(left, cfg), build_feature_pyramid(right, cfg)
     level1 = [census_features(box_downsample(img.intensities, 4)) for img in (left, right)]
     levels = [(*level1, PatchWeights.uniform(1))]
-    levels += [(pyr_l.levels[i], pyr_r.levels[i], PatchWeights.uniform(i + 1)) for i in (1, 2)]
+    levels += [(pyr_l[i], pyr_r[i], PatchWeights.uniform(i + 1)) for i in (1, 2)]
     a = _tiled_attention(levels, d_max)
     # level 1's census channels tiled to the concatenation width
     quarter_l, quarter_r = (FeatureMap(_tile_channels(f.data, CONCAT_CHANNELS)) for f in level1)
@@ -300,7 +300,7 @@ def _pooled_cost(levels, d_max, threads):
 def _runner_levels(left, right, d_max):
     cfg = PipelineConfig("acv", d_max)
     pyr_l, pyr_r = build_feature_pyramid(left, cfg), build_feature_pyramid(right, cfg)
-    return [(pyr_l.levels[i], pyr_r.levels[i], PatchWeights.uniform(i + 1)) for i in range(3)]
+    return [(pyr_l[i], pyr_r[i], PatchWeights.uniform(i + 1)) for i in range(3)]
 
 
 @pytest.mark.parametrize("d_max", [36, 192])

@@ -129,7 +129,7 @@ def _vap_like_planes(rng, m, n_d, h, w):
     return d, fits
 
 
-@pytest.mark.parametrize("channels", [1, 3, 32, 260])
+@pytest.mark.parametrize("channels", [1, 3, 32])
 @pytest.mark.parametrize("n_d, h, w", [(6, 5, 11), (9, 4, 5)])  # the second has D > W
 def test_read_disparity_planes_matches_matching_score_fractional(channels, n_d, h, w):
     rng = np.random.default_rng(channels * 100 + n_d)

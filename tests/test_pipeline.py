@@ -64,6 +64,20 @@ def test_config_divisibility_rules():
         PipelineConfig("fast_acv", 32, k=9)  # k above d_max / 4
 
 
+@pytest.mark.parametrize("d_max, k", [(16, 4), (32, 8), (64, 16), (96, 24), (192, 24)])
+def test_fast_config_defaults_k_to_a_quarter_of_d_max_up_to_24(d_max, k):
+    cfg = PipelineConfig("fast_acv", d_max)
+    assert cfg.k == cfg.as_dict()["k"] == k
+
+
+@pytest.mark.parametrize("k", [None, 24, -5, np.int64(99)])
+def test_acv_config_stores_no_k(k):
+    # acv reads no K, so none is echoed; a non-integer is still rejected
+    # (test_config_rejects_non_integer_counts).
+    cfg = PipelineConfig("acv", 192, k=k)
+    assert cfg.k is None and cfg.as_dict()["k"] is None
+
+
 def test_config_rejects_unknown_names():
     with pytest.raises(ValueError):
         PipelineConfig("both", 32)
@@ -119,9 +133,7 @@ def _float_census(image, factor, channels=24):
 
 
 def _pyramid_arrays(pyr):
-    if pyr.levels is not None:
-        return [pyr.levels[0].words] + [lvl.data for lvl in pyr.levels[1:]]
-    return [pyr.quarter_codes.words, pyr.low_codes.words]
+    return [lvl.words if isinstance(lvl, CensusCodes) else lvl.data for lvl in pyr]
 
 
 def test_pyramid_channel_layout():
@@ -132,22 +144,23 @@ def test_pyramid_channel_layout():
         if mode == "acv":
             # untiled census levels; filtered_correlation reads their distinct
             # groups, level 1's as bytes of its packed codes
-            assert pyr.levels[0].channels == 24 and pyr.levels[0].words.shape == (2, 8, 16)
-            assert np.all(pyr.levels[0].words >> np.uint32(24) == 0)
-            assert [lvl.data.shape for lvl in pyr.levels[1:]] == [(24, 8, 16)] * 2
-            assert pyr.quarter_codes is None and pyr.low_codes is None
+            codes, l2, l3 = pyr
+            assert codes.channels == 24 and codes.words.shape == (2, 8, 16)
+            assert np.all(codes.words >> np.uint32(24) == 0)
+            assert type(l2) is type(l3) is FeatureMap
+            assert [lvl.data.shape for lvl in (l2, l3)] == [(24, 8, 16)] * 2
             continue
-        # fast_acv never reads the patch-matching levels
-        assert pyr.levels is None
-        assert pyr.quarter_codes.channels == CONCAT_CHANNELS
-        assert pyr.low_codes.channels == 24
-        assert pyr.quarter_codes.words.shape == (2, 8, 16)
-        assert pyr.low_codes.words.shape == (2, 4, 8)
-        assert pyr.quarter_codes.words.dtype == pyr.low_codes.words.dtype == np.uint32
+        # fast_acv reads only its quarter and eighth-resolution codes
+        quarter, low = pyr
+        assert quarter.channels == CONCAT_CHANNELS
+        assert low.channels == 24
+        assert quarter.words.shape == (2, 8, 16)
+        assert low.words.shape == (2, 4, 8)
+        assert quarter.words.dtype == low.words.dtype == np.uint32
         # bits 24-31 repeat channels 0-7; the low codes use 24 bits
-        words = pyr.quarter_codes.words
+        words = quarter.words
         assert np.array_equal(words >> np.uint32(24), words & np.uint32(0xFF))
-        assert np.all(pyr.low_codes.words >> np.uint32(24) == 0)
+        assert np.all(low.words >> np.uint32(24) == 0)
         assert np.all(words[1] & ~words[0] == 0)  # positive implies nonzero
 
 
@@ -260,9 +273,9 @@ def _assert_bitwise(got, ref):
     assert np.array_equal(got.data.view(np.uint32), ref.data.view(np.uint32))
 
 
-@pytest.mark.parametrize("channels", [3, 32, 260])
+@pytest.mark.parametrize("channels", [3, 32])
 @pytest.mark.parametrize("k", [1, 5])
-def test_concat_cost_matches_compact_reference(channels, k):
+def test_matching_score_matches_compact_reference(channels, k):
     # fast_acv's compact cost is matching_score at its integer hypotheses.
     rng = np.random.default_rng(channels * 10 + k)
     h, w = 6, 11
@@ -274,7 +287,7 @@ def test_concat_cost_matches_compact_reference(channels, k):
     _assert_bitwise(CostVolume(matching_score(f_l, f_r, d_hyp)[None]), ref)
 
 
-@pytest.mark.parametrize("channels", [3, 32, 260])
+@pytest.mark.parametrize("channels", [3, 32])
 @pytest.mark.parametrize("d_max", [1, 7, 14])
 def test_one_group_correlation_matches_compressed_concat(channels, d_max):
     # acv reads its cost as a one-group correlation instead of compressing a
@@ -292,13 +305,12 @@ def test_one_group_correlation_matches_compressed_concat(channels, d_max):
                     compress_concat_volume(build_concat_volume(s_l, s_r, d_max)))
 
 
-@pytest.mark.parametrize("regularizer", ["identity", "box3d"])
-def test_one_group_f_corr_attention_matches_tiled_groups(regularizer):
+@pytest.mark.parametrize("radius", [0, 1])
+def test_one_group_f_corr_attention_matches_tiled_groups(radius):
     # fast_acv correlates the untiled eighth-resolution census (f_corr)
     # as one group.  The paper's FAST_CORR_GROUPS groups over tiled
     # channels repeat the same blocks, so the group mean agrees, also after
-    # a linear smoothing of each correlation (radius 0 is the identity).
-    radius = {"identity": 0, "box3d": 1}[regularizer]
+    # a box smoothing of each correlation (radius 0 is the identity).
     left, right, _, _ = stereogram(disparity=16)
     cfg = PipelineConfig("fast_acv", 64, k=8)
     f_corr_l, f_corr_r = _float_census(left, 8), _float_census(right, 8)
@@ -314,7 +326,7 @@ def test_one_group_f_corr_attention_matches_tiled_groups(regularizer):
     assert np.max(np.abs(one.data - tiled.data)) <= 1e-6
 
 
-def test_concat_cost_keeps_reference_input_checks():
+def test_matching_score_keeps_reference_input_checks():
     # matching_score accepts real-valued planes, so only the shape checks
     # of build_compact_concat carry over, plus finiteness.
     f = FeatureMap(np.ones((2, 3, 4), dtype=np.float32))
@@ -467,7 +479,7 @@ def test_swapped_pair_search_range_semantics():
         pyr_r = build_feature_pyramid(r_img.intensities, cfg)
         # the paper's 8/16/16 groups tiled from the untiled census levels,
         # level 1 as the float map its codes pack
-        maps = [[census_features(box_downsample(img.intensities, 4))] + list(pyr.levels[1:])
+        maps = [[census_features(box_downsample(img.intensities, 4))] + list(pyr[1:])
                 for img, pyr in ((l_img, pyr_l), (r_img, pyr_r))]
         levels = [(FeatureMap(_tile_channels(maps[0][i].data, n * CHANNELS_PER_GROUP)),
                    FeatureMap(_tile_channels(maps[1][i].data, n * CHANNELS_PER_GROUP)),
@@ -605,17 +617,12 @@ def test_unchecked_results_keep_their_container_dtype_and_rank():
     for mode in MODES:
         cfg = PipelineConfig(mode, 32, k=4)
         pyr = build_feature_pyramid(left.intensities, cfg)
-        maps = list(pyr.levels[1:] if pyr.levels else ())
-        maps.append(census_features(left.intensities))
+        # acv packs its level 1; fast_acv its quarter and low codes
+        packed = pyr[:1] if mode == "acv" else pyr
+        maps = [*pyr[len(packed):], census_features(left.intensities)]
         for fm in maps:
             assert type(fm) is FeatureMap
             assert fm.data.dtype == np.float32 and fm.data.ndim == 3
-        # acv packs its level 1; fast_acv its quarter and low codes
-        if mode == "acv":
-            assert pyr.quarter_codes is None and pyr.low_codes is None
-            packed = [pyr.levels[0]]
-        else:
-            packed = [pyr.quarter_codes, pyr.low_codes]
         for codes in packed:
             assert type(codes) is CensusCodes
             assert codes.words.dtype == np.uint32 and codes.words.ndim == 3
@@ -636,8 +643,7 @@ def test_unchecked_results_keep_their_container_dtype_and_rank():
     s = rng.standard_normal((5, 5, 7)).astype(np.float32)
     field = pm.propagation_weights(s, s)
     for vol in (pm.cross_propagate(unfold_cross(v, 1), field),
-                pm.cross_propagate_volume(v, 1, field),
-                pm._upsample_fast_volume(v)):
+                pm.cross_propagate_volume(v, 1, field)):
         assert type(vol) is CostVolume
         assert vol.data.dtype == np.float32 and vol.data.ndim == 4
     d_hyp = np.stack([np.zeros((5, 7), np.int32), np.ones((5, 7), np.int32)])
@@ -755,10 +761,14 @@ def _whole_volume_fast_chain(left, right, cfg):
     import stereo_costvol.pipeline as pm
 
     l_img, r_img = pm._check_pair(left, right)
+    h, w = l_img.shape
     corr = group_correlation(_float_census(l_img, 8), _float_census(r_img, 8),
                              cfg.d_max // 8, 1)
-    v_init = CostVolume(pm._upsample_fast_volume(generate_attention_weights(corr)).data
-                        * np.float32(pm.TEMPERATURE))
+    # Upsampled to quarter resolution: disparity keeps its index scale,
+    # then the spatial axes resize corner-aligned.
+    a_disp = pm._resize_linear(generate_attention_weights(corr).data, 1, cfg.d_max // 4,
+                               align_corners=False)
+    v_init = CostVolume(pm._resize_hw(a_disp, h // 4, w // 4) * np.float32(pm.TEMPERATURE))
     p_init, d_init = pm.regress_initial_disparity(v_init)
     u = pm.estimate_uncertainty(p_init, d_init)
     corr_q = group_correlation(_float_census(l_img, 4, CONCAT_CHANNELS),
@@ -774,7 +784,6 @@ def _whole_volume_fast_chain(left, right, cfg):
     cost = pm.fast_attention_filter(a_f, cost_k)
     d_quarter = pm.predict_from_hypotheses(CostVolume(cost.data * np.float32(pm.TEMPERATURE)),
                                            d_hyp, a_f)
-    h, w = l_img.shape
     return pm._resize_hw(d_quarter.data * 4.0, h, w)
 
 

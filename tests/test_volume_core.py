@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from stereo_costvol import volume_core
-from stereo_costvol.fast_acv import matching_score
 from stereo_costvol.pipeline import _census_codes, _tile_channels, census_features
 from stereo_costvol.volume_core import (
     CROSS_OFFSETS,
@@ -349,34 +348,5 @@ def test_unfold_cross_requires_radius():
 
 # ---------------------------------------------------------------------------
 # randomized oracles
-
-def check_concat_cost(rng, cases):
-    """Compact concatenation cost at integer F2I hypotheses, as the fast_acv
-    runner wraps it: (1/C)<F_l(x), F_r(x - d)>, zero where x - d leaves the
-    frame. The op is fast_acv.matching_score; this keeps the integer-only
-    oracle of the cost it replaced."""
-    for _ in range(cases):
-        c, h, w = int(rng.integers(1, 5)), int(rng.integers(2, 6)), int(rng.integers(3, 9))
-        n = int(rng.integers(1, 5))
-        f_l = rand_feature(rng, c, h, w)
-        f_r = rand_feature(rng, c, h, w)
-        d_hyp = rng.integers(0, w + 2, size=(n, h, w)).astype(np.int32)
-        scores = matching_score(f_l, f_r, d_hyp)
-        cost = CostVolume(scores[None])
-        assert cost.data.shape == (1, n, h, w)
-        for k in range(n):
-            for y in range(h):
-                for x in range(w):
-                    src = x - int(d_hyp[k, y, x])
-                    expect = sum(
-                        float(f_l.data[ci, y, x]) *
-                        (float(f_r.data[ci, y, src]) if 0 <= src < w else 0.0)
-                        for ci in range(c)) / c
-                    assert abs(cost.data[0, k, y, x] - expect) < 1e-5
-
-
-def test_concat_cost_oracle():
-    check_concat_cost(np.random.default_rng(42), 10)
-
 
 test_randomized_oracles = randomized_oracles(volume_core)
